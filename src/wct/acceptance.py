@@ -267,6 +267,7 @@ def _crit_catalog(suite: str, seed: int):
                 cert_radius = 3
             entries.append({
                 "group": gid, "map": name, "wct_ok": rep["ok"],
+                "pairs_checked": rep["pairs_checked"],
                 "certificate_radius": cert_radius if cert else None,
             })
     ok = all(e["wct_ok"] and e["certificate_radius"] is not None for e in entries)

@@ -80,6 +80,7 @@ def _cmd_verify_map(args) -> tuple[int, dict]:
         "radius": args.radius,
         "ok": rep["ok"],
         "witness": rep["witness"],
+        "pairs_checked": rep["pairs_checked"],
         "nontrivial": cert is not None,
         "certificate": None if cert is None else {
             "hom_witness": [g.to_json() for g in cert["hom_witness"]],

@@ -7,9 +7,18 @@ conjugated point part.  Classes are therefore finite orbits for translations
 and finite unions of lattice cosets otherwise; everything below is exact
 integer arithmetic on those descriptions.
 
+is_conjugate decides membership without building a class.  Its per-group
+plan, built once per group on first use, holds for every part pair
+(g.f, h.f) the candidates (act(f'), s) whose point_conj[(g.f, f')] lands on
+h.f, as flat ints, together with the HNF rows of K_{h.f}.  The translation
+case is the pair ("1", "1"): its candidates are the act matrices with zero
+shift and its lattice has rank 0.  Membership h.a - act(f') g.a - s in K
+(rank 0, 1 or 2) is then a few integer divisions.
+
 brute_is_conjugate/conjugates_within sweep conjugators from a ball instead
 and exist so the closed forms can be tested against something that cannot
-share their bugs.
+share their bugs; conjugacy_class builds the class descriptors from the same
+tables independently of the plan.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .groups import Element, GroupTable
-from .lattice import Coset, Sublattice, matvec, solve_integer, vadd, vneg, vsub
+from .lattice import Coset, Sublattice, matvec, solve_integer, vadd, vneg
 
 
 def _mat_minus_identity(m):
@@ -124,19 +133,66 @@ def conjugacy_class(G: GroupTable, g: Element):
     )
 
 
+@lru_cache(maxsize=None)
+def _plan(gid: str) -> dict:
+    """(g.f, h.f) -> (candidates, p, q, r) for is_conjugate.
+
+    Each candidate is (m00, m01, m10, m11, s0, s1) for one conjugating part
+    f' with point_conj[(g.f, f')] = (s, h.f) and act(f') = m.  K_{h.f} is
+    encoded by its HNF rows: (p, q) is the row with pivot in column 0 and
+    (0, r) the row with pivot in column 1; p = 0 or r = 0 when that row is
+    absent, which then forces the coordinate to vanish.
+    """
+    from .groups import load_group
+
+    G = load_group(gid)
+    plan = {}
+    shared = {}  # equal candidates and entries are stored once
+    for f in G.F:
+        for h in G.F:
+            lat = _kf_cache(gid, h)
+            p = q = r = 0
+            for row in lat.rows:
+                if row[0]:
+                    p, q = row
+                else:
+                    r = row[1]
+            cands = []
+            for fp in G.F:
+                s, part = G.point_conj[(f, fp)]
+                if part != h:
+                    continue
+                m = G.act[fp]
+                cand = (m[0][0], m[0][1], m[1][0], m[1][1], s[0], s[1])
+                cands.append(shared.setdefault(cand, cand))
+            entry = (tuple(cands), p, q, r)
+            plan[(f, h)] = shared.setdefault(entry, entry)
+    return plan
+
+
 def is_conjugate(G: GroupTable, g: Element, h: Element) -> bool:
-    """Closed-form conjugacy test; no search."""
-    G.check_element(g)
-    G.check_element(h)
-    if (g.f == "1") != (h.f == "1"):
-        return False
-    if g.f == "1":
-        return any(matvec(G.act[f], g.a) == h.a for f in G.F)
-    for fp in G.F:
-        s, part = G.point_conj[(g.f, fp)]
-        if part != h.f:
+    """Closed-form conjugacy test; no search.
+
+    Raises ValueError when g or h has a part outside G.
+    """
+    try:
+        cands, p, q, r = _plan(G.gid)[g.f, h.f]
+    except KeyError:
+        G.check_element(g)
+        G.check_element(h)
+        raise
+    x0, y0 = g.a
+    x1, y1 = h.a
+    for m00, m01, m10, m11, s0, s1 in cands:
+        x = x1 - m00 * x0 - m01 * y0 - s0
+        y = y1 - m10 * x0 - m11 * y0 - s1
+        if p:
+            if x % p:
+                continue
+            y -= x // p * q
+        elif x:
             continue
-        if kf(G, h.f).contains(vsub(h.a, vadd(matvec(G.act[fp], g.a), s))):
+        if not (y % r if r else y):
             return True
     return False
 

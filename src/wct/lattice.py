@@ -30,10 +30,6 @@ def vneg(u: Sequence[int]) -> Vec:
     return tuple(-a for a in u)
 
 
-def vscale(c: int, u: Sequence[int]) -> Vec:
-    return tuple(c * a for a in u)
-
-
 def matvec(m: Mat, v: Sequence[int]) -> Vec:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
 
@@ -77,10 +73,6 @@ def mat_inv_unimodular(m: Mat) -> Mat:
             raise ValueError("matrix is not unimodular")
         cols.append(sol[0])
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-
-
-def transpose(m: Mat) -> Mat:
-    return tuple(tuple(m[i][j] for i in range(len(m))) for j in range(len(m[0])))
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,9 @@ from itertools import product
 from .conjugacy import is_conjugate
 from .groups import Element, GroupTable, load_group, parse_element
 from .lattice import (
-    Mat,
     Vec,
     mat_identity,
+    mat_inv_unimodular,
     matmul,
     matvec,
     vadd,
@@ -77,7 +77,7 @@ class CosetwiseAffineMap:
         G = load_group(self.gid)
         rule = {}
         for f, (f2, m, t) in self.rule.items():
-            mi = _inv2(m)
+            mi = mat_inv_unimodular(m)
             rule[f2] = (f, mi, vneg(matvec(mi, t)))
         return CosetwiseAffineMap(G, rule)
 
@@ -105,11 +105,6 @@ class CosetwiseAffineMap:
                 for f, (f2, m, t) in sorted(self.rule.items())
             },
         }
-
-
-def _inv2(m: Mat) -> Mat:
-    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    return ((m[1][1] // det, -m[0][1] // det), (-m[1][0] // det, m[0][0] // det))
 
 
 def identity_map(G: GroupTable) -> CosetwiseAffineMap:
@@ -244,27 +239,51 @@ def map_order(m: CosetwiseAffineMap, bound: int = 12):
 # -- weak Cayley table verification ---------------------------------------------
 
 
+def _check_radius(radius: int) -> None:
+    if radius < 0:
+        raise ValueError(f"radius must be non-negative, got {radius}")
+
+
 def is_wct_on_ball(G: GroupTable, m: CosetwiseAffineMap, radius: int) -> dict:
     """Check m(g1 g2) ~ m(g1) m(g2) for all pairs from ball(radius).
 
     Sound for violations (the witness re-checks); passing is evidence, not
-    proof, since the ball is finite.
+    proof, since the ball is finite.  pairs_checked counts the pairs
+    examined: all of ball x ball on a pass, up to the witness otherwise.
+
+    Both sides are computed inline from G.fprod, G.act_inv and m.rule, as
+    GroupTable.mul and CosetwiseAffineMap.apply do; a witness is re-derived
+    through mul/apply before it is reported.
     """
+    _check_radius(radius)
     ball = G.ball(radius)
-    images = {g: m.apply(g) for g in ball}
-    for g1 in ball:
-        img1 = images[g1]
-        for g2 in ball:
-            lhs = m.apply(G.mul(g1, g2))
-            rhs = G.mul(img1, images[g2])
+    images = [m.apply(g) for g in ball]
+    fprod, act_inv, rule = G.fprod, G.act_inv, m.rule
+    for i1, (((x1, y1), f1), ((u1, v1), e1)) in enumerate(zip(ball, images)):
+        (a00, a01), (a10, a11) = act_inv[f1]
+        (b00, b01), (b10, b11) = act_inv[e1]
+        for i2, (((x2, y2), f2), ((u2, v2), e2)) in enumerate(zip(ball, images)):
+            (c0, c1), f12 = fprod[f1, f2]
+            px = x1 + a00 * x2 + a01 * y2 + c0
+            py = y1 + a10 * x2 + a11 * y2 + c1
+            lf, ((m00, m01), (m10, m11)), (t0, t1) = rule[f12]
+            lhs = Element((m00 * px + m01 * py + t0, m10 * px + m11 * py + t1), lf)
+            (d0, d1), rf = fprod[e1, e2]
+            rhs = Element((u1 + b00 * u2 + b01 * v2 + d0,
+                           v1 + b10 * u2 + b11 * v2 + d1), rf)
             if not is_conjugate(G, lhs, rhs):
-                assert not is_conjugate(G, m.apply(G.mul(g1, g2)), rhs)
+                g1, g2 = ball[i1], ball[i2]
+                lhs2 = m.apply(G.mul(g1, g2))
+                rhs2 = G.mul(m.apply(g1), m.apply(g2))
+                assert (lhs2, rhs2) == (lhs, rhs) and not is_conjugate(G, lhs2, rhs2)
                 return {
                     "ok": False,
                     "witness": [g1.to_json(), g2.to_json()],
                     "radius": radius,
+                    "pairs_checked": i1 * len(ball) + i2 + 1,
                 }
-    return {"ok": True, "witness": None, "radius": radius}
+    return {"ok": True, "witness": None, "radius": radius,
+            "pairs_checked": len(ball) ** 2}
 
 
 def nontriviality_certificate(G: GroupTable, m: CosetwiseAffineMap, radius: int):
@@ -273,6 +292,7 @@ def nontriviality_certificate(G: GroupTable, m: CosetwiseAffineMap, radius: int)
     Returns {"hom_witness": .., "antihom_witness": ..} or None when either
     search comes up empty within the ball, in which case m looks trivial.
     """
+    _check_radius(radius)
     ball = G.ball(radius)
     hom_witness = antihom_witness = None
     for g1 in ball:
@@ -305,6 +325,7 @@ def wct_invariants(G: GroupTable, m: CosetwiseAffineMap, radius: int = 2) -> dic
     """
     from .conjugacy import conjugacy_class
 
+    _check_radius(radius)
     ball = G.ball(radius)
     checks = {
         "fixes_identity": m.apply(G.identity) == G.identity,

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wct
 from wct.cli import main
 from wct.groups import Element, element_from_json, load_group
 from wct.lattice import Sublattice
@@ -106,6 +110,43 @@ def test_verify_map_failure_exits_one(capsys):
     lhs = m.apply(G.mul(g1, g2))
     rhs = G.mul(m.apply(g1), m.apply(g2))
     assert not is_conjugate(G, lhs, rhs)
+
+
+def test_verify_map_reports_pairs_checked(capsys):
+    code, rep = run_cli(capsys, "verify-map", "--group", "p4",
+                        "--map", "tau_x", "--radius", "1")
+    assert code == 0
+    assert rep["pairs_checked"] == len(load_group("p4").ball(1)) ** 2
+    code, rep = run_cli(capsys, "verify-map", "--group", "p4",
+                        "--map", "conj_rho_on_rho2", "--radius", "2")
+    assert code == 1
+    assert 0 < rep["pairs_checked"] < len(load_group("p4").ball(2)) ** 2
+
+
+@pytest.mark.parametrize("argv", (
+    ("--map", "conj_rho_on_rho2", "--radius", "-1"),
+    ("--map", "tau_x", "--radius", "1", "--certificate-radius", "-1"),
+))
+def test_verify_map_negative_radius_is_usage_error(capsys, argv):
+    code = main(["verify-map", "--group", "p4", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "radius must be non-negative" in captured.err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(wct.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "wct", "verify-map", "--group", "p3",
+         "--map", "tau", "--radius", "1"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["command"] == "verify-map" and rep["ok"] and rep["nontrivial"]
 
 
 def test_verify_map_expression(capsys):

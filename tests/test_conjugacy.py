@@ -20,7 +20,7 @@ from wct.conjugacy import (
     square_affine,
     squares_image,
 )
-from wct.groups import GROUP_IDS, all_groups, load_group
+from wct.groups import GROUP_IDS, Element, all_groups, load_group
 from wct.lattice import Coset, Sublattice, matvec
 
 
@@ -219,3 +219,58 @@ def test_coset_union_piece_counts():
     # rotations by a quarter turn fuse with their inverse part only via mirrors
     cls_r = conjugacy_class(G, G.element(0, 0, "rho"))
     assert {f for f, _ in cls_r.pieces} == {"rho", "rho3"}
+
+
+def _kf_shape(lat):
+    """'rank0', 'rank1-col0', 'rank1-col1' or 'rank2' for a K lattice."""
+    if lat.rank == 1:
+        return "rank1-col0" if lat.rows[0][0] else "rank1-col1"
+    return f"rank{lat.rank}"
+
+
+def _seeded_pairs(G, n=400, seed=11):
+    """Pairs (g, h) with coordinates in [-20, 20]: random ones, and conjugates
+    of g by small conjugators so that every group yields True answers."""
+    rnd = random.Random(f"{seed}:{G.gid}")
+
+    def rand_elem(f=None):
+        return G.element(rnd.randint(-20, 20), rnd.randint(-20, 20),
+                         f if f is not None else rnd.choice(G.F))
+
+    pairs = []
+    while len(pairs) < n:
+        g = rand_elem()
+        pairs.append((g, rand_elem()))
+        pairs.append((g, rand_elem(g.f)))
+        h = G.conj(g, G.element(rnd.randint(-3, 3), rnd.randint(-3, 3),
+                                rnd.choice(G.F)))
+        if max(abs(h.a[0]), abs(h.a[1])) <= 20:
+            pairs.append((g, h))
+    return pairs
+
+
+@pytest.mark.parametrize("gid", GROUP_IDS)
+def test_is_conjugate_matches_class_descriptor(gid):
+    G = load_group(gid)
+    answers = set()
+    for g, h in _seeded_pairs(G):
+        got = is_conjugate(G, g, h)
+        assert got == conjugacy_class(G, g).contains(h), (g, h)
+        answers.add(got)
+    assert answers == {True, False}
+
+
+def test_seeded_pairs_cover_every_kf_shape():
+    shapes = set()
+    for G in all_groups():
+        shapes.update(_kf_shape(kf(G, h.f)) for _, h in _seeded_pairs(G))
+    assert shapes == {"rank0", "rank1-col0", "rank1-col1", "rank2"}
+
+
+def test_is_conjugate_rejects_unknown_part():
+    G = load_group("p4")
+    stranger = Element((0, 0), "sigma")
+    for g, h in ((stranger, G.identity), (G.identity, stranger),
+                 (Element((1, 2), "zeta"), Element((1, 2), "zeta"))):
+        with pytest.raises(ValueError, match="does not belong to p4"):
+            is_conjugate(G, g, h)

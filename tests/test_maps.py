@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from wct.conjugacy import is_conjugate
+from wct.acceptance import TRIVIAL_GROUPS
+from wct.conjugacy import conjugacy_class, is_conjugate
 from wct.groups import GROUP_IDS, Element, load_group, parse_element
 from wct.maps import (
     CosetwiseAffineMap,
@@ -436,3 +437,62 @@ def test_w0_generator_names_resolve():
         G = load_group(gid)
         for name in names:
             generator(G, name)
+
+
+def _reference_ball_check(G, m, radius):
+    """is_wct_on_ball spelled out through mul, apply and class descriptors."""
+    ball = G.ball(radius)
+    classes = {}
+    for i1, g1 in enumerate(ball):
+        for i2, g2 in enumerate(ball):
+            lhs = m.apply(G.mul(g1, g2))
+            rhs = G.mul(m.apply(g1), m.apply(g2))
+            if lhs not in classes:
+                classes[lhs] = conjugacy_class(G, lhs)
+            if not classes[lhs].contains(rhs):
+                return False, [g1.to_json(), g2.to_json()], i1 * len(ball) + i2 + 1
+    return True, None, len(ball) ** 2
+
+
+def _assert_matches_reference(G, m, radius):
+    res = is_wct_on_ball(G, m, radius)
+    assert (res["ok"], res["witness"], res["pairs_checked"]) == \
+        _reference_ball_check(G, m, radius), m
+    assert res["radius"] == radius
+    return res["ok"]
+
+
+@pytest.mark.parametrize("gid", GROUP_IDS)
+def test_ball_check_matches_reference_on_catalog(gid):
+    G = load_group(gid)
+    verdicts = {name: _assert_matches_reference(G, m, 1)
+                for name, m in catalog(G).items()}
+    if gid == "p4":
+        assert not verdicts.pop("conj_rho_on_rho2")
+    assert all(verdicts.values())
+
+
+@pytest.mark.parametrize("gid", TRIVIAL_GROUPS)
+def test_ball_check_matches_reference_on_random_maps(gid):
+    G = load_group(gid)
+    rnd = random.Random(f"ball-reference:{gid}")
+    for _ in range(25):
+        _assert_matches_reference(G, random_map(G, rnd), 1)
+
+
+def test_ball_check_counts_pairs_up_to_the_witness():
+    G = load_group("p4")
+    size = len(G.ball(2))
+    assert is_wct_on_ball(G, generator(G, "tau_x"), 2)["pairs_checked"] == size ** 2
+    res = is_wct_on_ball(G, generator(G, "conj_rho_on_rho2"), 2)
+    positions = {(g.a, g.f): i for i, g in enumerate(G.ball(2))}
+    i1, i2 = (positions[(tuple(w["a"]), w["f"])] for w in res["witness"])
+    assert res["pairs_checked"] == i1 * size + i2 + 1
+
+
+def test_negative_radius_is_rejected():
+    G = load_group("p4")
+    m = generator(G, "conj_rho_on_rho2")
+    for check in (is_wct_on_ball, nontriviality_certificate, wct_invariants):
+        with pytest.raises(ValueError, match="radius"):
+            check(G, m, -1)
