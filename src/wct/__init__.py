@@ -46,7 +46,6 @@ from .semidirect import (
     SdElement,
     SdGroup,
     SdMap,
-    brute_is_conjugate_sd,
     build,
     class_sd,
     derived_lattice,
@@ -54,7 +53,6 @@ from .semidirect import (
     p2_candidate,
     phi_for_odd_p,
     sd_invariants,
-    sd_nontriviality,
     verify_sd,
 )
 

@@ -2,7 +2,10 @@
 
 One JSON document on stdout per invocation, schema "wct/1".  Exit status:
 0 when every check passed or the query was answered, 1 when a verification
-found a violation, 2 on usage errors (unknown names, malformed flags).
+found a violation, 2 on usage errors (unknown names, malformed flags,
+negative radii), 3 on an internal fault, reported as "error: ..." on
+stderr.  When the reader closes stdout early (`wct ... | head`), the
+output stops without a traceback and the exit status is still the verdict's.
 The acceptance battery reports per-criterion progress on stderr so the
 stdout document stays a single parseable object.
 """
@@ -11,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import traceback
 
 from . import acceptance, maps, semidirect
 from .conjugacy import conjugacy_class, involution_loci
@@ -39,6 +44,7 @@ def _cmd_classes(args) -> tuple[int, dict]:
         report["element"] = g.to_json()
         report["class"] = conjugacy_class(G, g).to_json()
         return 0, report
+    maps._check_radius(args.radius)
     seen = {}
     for g in G.ball(args.radius):
         cls = conjugacy_class(G, g)
@@ -114,7 +120,7 @@ def _parse_theta(text: str):
         raise ValueError(f"--theta is not valid JSON: {exc}") from None
     if (not isinstance(theta, list)
             or not all(isinstance(row, list) for row in theta)
-            or not all(isinstance(x, int) for row in theta for x in row)):
+            or not all(type(x) is int for row in theta for x in row)):
         raise ValueError("--theta must be a JSON matrix of integers")
     return [tuple(row) for row in theta]
 
@@ -134,7 +140,7 @@ def _cmd_semidirect(args) -> tuple[int, dict]:
     m = (semidirect.phi_for_odd_p(G) if args.check == "phi"
          else semidirect.p2_candidate(G))
     rep = semidirect.verify_sd(G, m, args.radius)
-    cert = semidirect.sd_nontriviality(G, m, 2)
+    cert = maps.nontriviality_certificate(G, m, 2)
     report["map"] = m.to_json()
     report["verify"] = rep
     report["nontrivial"] = cert is not None
@@ -147,7 +153,7 @@ def _cmd_semidirect(args) -> tuple[int, dict]:
         # the order-2 candidate is an exact antihomomorphism: it must pass
         # the class condition and must not certify nontriviality
         ok = (rep["ok"] and cert is None
-              and semidirect.sd_antihomomorphism_failure(G, m) is None)
+              and maps.antihomomorphism_failure(G, m) is None)
     report["ok"] = ok
     return (0 if ok else 1), report
 
@@ -231,7 +237,16 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(report, indent=args.json_indent))
+    except Exception as exc:
+        print(f"error: internal fault: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
+    try:
+        print(json.dumps(report, indent=args.json_indent), flush=True)
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so the interpreter's
+        # final flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

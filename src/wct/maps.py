@@ -10,6 +10,10 @@ are needed to compare two maps.
 Conventions, fixed once: composition m1 * m2 applies m2 first, and m ** n
 (spelled conjugate_by) is inv(n) * m * n.  Product words from the relation
 tables are read the same way, rightmost factor first.
+
+homomorphism_failure, antihomomorphism_failure, nontriviality_certificate
+and forced_consequences serve wct.semidirect too: they use only G.mul,
+G.inv, G.identity, G.ball, G.probes and m.apply.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import re
 from functools import lru_cache
 from itertools import product
 
-from .conjugacy import is_conjugate
+from .conjugacy import conjugacy_class, is_conjugate
 from .groups import Element, GroupTable, load_group, parse_element
 from .lattice import (
     Vec,
@@ -198,33 +202,38 @@ def automorphism(G: GroupTable, images: dict) -> CosetwiseAffineMap:
 
 # -- exact structural checks ---------------------------------------------------
 
-_PROBES = ((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
+def _probe_failure(G, m, anti: bool, radius: int = 1):
+    """First probe pair with m(g1 g2) != m(g1) m(g2), or != m(g2) m(g1) when
+    anti is set; None when every probe holds.
 
-def homomorphism_failure(G: GroupTable, m: CosetwiseAffineMap):
-    """First pair with m(g1 g2) != m(g1) m(g2), or None.
-
-    Both sides are affine in the pair of translation parts, so probing the
-    origin plus the four basis directions per coset pair is a complete check.
+    For each pair of parts (cosets A*f, or k-slices of Z^n x C_p) both sides
+    are affine in the translation parts of g1 and g2 together, so the probes
+    (o, o), (e_i, o) and (o, e_j) from G.probes() decide the law on the whole
+    pair.  They lie in ball(1); radius 0 keeps only the origin pairs, which
+    are all of ball(0) x ball(0).
     """
-    for f in G.F:
-        for g in G.F:
-            for i, j, k, l in _PROBES:
-                g1, g2 = Element((i, j), f), Element((k, l), g)
-                if m.apply(G.mul(g1, g2)) != G.mul(m.apply(g1), m.apply(g2)):
+    probes = G.probes()
+    for o1, *steps1 in probes:
+        for o2, *steps2 in probes:
+            pairs = [(o1, o2)]
+            if radius:
+                pairs += [(g1, o2) for g1 in steps1] + [(o1, g2) for g2 in steps2]
+            for g1, g2 in pairs:
+                m1, m2 = m.apply(g1), m.apply(g2)
+                if m.apply(G.mul(g1, g2)) != (G.mul(m2, m1) if anti else G.mul(m1, m2)):
                     return g1, g2
     return None
 
 
-def antihomomorphism_failure(G: GroupTable, m: CosetwiseAffineMap):
-    """First pair with m(g1 g2) != m(g2) m(g1), or None; same probe argument."""
-    for f in G.F:
-        for g in G.F:
-            for i, j, k, l in _PROBES:
-                g1, g2 = Element((i, j), f), Element((k, l), g)
-                if m.apply(G.mul(g1, g2)) != G.mul(m.apply(g2), m.apply(g1)):
-                    return g1, g2
-    return None
+def homomorphism_failure(G, m):
+    """First pair with m(g1 g2) != m(g1) m(g2), or None; a complete check."""
+    return _probe_failure(G, m, anti=False)
+
+
+def antihomomorphism_failure(G, m):
+    """First pair with m(g1 g2) != m(g2) m(g1), or None; a complete check."""
+    return _probe_failure(G, m, anti=True)
 
 
 def map_order(m: CosetwiseAffineMap, bound: int = 12):
@@ -286,45 +295,39 @@ def is_wct_on_ball(G: GroupTable, m: CosetwiseAffineMap, radius: int) -> dict:
             "pairs_checked": len(ball) ** 2}
 
 
-def nontriviality_certificate(G: GroupTable, m: CosetwiseAffineMap, radius: int):
+def nontriviality_certificate(G, m, radius: int):
     """Witness pairs showing m is neither a homomorphism nor an antihomomorphism.
 
-    Returns {"hom_witness": .., "antihom_witness": ..} or None when either
-    search comes up empty within the ball, in which case m looks trivial.
+    Returns {"hom_witness": .., "antihom_witness": ..}, the first probe
+    failure of each law inside ball(radius), or None when either law holds
+    on all of those probes.  The probes are complete and lie in ball(1), so
+    for radius >= 1 None proves that m is a homomorphism or an
+    antihomomorphism of all of G.
     """
     _check_radius(radius)
-    ball = G.ball(radius)
-    hom_witness = antihom_witness = None
-    for g1 in ball:
-        if hom_witness and antihom_witness:
-            break
-        m1 = m.apply(g1)
-        for g2 in ball:
-            lhs = m.apply(G.mul(g1, g2))
-            m2 = m.apply(g2)
-            if hom_witness is None and lhs != G.mul(m1, m2):
-                hom_witness = (g1, g2)
-            if antihom_witness is None and lhs != G.mul(m2, m1):
-                antihom_witness = (g1, g2)
-            if hom_witness and antihom_witness:
-                break
-    if hom_witness is None or antihom_witness is None:
+    hom = _probe_failure(G, m, anti=False, radius=radius)
+    anti = None if hom is None else _probe_failure(G, m, anti=True, radius=radius)
+    if anti is None:
         return None
-    return {"hom_witness": hom_witness, "antihom_witness": antihom_witness}
+    return {"hom_witness": hom, "antihom_witness": anti}
 
 
 def wct_invariants(G: GroupTable, m: CosetwiseAffineMap, radius: int = 2) -> dict:
+    """forced_consequences with the exact wallpaper class descriptors."""
+    return forced_consequences(G, m, radius, conjugacy_class, m.rule["1"][0] == "1")
+
+
+def forced_consequences(G, m, radius: int, class_of, preserves_translations: bool) -> dict:
     """Check the consequences forced on every weak Cayley table bijection.
 
     Taking g2 = e, g2 = g1^-1 or g2 = g1 in the defining condition pins down:
     the identity is fixed, inverses are respected, involutions go to
     involutions, conjugacy is preserved in both directions, and the
     translation subgroup maps onto itself.  Class preservation is checked by
-    requiring the induced map on exact class descriptors over ball(radius) to
-    be well defined and injective; the rest is element-wise over the ball.
+    requiring the induced map on the class descriptors class_of(G, g) over
+    ball(radius) to be well defined and injective; the rest is element-wise
+    over the ball.  preserves_translations is the caller's test of m on A.
     """
-    from .conjugacy import conjugacy_class
-
     _check_radius(radius)
     ball = G.ball(radius)
     checks = {
@@ -334,14 +337,14 @@ def wct_invariants(G: GroupTable, m: CosetwiseAffineMap, radius: int = 2) -> dic
         "involutions_to_involutions": all(
             G.mul(m.apply(g), m.apply(g)) == G.identity
             for g in ball if G.mul(g, g) == G.identity),
-        "preserves_translations": m.rule["1"][0] == "1",
+        "preserves_translations": preserves_translations,
     }
     forward: dict = {}
     backward: dict = {}
     preserved = True
     for g in ball:
-        s = conjugacy_class(G, g)
-        si = conjugacy_class(G, m.apply(g))
+        s = class_of(G, g)
+        si = class_of(G, m.apply(g))
         if forward.setdefault(s, si) != si or backward.setdefault(si, s) != s:
             preserved = False
             break

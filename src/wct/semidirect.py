@@ -12,6 +12,11 @@ The two maps of interest are phi_for_odd_p, which twists A by theta and
 fixes everything else, and the p = 2 candidate doing the opposite; the
 first is a non-trivial weak Cayley table map whenever theta != I, the
 second turns out to be an exact antihomomorphism, hence trivial.
+
+The family-agnostic verdicts are shared: homomorphism_failure,
+antihomomorphism_failure, nontriviality_certificate and forced_consequences
+from wct.maps run on SdGroup.probes/ball and SdMap.apply, and the brute
+oracle is wct.conjugacy.brute_is_conjugate.  The sd_ names bind to them.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple, Sequence
 
+from .conjugacy import TranslationClass
+from .conjugacy import brute_is_conjugate as brute_is_conjugate_sd
 from .lattice import (
     Coset,
     Mat,
@@ -33,6 +40,9 @@ from .lattice import (
     vneg,
     vsub,
 )
+from .maps import _check_radius, forced_consequences
+from .maps import antihomomorphism_failure as sd_antihomomorphism_failure
+from .maps import nontriviality_certificate as sd_nontriviality
 
 
 class SdElement(NamedTuple):
@@ -108,6 +118,11 @@ class SdGroup:
     def comm(self, g: SdElement, h: SdElement) -> SdElement:
         return self.mul(self.inv(self.mul(h, g)), self.mul(g, h))
 
+    def probes(self) -> list[list[SdElement]]:
+        """Per slice: the origin, then one step along each axis."""
+        return [[SdElement(v, k) for v in ((0,) * self.n,) + mat_identity(self.n)]
+                for k in range(self.p)]
+
     def ball(self, radius: int) -> list[SdElement]:
         return [
             SdElement(v, k)
@@ -127,20 +142,6 @@ def build(theta: Sequence[Sequence[int]], p: int) -> SdGroup:
 
 
 @dataclass(frozen=True)
-class SdOrbitClass:
-    """Class of a translation: its theta-orbit, of size dividing p."""
-
-    elements: frozenset
-
-    def contains(self, g: SdElement) -> bool:
-        return g in self.elements
-
-    def to_json(self) -> dict:
-        return {"kind": "finiteSet",
-                "elements": [e.to_json() for e in sorted(self.elements)]}
-
-
-@dataclass(frozen=True)
 class SdCosetClass:
     """Class of (a, k != 0): one lattice coset in the fixed k-slice."""
 
@@ -156,7 +157,7 @@ class SdCosetClass:
 
 def class_sd(G: SdGroup, g: SdElement):
     if g.k == 0:
-        return SdOrbitClass(frozenset(
+        return TranslationClass(frozenset(
             SdElement(matvec(m, g.v), 0) for m in G.powers))
     return SdCosetClass(g.k, Coset(g.v, G.comm_lattice))
 
@@ -167,10 +168,6 @@ def is_conjugate_sd(G: SdGroup, g: SdElement, h: SdElement) -> bool:
     if g.k == 0:
         return any(matvec(m, g.v) == h.v for m in G.powers)
     return G.comm_lattice.contains(vsub(h.v, g.v))
-
-
-def brute_is_conjugate_sd(G: SdGroup, g: SdElement, h: SdElement, radius: int) -> bool:
-    return any(G.conj(g, c) == h for c in G.ball(radius))
 
 
 def derived_lattice(G: SdGroup) -> Sublattice:
@@ -241,6 +238,7 @@ def verify_sd(G: SdGroup, m: SdMap, radius: int) -> dict:
     Slices without a uniform certificate fall back to enumerating the ball;
     the verdict reports which method settled each slice pair.
     """
+    _check_radius(radius)
     eye = mat_identity(G.n)
     lat = G.comm_lattice
     methods = {}
@@ -284,55 +282,6 @@ def _method_json(methods: dict) -> dict:
     return {f"{k1},{k2}": how for (k1, k2), how in sorted(methods.items())}
 
 
-def sd_homomorphism_failure(G: SdGroup, m: SdMap):
-    """First pair violating m(g1 g2) = m(g1) m(g2); slices are linear, so
-    probing the origin and basis vectors per slice pair is complete."""
-    probes = [(0,) * G.n]
-    for j in range(G.n):
-        probes.append(tuple(int(i == j) for i in range(G.n)))
-    for k1 in range(G.p):
-        for k2 in range(G.p):
-            for v1 in probes:
-                for v2 in probes:
-                    g1, g2 = SdElement(v1, k1), SdElement(v2, k2)
-                    if m.apply(G.mul(g1, g2)) != G.mul(m.apply(g1), m.apply(g2)):
-                        return g1, g2
-    return None
-
-
-def sd_antihomomorphism_failure(G: SdGroup, m: SdMap):
-    probes = [(0,) * G.n]
-    for j in range(G.n):
-        probes.append(tuple(int(i == j) for i in range(G.n)))
-    for k1 in range(G.p):
-        for k2 in range(G.p):
-            for v1 in probes:
-                for v2 in probes:
-                    g1, g2 = SdElement(v1, k1), SdElement(v2, k2)
-                    if m.apply(G.mul(g1, g2)) != G.mul(m.apply(g2), m.apply(g1)):
-                        return g1, g2
-    return None
-
-
-def sd_nontriviality(G: SdGroup, m: SdMap, radius: int):
-    """Witnesses that m is neither a homomorphism nor an antihomomorphism,
-    searched in norm order with early exit, or None if either hunt fails."""
-    ball = sorted(G.ball(radius), key=lambda g: (max(map(abs, g.v)), g))
-    hom = anti = None
-    for g1 in ball:
-        m1 = m.apply(g1)
-        for g2 in ball:
-            lhs = m.apply(G.mul(g1, g2))
-            m2 = m.apply(g2)
-            if hom is None and lhs != G.mul(m1, m2):
-                hom = (g1, g2)
-            if anti is None and lhs != G.mul(m2, m1):
-                anti = (g1, g2)
-            if hom and anti:
-                return {"hom_witness": hom, "antihom_witness": anti}
-    return None
-
-
 def sd_power_compatible(G: SdGroup, m: SdMap, radius: int, max_power: int = 5) -> bool:
     """m(a^j) = m(a)^j for translations a in ball(radius): forced for any
     weak Cayley table bijection of the product."""
@@ -348,29 +297,11 @@ def sd_power_compatible(G: SdGroup, m: SdMap, radius: int, max_power: int = 5) -
     return True
 
 
+
+
 def sd_invariants(G: SdGroup, m: SdMap, radius: int = 2) -> dict:
-    """Check the consequences forced on every weak Cayley table bijection:
-    identity fixed, inverses respected, involutions to involutions, A fixed
-    setwise, classes permuted consistently in both directions."""
-    ball = G.ball(radius)
+    """maps.forced_consequences with class_sd; A is fixed setwise exactly
+    when the translation slice matrix is unimodular."""
     cols = [tuple(row[j] for row in m.mats[0]) for j in range(G.n)]
-    checks = {
-        "fixes_identity": m.apply(G.identity) == G.identity,
-        "respects_inverse": all(m.apply(G.inv(g)) == G.inv(m.apply(g)) for g in ball),
-        "involutions_to_involutions": all(
-            G.mul(m.apply(g), m.apply(g)) == G.identity
-            for g in ball if G.mul(g, g) == G.identity),
-        "preserves_translations": Sublattice(G.n, cols) == Sublattice.full(G.n),
-    }
-    forward: dict = {}
-    backward: dict = {}
-    preserved = True
-    for g in ball:
-        s = class_sd(G, g)
-        si = class_sd(G, m.apply(g))
-        if forward.setdefault(s, si) != si or backward.setdefault(si, s) != s:
-            preserved = False
-            break
-    checks["preserves_classes"] = preserved
-    checks["ok"] = all(checks.values())
-    return checks
+    return forced_consequences(G, m, radius, class_sd,
+                               Sublattice(G.n, cols) == Sublattice.full(G.n))

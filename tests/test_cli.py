@@ -202,6 +202,52 @@ def test_semidirect_bad_theta(capsys):
     capsys.readouterr()
 
 
+def test_semidirect_theta_rejects_booleans(capsys):
+    code = main(["semidirect", "--theta", "[[true]]", "--p", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--theta must be a JSON matrix of integers" in captured.err
+
+
+@pytest.mark.parametrize("argv", (
+    ("semidirect", "--theta", "[[0,-1],[1,-1]]", "--p", "3", "--radius", "-1"),
+    ("classes", "--group", "p2", "--radius", "-1"),
+))
+def test_negative_radius_is_usage_error(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "radius must be non-negative" in captured.err
+
+
+def test_internal_fault_exits_three(capsys, monkeypatch):
+    def broken(G, text):
+        raise RuntimeError("simulated fault")
+
+    monkeypatch.setattr("wct.maps.parse_map_expr", broken)
+    code = main(["verify-map", "--group", "p4", "--map", "tau_x"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("error: internal fault: RuntimeError: simulated fault")
+    assert "Traceback" in captured.err
+
+
+def test_closed_stdout_exits_quietly():
+    src = str(Path(wct.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    # a few hundred KiB of output, far more than a pipe buffer holds
+    with subprocess.Popen(
+            [sys.executable, "-m", "wct", "classes", "--group", "p2", "--radius", "25"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.read(10) == b'{"schema":'
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert err == b""
+
+
 def test_json_indent_flag(capsys):
     code = main(["involutions", "--group", "p2", "--json-indent", "2"])
     out = capsys.readouterr().out

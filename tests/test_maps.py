@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from wct.acceptance import TRIVIAL_GROUPS
+from wct.acceptance import P2_THETAS, SD_CASES, TRIVIAL_GROUPS
 from wct.conjugacy import conjugacy_class, is_conjugate
 from wct.groups import GROUP_IDS, Element, load_group, parse_element
 from wct.maps import (
@@ -33,6 +33,7 @@ from wct.maps import (
     wct_invariants,
     wgroup_relations,
 )
+from wct.semidirect import SdMap, build, identity_sd_map, p2_candidate, phi_for_odd_p
 
 _SAMPLES = ((0, 0, None), (1, 0, None), (-2, 3, None))
 
@@ -496,3 +497,127 @@ def test_negative_radius_is_rejected():
     for check in (is_wct_on_ball, nontriviality_certificate, wct_invariants):
         with pytest.raises(ValueError, match="radius"):
             check(G, m, -1)
+
+
+# -- the verdict helpers shared with Z^n x C_p ----------------------------------
+
+
+def _reference_failure_radii(G, m, top):
+    """Ball search for each law: the smallest r <= top at which some pair of
+    ball(r) breaks m(g1 g2) = m(g1) m(g2) ("hom") or m(g1 g2) = m(g2) m(g1)
+    ("anti"); a law missing from the result holds on all of ball(top)."""
+    ball = G.ball(top)
+    norm = {g: max(map(abs, g[0])) for g in ball}
+    image = {g: m.apply(g) for g in ball}
+    found = {}
+    for r in range(top + 1):
+        inner = [g for g in ball if norm[g] <= r]
+        for g1 in inner:
+            for g2 in inner:
+                if norm[g1] < r and norm[g2] < r:
+                    continue  # already searched at a smaller radius
+                lhs = m.apply(G.mul(g1, g2))
+                m1, m2 = image[g1], image[g2]
+                if "hom" not in found and lhs != G.mul(m1, m2):
+                    found["hom"] = r
+                if "anti" not in found and lhs != G.mul(m2, m1):
+                    found["anti"] = r
+                if len(found) == 2:
+                    return found
+    return found
+
+
+def _top_radius(G):
+    """Radius 3 where the ball is small, less where ball(3)^2 is too costly."""
+    return max([1] + [r for r in (2, 3) if len(G.ball(r)) <= 200])
+
+
+def _assert_certificate_matches_reference(G, m):
+    top = _top_radius(G)
+    found = _reference_failure_radii(G, m, top)
+    for radius in range(top + 1):
+        cert = nontriviality_certificate(G, m, radius)
+        expected = all(found.get(law, radius + 1) <= radius for law in ("hom", "anti"))
+        assert (cert is not None) == expected, (m, radius, found)
+        if cert is None:
+            continue
+        ball = set(G.ball(radius))
+        g1, g2 = cert["hom_witness"]
+        assert {g1, g2} <= ball
+        assert m.apply(G.mul(g1, g2)) != G.mul(m.apply(g1), m.apply(g2))
+        h1, h2 = cert["antihom_witness"]
+        assert {h1, h2} <= ball
+        assert m.apply(G.mul(h1, h2)) != G.mul(m.apply(h2), m.apply(h1))
+    return found
+
+
+@pytest.mark.parametrize("gid", GROUP_IDS)
+def test_certificate_matches_ball_search_on_catalog(gid):
+    G = load_group(gid)
+    for m in catalog(G).values():
+        _assert_certificate_matches_reference(G, m)
+
+
+@pytest.mark.parametrize("gid", GROUP_IDS)
+def test_certificate_matches_ball_search_on_random_maps(gid):
+    G = load_group(gid)
+    rnd = random.Random(f"certificate-reference:{gid}")
+    for _ in range(20):
+        _assert_certificate_matches_reference(G, random_map(G, rnd))
+    for M in (((0, 1), (1, 0)), ((1, 1), (0, 1))):
+        # one matrix on every coset passes the (o, o) and (e_i, o) probes of
+        # the homomorphism law in the symmorphic groups; only (o, e_j) can
+        # catch M not commuting with act(f)
+        _assert_certificate_matches_reference(
+            G, CosetwiseAffineMap(G, {f: (f, M, (0, 0)) for f in G.F}))
+
+
+def _sd_maps():
+    for _, p, theta in SD_CASES:
+        H = build(theta, p)
+        yield H, phi_for_odd_p(H)
+        yield H, identity_sd_map(H)
+    for _, theta in P2_THETAS:
+        H = build(theta, 2)
+        yield H, p2_candidate(H)
+
+
+def test_certificate_matches_ball_search_on_semidirect_maps():
+    verdicts = [_assert_certificate_matches_reference(H, m) for H, m in _sd_maps()]
+    # the phi maps break both laws, identity and p = 2 candidates keep one
+    assert [len(found) for found in verdicts] == [2, 1] * 3 + [1] * 3
+
+
+def _semidirect_samples():
+    rnd = random.Random("semidirect-probes")
+    groups = [build([[0, -1], [1, -1]], 3),
+              build([[-1]], 2), build([[0, 1], [1, 0]], 2),
+              build([[0, 1, 0], [1, 0, 0], [0, 0, -1]], 2)]
+    for H in groups:
+        yield H, identity_sd_map(H)
+        yield H, SdMap(H, [H.theta] * H.p)  # conjugation by r
+        yield H, phi_for_odd_p(H) if H.p > 2 else p2_candidate(H)
+        swap = tuple(tuple(int(i + j == H.n - 1) for j in range(H.n))
+                     for i in range(H.n))
+        yield H, SdMap(H, [swap] * H.p)  # a homomorphism only if it commutes with theta
+        for _ in range(4):
+            yield H, SdMap(H, [tuple(tuple(rnd.randint(-1, 1) for _ in range(H.n))
+                                     for _ in range(H.n)) for _ in range(H.p)])
+
+
+def test_semidirect_probes_match_brute_search():
+    """The probe verdicts agree with a search over all of ball(2)^2."""
+    laws = {"hom": homomorphism_failure, "anti": antihomomorphism_failure}
+    seen = set()
+    for H, m in _semidirect_samples():
+        found = _reference_failure_radii(H, m, 2)
+        for law, probe in laws.items():
+            witness = probe(H, m)
+            assert (witness is None) == (law not in found), (H, m.mats, law)
+            seen.add((law, witness is None))
+            if witness is not None:
+                g1, g2 = witness
+                lhs = m.apply(H.mul(g1, g2))
+                m1, m2 = m.apply(g1), m.apply(g2)
+                assert lhs != (H.mul(m1, m2) if law == "hom" else H.mul(m2, m1))
+    assert len(seen) == 4  # each law both holds and fails somewhere

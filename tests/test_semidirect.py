@@ -6,11 +6,17 @@ import random
 
 import pytest
 
+from wct import semidirect
+from wct.conjugacy import TranslationClass, brute_is_conjugate
 from wct.lattice import Sublattice, mat_identity, matvec
+from wct.maps import (
+    antihomomorphism_failure,
+    homomorphism_failure,
+    nontriviality_certificate,
+)
 from wct.semidirect import (
     SdElement,
     SdMap,
-    brute_is_conjugate_sd,
     build,
     class_sd,
     derived_lattice,
@@ -18,10 +24,7 @@ from wct.semidirect import (
     is_conjugate_sd,
     p2_candidate,
     phi_for_odd_p,
-    sd_antihomomorphism_failure,
-    sd_homomorphism_failure,
     sd_invariants,
-    sd_nontriviality,
     sd_power_compatible,
     verify_sd,
 )
@@ -90,6 +93,12 @@ def test_element_validation():
         G.element((1, 2, 3))
     assert G.element((1, 2), 5) == G.element((1, 2), 2)
     assert G.element(None, 1).v == (0, 0)
+
+
+def test_probes_are_origin_and_unit_steps():
+    G = build(THETA3_EMBED, 3)
+    steps = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert G.probes() == [[SdElement(v, k) for v in steps] for k in range(3)]
 
 
 def test_ball_size():
@@ -173,7 +182,7 @@ def test_brute_is_conjugate_matches_closed_form():
     G = build(THETA3, 3)
     g = G.element((2, 0), 1)
     h = G.element((1, 1), 1)
-    assert is_conjugate_sd(G, g, h) == brute_is_conjugate_sd(G, g, h, 5)
+    assert is_conjugate_sd(G, g, h) == brute_is_conjugate(G, g, h, 5)
 
 
 # -- the maps --------------------------------------------------------------------
@@ -210,7 +219,7 @@ def test_phi_is_wct_map(theta, p):
     # every slice pair carries a uniform certificate: this is a proof over
     # all of G, not just ball evidence
     assert set(res["methods"].values()) == {"uniform"}
-    cert = sd_nontriviality(G, phi, 2)
+    cert = nontriviality_certificate(G, phi, 2)
     assert cert is not None
     g1, g2 = cert["hom_witness"]
     assert phi.apply(G.mul(g1, g2)) != G.mul(phi.apply(g1), phi.apply(g2))
@@ -227,7 +236,7 @@ def test_phi_power_compatible(theta, p):
 def test_identity_map_passes():
     G = build(THETA3, 3)
     assert verify_sd(G, identity_sd_map(G), 2)["ok"]
-    assert sd_nontriviality(G, identity_sd_map(G), 2) is None
+    assert nontriviality_certificate(G, identity_sd_map(G), 2) is None
 
 
 @pytest.mark.parametrize("theta", ([[-1]], [[-1, 0], [0, -1]], [[0, 1], [1, 0]]))
@@ -236,12 +245,12 @@ def test_p2_candidate_is_trivially_wct(theta):
     passes the class condition everywhere but certifies no nontriviality."""
     G = build(theta, 2)
     cand = p2_candidate(G)
-    assert sd_antihomomorphism_failure(G, cand) is None
-    assert sd_homomorphism_failure(G, cand) is not None
+    assert antihomomorphism_failure(G, cand) is None
+    assert homomorphism_failure(G, cand) is not None
     res = verify_sd(G, cand, 2)
     assert res["ok"]
     assert set(res["methods"].values()) == {"uniform"}
-    assert sd_nontriviality(G, cand, 3) is None
+    assert nontriviality_certificate(G, cand, 3) is None
 
 
 def test_broken_map_fails_with_witness():
@@ -294,9 +303,28 @@ def test_invariants_are_necessary_not_sufficient():
 def test_hom_failure_probes_match_search():
     G = build(THETA3, 3)
     phi = phi_for_odd_p(G)
-    bad = sd_homomorphism_failure(G, phi)
+    bad = homomorphism_failure(G, phi)
     assert bad is not None
     g1, g2 = bad
     assert phi.apply(G.mul(g1, g2)) != G.mul(phi.apply(g1), phi.apply(g2))
-    assert sd_antihomomorphism_failure(G, phi) is not None
-    assert sd_homomorphism_failure(G, identity_sd_map(G)) is None
+    assert antihomomorphism_failure(G, phi) is not None
+    assert homomorphism_failure(G, identity_sd_map(G)) is None
+
+
+def test_sd_names_are_the_shared_helpers():
+    assert semidirect.sd_nontriviality is nontriviality_certificate
+    assert semidirect.sd_antihomomorphism_failure is antihomomorphism_failure
+    assert semidirect.brute_is_conjugate_sd is brute_is_conjugate
+    G = build(THETA3, 3)
+    assert isinstance(class_sd(G, G.element((1, 0))), TranslationClass)
+
+
+def test_negative_radius_is_rejected():
+    # the broken swap map fails verify_sd from radius 1 on; an empty ball
+    # must not pass it
+    G = build(THETA3, 3)
+    eye = mat_identity(2)
+    m = SdMap(G, [((0, 1), (1, 0)), eye, eye])
+    for check in (verify_sd, sd_invariants, nontriviality_certificate):
+        with pytest.raises(ValueError, match="radius must be non-negative"):
+            check(G, m, -1)
