@@ -13,7 +13,6 @@ from __future__ import annotations
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import maps, semidirect
 from .conjugacy import (
@@ -58,6 +57,9 @@ def _pmap(fn, jobs: list) -> list:
     workers = min(worker_count(), len(jobs))
     if workers <= 1:
         return [fn(j) for j in jobs]
+    # imported here: it is the costliest import of the package, and a serial run never needs it
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))
 

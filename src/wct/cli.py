@@ -20,7 +20,7 @@ import traceback
 
 from . import acceptance, maps, semidirect
 from .conjugacy import conjugacy_class, involution_loci
-from .groups import GROUP_IDS, load_group, parse_element
+from .groups import GROUP_IDS, check_radius, load_group, parse_element
 
 SCHEMA = "wct/1"
 
@@ -44,7 +44,7 @@ def _cmd_classes(args) -> tuple[int, dict]:
         report["element"] = g.to_json()
         report["class"] = conjugacy_class(G, g).to_json()
         return 0, report
-    maps._check_radius(args.radius)
+    check_radius(args.radius)
     seen = {}
     for g in G.ball(args.radius):
         cls = conjugacy_class(G, g)

@@ -18,7 +18,16 @@ shift and its lattice has rank 0.  Membership h.a - act(f') g.a - s in K
 brute_is_conjugate/conjugates_within sweep conjugators from a ball instead
 and exist so the closed forms can be tested against something that cannot
 share their bugs; conjugacy_class builds the class descriptors from the same
-tables independently of the plan.
+tables independently of the plan.  brute_is_conjugate is the literal loop
+over G.ball and G.conj, and serves SdGroup as well.  conjugates_within is the
+same sweep with its lookups hoisted: the box of translations t with
+max-norm(t) <= radius is cached once per radius, and the table entries for
+each conjugator part f' (fprod, act, act_inv, point_inv) are read once per
+f'.  Every conjugator c = t * f' is still multiplied out on its own, c^-1
+first and then c^-1 (g c), in flat integer arithmetic.  The kernel reads only
+the multiplication tables that check_presentation validates; it must never
+read point_conj, kf/_kf_cache, _plan or a class descriptor, nor use that
+g^c is affine in t, or it could share a bug with the closed forms it checks.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .groups import Element, GroupTable
+from .groups import Element, GroupTable, check_radius
 from .lattice import Coset, Sublattice, matvec, solve_integer, vadd, vneg
 
 
@@ -197,15 +206,48 @@ def is_conjugate(G: GroupTable, g: Element, h: Element) -> bool:
     return False
 
 
+@lru_cache(maxsize=None)
+def _box(radius: int) -> tuple:
+    """The translation parts (i, j) of ball(radius), as flat int pairs."""
+    return tuple((i, j) for i in range(-radius, radius + 1) for j in range(-radius, radius + 1))
+
+
 def conjugates_within(G: GroupTable, g: Element, radius: int) -> set:
-    """Brute conjugate set {g^c : c in ball(radius)}; oracle for is_conjugate."""
+    """Brute conjugate set {g^c : c in ball(radius)}; oracle for is_conjugate.
+
+    Each g^c = c^-1 (g c) is multiplied out as GroupTable.inv and .mul do,
+    with the table entries of the part f' of c = t * f' looked up once per f'.
+    """
+    check_radius(radius)
+    G.check_element(g)
+    box = _box(radius)
+    (gx, gy), gf = g
+    (a00, a01), (a10, a11) = G.act_inv[gf]
     out = set()
-    for c in G.ball(radius):
-        out.add(G.conj(g, c))
+    add = out.add
+    new = tuple.__new__  # builds the Element without NamedTuple's Python-level __new__
+    for fp in G.F:
+        # g c = (g.a + act_inv(g.f) t + e) * l1
+        (e0, e1), l1 = G.fprod[gf, fp]
+        # c^-1 = (-act(f') (t + k)) * f''
+        fpp, (k0, k1) = G.point_inv[fp]
+        (n00, n01), (n10, n11) = G.act[fp]
+        # c^-1 (g c) = (c^-1.a + act_inv(f'') (g c).a + d) * l2
+        (p00, p01), (p10, p11) = G.act_inv[fpp]
+        (d0, d1), l2 = G.fprod[fpp, l1]
+        for tx, ty in box:
+            ux = gx + a00 * tx + a01 * ty + e0
+            uy = gy + a10 * tx + a11 * ty + e1
+            vx = tx + k0
+            vy = ty + k1
+            add(new(Element, ((p00 * ux + p01 * uy + d0 - n00 * vx - n01 * vy,
+                               p10 * ux + p11 * uy + d1 - n10 * vx - n11 * vy), l2)))
     return out
 
 
-def brute_is_conjugate(G: GroupTable, g: Element, h: Element, radius: int) -> bool:
+def brute_is_conjugate(G, g, h, radius: int) -> bool:
+    """Brute search of ball(radius) for a conjugator; serves SdGroup too."""
+    check_radius(radius)
     return any(G.conj(g, c) == h for c in G.ball(radius))
 
 

@@ -318,6 +318,12 @@ class GroupTable:
         }
 
 
+def check_radius(radius: int) -> None:
+    """Reject a negative radius: its ball is empty, so any sweep over it is vacuous."""
+    if radius < 0:
+        raise ValueError(f"radius must be non-negative, got {radius}")
+
+
 @lru_cache(maxsize=None)
 def load_group(gid: str) -> GroupTable:
     return GroupTable(gid)

@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import product
 
 from .conjugacy import conjugacy_class, is_conjugate
-from .groups import Element, GroupTable, load_group, parse_element
+from .groups import Element, GroupTable, check_radius, load_group, parse_element
 from .lattice import (
     Vec,
     mat_identity,
@@ -213,17 +213,24 @@ def _probe_failure(G, m, anti: bool, radius: int = 1):
     pair.  They lie in ball(1); radius 0 keeps only the origin pairs, which
     are all of ball(0) x ball(0).
     """
+    for pairs in _probe_pairs(G, radius):
+        for g1, g2 in pairs:
+            m1, m2 = m.apply(g1), m.apply(g2)
+            if m.apply(G.mul(g1, g2)) != (G.mul(m2, m1) if anti else G.mul(m1, m2)):
+                return g1, g2
+    return None
+
+
+def _probe_pairs(G, radius: int = 1):
+    """Per pair of parts, in G.F order: the probe pairs (o, o), (e_i, o) and
+    (o, e_j) from G.probes(); only (o, o) at radius 0."""
     probes = G.probes()
     for o1, *steps1 in probes:
         for o2, *steps2 in probes:
             pairs = [(o1, o2)]
             if radius:
                 pairs += [(g1, o2) for g1 in steps1] + [(o1, g2) for g2 in steps2]
-            for g1, g2 in pairs:
-                m1, m2 = m.apply(g1), m.apply(g2)
-                if m.apply(G.mul(g1, g2)) != (G.mul(m2, m1) if anti else G.mul(m1, m2)):
-                    return g1, g2
-    return None
+            yield pairs
 
 
 def homomorphism_failure(G, m):
@@ -248,11 +255,6 @@ def map_order(m: CosetwiseAffineMap, bound: int = 12):
 # -- weak Cayley table verification ---------------------------------------------
 
 
-def _check_radius(radius: int) -> None:
-    if radius < 0:
-        raise ValueError(f"radius must be non-negative, got {radius}")
-
-
 def is_wct_on_ball(G: GroupTable, m: CosetwiseAffineMap, radius: int) -> dict:
     """Check m(g1 g2) ~ m(g1) m(g2) for all pairs from ball(radius).
 
@@ -264,7 +266,7 @@ def is_wct_on_ball(G: GroupTable, m: CosetwiseAffineMap, radius: int) -> dict:
     GroupTable.mul and CosetwiseAffineMap.apply do; a witness is re-derived
     through mul/apply before it is reported.
     """
-    _check_radius(radius)
+    check_radius(radius)
     ball = G.ball(radius)
     images = [m.apply(g) for g in ball]
     fprod, act_inv, rule = G.fprod, G.act_inv, m.rule
@@ -304,7 +306,7 @@ def nontriviality_certificate(G, m, radius: int):
     for radius >= 1 None proves that m is a homomorphism or an
     antihomomorphism of all of G.
     """
-    _check_radius(radius)
+    check_radius(radius)
     hom = _probe_failure(G, m, anti=False, radius=radius)
     anti = None if hom is None else _probe_failure(G, m, anti=True, radius=radius)
     if anti is None:
@@ -328,7 +330,7 @@ def forced_consequences(G, m, radius: int, class_of, preserves_translations: boo
     ball(radius) to be well defined and injective; the rest is element-wise
     over the ball.  preserves_translations is the caller's test of m on A.
     """
-    _check_radius(radius)
+    check_radius(radius)
     ball = G.ball(radius)
     checks = {
         "fixes_identity": m.apply(G.identity) == G.identity,
@@ -365,37 +367,35 @@ def wct_certificate_symbolic(G: GroupTable, m: CosetwiseAffineMap) -> dict:
     """
     from .conjugacy import kf
 
-    def image_pair(f, g, a, b):
-        g1, g2 = Element(a, f), Element(b, g)
+    def image_pair(g1, g2):
         return m.apply(G.mul(g1, g2)), G.mul(m.apply(g1), m.apply(g2))
 
     pair_report = {}
-    for f in G.F:
-        for g in G.F:
-            lhs0, rhs0 = image_pair(f, g, _Z2, _Z2)
-            found = None
-            for fp in G.F:
-                s, part = G.point_conj[(lhs0.f, fp)]
-                if part != rhs0.f:
-                    continue
-                lat = kf(G, rhs0.f)
-                ok = True
-                for a, b in (((0, 0), (0, 0)), ((1, 0), (0, 0)), ((0, 1), (0, 0)),
-                             ((0, 0), (1, 0)), ((0, 0), (0, 1))):
-                    lhs, rhs = image_pair(f, g, a, b)
-                    if lhs.f != lhs0.f or rhs.f != rhs0.f:
-                        ok = False
-                        break
-                    diff = vadd(matvec(G.act[fp], lhs.a), s)
-                    if not lat.contains((rhs.a[0] - diff[0], rhs.a[1] - diff[1])):
-                        ok = False
-                        break
-                if ok:
-                    found = fp
+    for pairs in _probe_pairs(G):
+        images = [image_pair(g1, g2) for g1, g2 in pairs]
+        lhs0, rhs0 = images[0]
+        found = None
+        for fp in G.F:
+            s, part = G.point_conj[(lhs0.f, fp)]
+            if part != rhs0.f:
+                continue
+            lat = kf(G, rhs0.f)
+            ok = True
+            for lhs, rhs in images:
+                if lhs.f != lhs0.f or rhs.f != rhs0.f:
+                    ok = False
                     break
-            pair_report[(f, g)] = found
-            if found is None:
-                return {"proven": False, "pairs": pair_report}
+                diff = vadd(matvec(G.act[fp], lhs.a), s)
+                if not lat.contains((rhs.a[0] - diff[0], rhs.a[1] - diff[1])):
+                    ok = False
+                    break
+            if ok:
+                found = fp
+                break
+        o1, o2 = pairs[0]
+        pair_report[(o1.f, o2.f)] = found
+        if found is None:
+            return {"proven": False, "pairs": pair_report}
     return {"proven": True, "pairs": pair_report}
 
 

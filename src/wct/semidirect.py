@@ -27,6 +27,7 @@ from typing import NamedTuple, Sequence
 
 from .conjugacy import TranslationClass
 from .conjugacy import brute_is_conjugate as brute_is_conjugate_sd
+from .groups import check_radius
 from .lattice import (
     Coset,
     Mat,
@@ -40,7 +41,7 @@ from .lattice import (
     vneg,
     vsub,
 )
-from .maps import _check_radius, forced_consequences
+from .maps import forced_consequences
 from .maps import antihomomorphism_failure as sd_antihomomorphism_failure
 from .maps import nontriviality_certificate as sd_nontriviality
 
@@ -238,7 +239,7 @@ def verify_sd(G: SdGroup, m: SdMap, radius: int) -> dict:
     Slices without a uniform certificate fall back to enumerating the ball;
     the verdict reports which method settled each slice pair.
     """
-    _check_radius(radius)
+    check_radius(radius)
     eye = mat_identity(G.n)
     lat = G.comm_lattice
     methods = {}

@@ -7,9 +7,14 @@ the verdict with timing so failures carry their own context.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wct
 from wct.acceptance import CRITERIA, run_criterion, run_suite
 
 
@@ -105,3 +110,24 @@ def test_unknown_suite_rejected():
         run_suite("exhaustive")
     with pytest.raises(ValueError, match="criterion"):
         run_criterion(11)
+
+
+def test_fast_conjugacy_criterion():
+    res = run_criterion(2, suite="fast")
+    assert res["ok"]
+    assert res["detail"]["pairs"] == 109350
+    assert res["detail"]["conjugator_radius"] == 8
+    assert res["detail"]["disagreements"] == []
+
+
+def test_import_leaves_process_pool_unloaded():
+    src = str(Path(wct.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, wct; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

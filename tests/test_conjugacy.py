@@ -22,6 +22,7 @@ from wct.conjugacy import (
 )
 from wct.groups import GROUP_IDS, Element, all_groups, load_group
 from wct.lattice import Coset, Sublattice, matvec
+from wct.semidirect import build
 
 
 def test_kf_frozen_values():
@@ -274,3 +275,41 @@ def test_is_conjugate_rejects_unknown_part():
                  (Element((1, 2), "zeta"), Element((1, 2), "zeta"))):
         with pytest.raises(ValueError, match="does not belong to p4"):
             is_conjugate(G, g, h)
+
+
+def _sweep_elements(G):
+    """Per part: the origin, the far corner (7, -7) and three seeded elements
+    with coordinates in [-7, 7]."""
+    rnd = random.Random(f"5:{G.gid}")
+    out = []
+    for f in G.F:
+        out += [G.element(0, 0, f), G.element(7, -7, f)]
+        out += [G.element(rnd.randint(-7, 7), rnd.randint(-7, 7), f) for _ in range(3)]
+    return out
+
+
+@pytest.mark.parametrize("gid", GROUP_IDS)
+def test_conjugates_within_matches_literal_sweep(gid):
+    G = load_group(gid)
+    for radius in (0, 1, 2, 5):
+        ball = G.ball(radius)
+        for g in _sweep_elements(G):
+            assert conjugates_within(G, g, radius) == {G.conj(g, c) for c in ball}, (g, radius)
+
+
+def test_brute_oracles_reject_negative_radius():
+    G = load_group("p4")
+    g = G.element(1, 0, "rho")
+    with pytest.raises(ValueError, match="radius must be non-negative"):
+        conjugates_within(G, g, -1)
+    with pytest.raises(ValueError, match="radius must be non-negative"):
+        brute_is_conjugate(G, g, g, -1)
+    H = build([[0, -1], [1, -1]], 3)
+    with pytest.raises(ValueError, match="radius must be non-negative"):
+        brute_is_conjugate(H, H.identity, H.identity, -1)
+
+
+def test_conjugates_within_rejects_unknown_part():
+    G = load_group("p4")
+    with pytest.raises(ValueError, match="does not belong to p4"):
+        conjugates_within(G, Element((0, 0), "sigma"), 2)
