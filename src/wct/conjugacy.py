@@ -7,27 +7,32 @@ conjugated point part.  Classes are therefore finite orbits for translations
 and finite unions of lattice cosets otherwise; everything below is exact
 integer arithmetic on those descriptions.
 
+GroupTable states that closed form once, in two hooks built with its
+tables: G.conjugators(f, h) lists the (f', act(f'), s) that carry part f
+onto part h, and G.slack(h) is K_h.  SdGroup has the same two.
+conjugacy_class, kf and the is_conjugate plan read them.
+
 is_conjugate decides membership without building a class.  Its per-group
 plan, built once per group on first use, holds for every part pair
-(g.f, h.f) the candidates (act(f'), s) whose point_conj[(g.f, f')] lands on
-h.f, as flat ints, together with the HNF rows of K_{h.f}.  The translation
-case is the pair ("1", "1"): its candidates are the act matrices with zero
-shift and its lattice has rank 0.  Membership h.a - act(f') g.a - s in K
-(rank 0, 1 or 2) is then a few integer divisions.
+(g.f, h.f) the entries (act(f'), s) of G.conjugators(g.f, h.f) as flat ints,
+together with the HNF rows of G.slack(h.f).  The translation case is the
+pair ("1", "1"): its candidates are the act matrices with zero shift and its
+lattice has rank 0.  Membership h.a - act(f') g.a - s in K (rank 0, 1 or 2)
+is then a few integer divisions.
 
 brute_is_conjugate/conjugates_within sweep conjugators from a ball instead
 and exist so the closed forms can be tested against something that cannot
-share their bugs; conjugacy_class builds the class descriptors from the same
-tables independently of the plan.  brute_is_conjugate is the literal loop
-over G.ball and G.conj, and serves SdGroup as well.  conjugates_within is the
-same sweep with its lookups hoisted: the box of translations t with
-max-norm(t) <= radius is cached once per radius, and the table entries for
-each conjugator part f' (fprod, act, act_inv, point_inv) are read once per
-f'.  Every conjugator c = t * f' is still multiplied out on its own, c^-1
-first and then c^-1 (g c), in flat integer arithmetic.  The kernel reads only
-the multiplication tables that check_presentation validates; it must never
-read point_conj, kf/_kf_cache, _plan or a class descriptor, nor use that
-g^c is affine in t, or it could share a bug with the closed forms it checks.
+share their bugs.  brute_is_conjugate is the literal loop over G.ball and
+G.conj, and serves SdGroup as well.  conjugates_within is the same sweep
+with its lookups hoisted: the box of translations t with max-norm(t) <=
+radius is cached once per radius, and the table entries for each conjugator
+part f' (fprod, act, act_inv, point_inv) are read once per f'.  Every
+conjugator c = t * f' is still multiplied out on its own, c^-1 first and
+then c^-1 (g c), in flat integer arithmetic.  The kernel reads only the
+multiplication tables that check_presentation validates; it must never read
+point_conj, conjugators, slack, kf, _plan or a class descriptor, nor use
+that g^c is affine in t, or it could share a bug with the closed forms it
+checks.  A test parses both oracle bodies to hold them to that.
 """
 
 from __future__ import annotations
@@ -47,20 +52,11 @@ def _mat_plus_identity(m):
     return ((m[0][0] + 1, m[0][1]), (m[1][0], m[1][1] + 1))
 
 
-@lru_cache(maxsize=None)
-def _kf_cache(gid: str, f: str) -> Sublattice:
-    from .groups import load_group
-
-    G = load_group(gid)
-    m = _mat_minus_identity(G.act[f])
-    return Sublattice(2, [(m[0][0], m[1][0]), (m[0][1], m[1][1])])
-
-
 def kf(G: GroupTable, f: str) -> Sublattice:
     """K_f = im(act(f) - I), the translation slack of the class of a*f."""
     if f not in G.F:
         raise ValueError(f"unknown transversal label {f!r} for {G.gid}")
-    return _kf_cache(G.gid, f)
+    return G.slack(f)
 
 
 def fixed_line(G: GroupTable, f: str) -> Sublattice:
@@ -122,20 +118,17 @@ class CosetUnionClass:
         }
 
 
-def translation_orbit(G: GroupTable, a) -> frozenset:
-    return frozenset(Element(matvec(G.act[f], a), "1") for f in G.F)
-
-
 def conjugacy_class(G: GroupTable, g: Element):
-    """Exact descriptor of the conjugacy class of g."""
+    """Exact descriptor of the conjugacy class of g, read off G.conjugators
+    and G.slack."""
     G.check_element(g)
     if g.f == "1":
-        return TranslationClass(translation_orbit(G, g.a))
+        return TranslationClass(frozenset(
+            Element(vadd(matvec(m, g.a), s), "1") for _, m, s in G.conjugators("1", "1")))
     pieces = {}
-    for fp in G.F:
-        s, h = G.point_conj[(g.f, fp)]
-        piece = (h, Coset(vadd(matvec(G.act[fp], g.a), s), kf(G, h)))
-        pieces[piece] = None  # dict keeps insertion order, drops duplicates
+    for h in G.F:
+        for _, m, s in G.conjugators(g.f, h):
+            pieces[h, Coset(vadd(matvec(m, g.a), s), G.slack(h))] = None  # drops duplicates
     order = {f: i for i, f in enumerate(G.F)}
     return CosetUnionClass(
         tuple(sorted(pieces, key=lambda p: (order[p[0]], p[1].offset)))
@@ -146,11 +139,11 @@ def conjugacy_class(G: GroupTable, g: Element):
 def _plan(gid: str) -> dict:
     """(g.f, h.f) -> (candidates, p, q, r) for is_conjugate.
 
-    Each candidate is (m00, m01, m10, m11, s0, s1) for one conjugating part
-    f' with point_conj[(g.f, f')] = (s, h.f) and act(f') = m.  K_{h.f} is
-    encoded by its HNF rows: (p, q) is the row with pivot in column 0 and
-    (0, r) the row with pivot in column 1; p = 0 or r = 0 when that row is
-    absent, which then forces the coordinate to vanish.
+    Each candidate is (m00, m01, m10, m11, s0, s1) for one entry (f', m, s)
+    of G.conjugators(g.f, h.f).  K_{h.f} = G.slack(h.f) is encoded by its HNF
+    rows: (p, q) is the row with pivot in column 0 and (0, r) the row with
+    pivot in column 1; p = 0 or r = 0 when that row is absent, which then
+    forces the coordinate to vanish.
     """
     from .groups import load_group
 
@@ -159,19 +152,14 @@ def _plan(gid: str) -> dict:
     shared = {}  # equal candidates and entries are stored once
     for f in G.F:
         for h in G.F:
-            lat = _kf_cache(gid, h)
             p = q = r = 0
-            for row in lat.rows:
+            for row in G.slack(h).rows:
                 if row[0]:
                     p, q = row
                 else:
                     r = row[1]
             cands = []
-            for fp in G.F:
-                s, part = G.point_conj[(f, fp)]
-                if part != h:
-                    continue
-                m = G.act[fp]
+            for _, m, s in G.conjugators(f, h):
                 cand = (m[0][0], m[0][1], m[1][0], m[1][1], s[0], s[1])
                 cands.append(shared.setdefault(cand, cand))
             entry = (tuple(cands), p, q, r)
@@ -247,7 +235,8 @@ def conjugates_within(G: GroupTable, g: Element, radius: int) -> set:
 
 def brute_is_conjugate(G, g, h, radius: int) -> bool:
     """Brute search of ball(radius) for a conjugator; serves SdGroup too."""
-    check_radius(radius)
+    G.check_element(g)
+    G.check_element(h)
     return any(G.conj(g, c) == h for c in G.ball(radius))
 
 

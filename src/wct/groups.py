@@ -24,6 +24,7 @@ from typing import Iterator, NamedTuple
 
 from .lattice import (
     Mat,
+    Sublattice,
     Vec,
     mat_identity,
     mat_inv_unimodular,
@@ -235,6 +236,16 @@ class GroupTable:
                 c = self.conj(Element(_ZERO, f), Element(_ZERO, fp))
                 self.point_conj[(f, fp)] = (c.a, c.f)
 
+        # the closed form of conjugacy, stated once: conjugating a*f by t*f'
+        # moves a within a + K_f, then onto act(f')(a + K_f) + s = act(f') a
+        # + s + K_h in part h, where point_conj[(f, f')] = (s, h)
+        self._slack = {f: Sublattice(2, [(m[0][0] - 1, m[1][0]), (m[0][1], m[1][1] - 1)])
+                       for f, m in self.act.items()}
+        conjugators = {(f, h): [] for f in self.F for h in self.F}
+        for (f, fp), (s, h) in self.point_conj.items():
+            conjugators[f, h].append((fp, self.act[fp], s))
+        self._conjugators = {key: tuple(c) for key, c in conjugators.items()}
+
     # -- group operations ----------------------------------------------------
 
     def mul(self, g: Element, h: Element) -> Element:
@@ -275,6 +286,16 @@ class GroupTable:
             raise ValueError(f"unknown transversal label {f!r} for {self.gid}")
         return Element((i, j), f)
 
+    def conjugators(self, f: str, h: str) -> tuple:
+        """(f', act(f'), s) per conjugating part f' that carries part f onto
+        part h: the conjugates of a*f in part h are the union of the cosets
+        act(f') a + s + slack(h), in G.F order of f'."""
+        return self._conjugators[f, h]
+
+    def slack(self, h: str) -> Sublattice:
+        """K_h = im(act(h) - I), the lattice a class spreads over in part h."""
+        return self._slack[h]
+
     def check_element(self, g: Element) -> Element:
         if g.f not in self._part_of:
             raise ValueError(f"element {g} does not belong to {self.gid}")
@@ -286,6 +307,7 @@ class GroupTable:
 
     def ball(self, radius: int) -> list[Element]:
         """All a*f with max-norm(a) <= radius, ordered by norm then lexicographically."""
+        check_radius(radius)
         cells = sorted(
             ((i, j) for i in range(-radius, radius + 1) for j in range(-radius, radius + 1)),
             key=lambda v: (max(abs(v[0]), abs(v[1])), v),

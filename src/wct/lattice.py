@@ -199,10 +199,6 @@ class Sublattice:
             gens.append(tuple(sum(u[i] * self.rows[i][j] for i in range(r1)) for j in range(self.dim)))
         return Sublattice(self.dim, gens)
 
-    def transform(self, m: Mat) -> "Sublattice":
-        """Image lattice under the linear map v -> matvec(m, v)."""
-        return Sublattice(self.dim, [matvec(m, r) for r in self.rows])
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Sublattice) and self.dim == other.dim and self.rows == other.rows
 

@@ -11,9 +11,13 @@ Conventions, fixed once: composition m1 * m2 applies m2 first, and m ** n
 (spelled conjugate_by) is inv(n) * m * n.  Product words from the relation
 tables are read the same way, rightmost factor first.
 
-homomorphism_failure, antihomomorphism_failure, nontriviality_certificate
-and forced_consequences serve wct.semidirect too: they use only G.mul,
-G.inv, G.identity, G.ball, G.probes and m.apply.
+homomorphism_failure, antihomomorphism_failure, nontriviality_certificate,
+forced_consequences and wct_certificate_symbolic serve wct.semidirect too:
+they use only G.mul, G.inv, G.identity, G.ball, G.probes, m.apply and the
+two conjugation hooks G.conjugators and G.slack, which hold each family's
+closed form of conjugacy.  For Z^n x C_p with p prime the certificate is
+exact and semidirect.verify_sd reports it with a witness; for wallpaper
+groups proven=False is still inconclusive.
 """
 
 from __future__ import annotations
@@ -266,7 +270,6 @@ def is_wct_on_ball(G: GroupTable, m: CosetwiseAffineMap, radius: int) -> dict:
     GroupTable.mul and CosetwiseAffineMap.apply do; a witness is re-derived
     through mul/apply before it is reported.
     """
-    check_radius(radius)
     ball = G.ball(radius)
     images = [m.apply(g) for g in ball]
     fprod, act_inv, rule = G.fprod, G.act_inv, m.rule
@@ -330,7 +333,6 @@ def forced_consequences(G, m, radius: int, class_of, preserves_translations: boo
     ball(radius) to be well defined and injective; the rest is element-wise
     over the ball.  preserves_translations is the caller's test of m on A.
     """
-    check_radius(radius)
     ball = G.ball(radius)
     checks = {
         "fixes_identity": m.apply(G.identity) == G.identity,
@@ -355,45 +357,34 @@ def forced_consequences(G, m, radius: int, class_of, preserves_translations: boo
     return checks
 
 
-def wct_certificate_symbolic(G: GroupTable, m: CosetwiseAffineMap) -> dict:
-    """Experimental: try to prove the WCT property for all of G at once.
+def wct_certificate_symbolic(G, m) -> dict:
+    """Try to prove the WCT property for all of G at once; serves SdGroup too.
 
-    For each pair of source cosets, look for one conjugating part f' that
-    works uniformly: the mismatch between m(g1 g2) and m(g1) m(g2) conjugated
-    through f' must land in the slack lattice K for every choice of the two
-    translation parts, which reduces to finitely many lattice memberships.
-    Returns proven=False when some pair has no uniform part; that is
-    inconclusive, not a refutation.
+    For each pair of source parts, in G.F order, look for the first
+    conjugator (label, M, s) in G.conjugators(f, h) that works uniformly:
+    when m(g1 g2) = a*f, m(g1) m(g2) must be b*h with b in M a + s +
+    G.slack(h), for every choice of the two translation parts.  a and b are
+    affine in those parts, so the probe pairs of _probe_pairs decide it.
+    pairs maps each part pair to that label, or to None for the first pair
+    without one, where the search stops with proven=False.  For wallpaper
+    groups that is inconclusive, not a refutation; for Z^n x C_p it is a
+    refutation (see semidirect.verify_sd).
     """
-    from .conjugacy import kf
-
-    def image_pair(g1, g2):
-        return m.apply(G.mul(g1, g2)), G.mul(m.apply(g1), m.apply(g2))
-
     pair_report = {}
     for pairs in _probe_pairs(G):
-        images = [image_pair(g1, g2) for g1, g2 in pairs]
-        lhs0, rhs0 = images[0]
+        images = [(m.apply(G.mul(g1, g2)), G.mul(m.apply(g1), m.apply(g2)))
+                  for g1, g2 in pairs]
+        (_, f), (_, h) = images[0]
         found = None
-        for fp in G.F:
-            s, part = G.point_conj[(lhs0.f, fp)]
-            if part != rhs0.f:
-                continue
-            lat = kf(G, rhs0.f)
-            ok = True
-            for lhs, rhs in images:
-                if lhs.f != lhs0.f or rhs.f != rhs0.f:
-                    ok = False
+        if all(lhs[1] == f and rhs[1] == h for lhs, rhs in images):
+            lat = G.slack(h)
+            for label, mat, s in G.conjugators(f, h):
+                if all(lat.contains([y - x - t for x, y, t in zip(matvec(mat, a), b, s)])
+                       for (a, _), (b, _) in images):
+                    found = label
                     break
-                diff = vadd(matvec(G.act[fp], lhs.a), s)
-                if not lat.contains((rhs.a[0] - diff[0], rhs.a[1] - diff[1])):
-                    ok = False
-                    break
-            if ok:
-                found = fp
-                break
-        o1, o2 = pairs[0]
-        pair_report[(o1.f, o2.f)] = found
+        (_, f1), (_, f2) = pairs[0]
+        pair_report[f1, f2] = found
         if found is None:
             return {"proven": False, "pairs": pair_report}
     return {"proven": True, "pairs": pair_report}

@@ -6,7 +6,9 @@ relation r^-1 v r = theta(v).  That pins the product to
 theta^k with k != 0 mod p generates the same image lattice im(theta - I),
 which makes the conjugacy structure closed form: translations fall into
 theta-orbits of size dividing p, and (a, k) with k != 0 sweeps the single
-coset (a + im(theta - I), k).
+coset (a + im(theta - I), k).  SdGroup states this once, in the two hooks
+GroupTable also has, conjugators(k, h) and slack(h); class_sd,
+is_conjugate_sd and verify_sd read them.
 
 The two maps of interest are phi_for_odd_p, which twists A by theta and
 fixes everything else, and the p = 2 candidate doing the opposite; the
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .conjugacy import TranslationClass
@@ -35,13 +38,12 @@ from .lattice import (
     Vec,
     mat_identity,
     mat_pow,
-    matmul,
     matvec,
     vadd,
     vneg,
     vsub,
 )
-from .maps import forced_consequences
+from .maps import forced_consequences, wct_certificate_symbolic
 from .maps import antihomomorphism_failure as sd_antihomomorphism_failure
 from .maps import nontriviality_certificate as sd_nontriviality
 
@@ -68,7 +70,7 @@ def _is_prime(p: int) -> bool:
 class SdGroup:
     """Z^n x C_p for an integer matrix theta with theta^p = I, theta != I."""
 
-    __slots__ = ("n", "p", "theta", "powers", "comm_lattice")
+    __slots__ = ("n", "p", "theta", "powers", "comm_lattice", "_conjugators", "_slack")
 
     def __init__(self, theta: Sequence[Sequence[int]], p: int):
         if not _is_prime(p):
@@ -91,6 +93,13 @@ class SdGroup:
         # carries all the non-translation classes
         cols = [tuple(th[i][j] - (i == j) for i in range(n)) for j in range(n)]
         self.comm_lattice = Sublattice(n, cols)
+        # conjugating (v, 0) by (w, j) gives (theta^j v, 0); a slice k != 0
+        # holds one class per comm_lattice coset, reached by the identity alone
+        turns = tuple((j, m, (0,) * n) for j, m in enumerate(self.powers))
+        self._conjugators = {(k, h): () for k in range(p) for h in range(p)}
+        for k in range(p):
+            self._conjugators[k, k] = turns if k == 0 else turns[:1]
+        self._slack = (Sublattice.zero(n),) + (self.comm_lattice,) * (p - 1)
         for j in range(n):
             e_j = tuple(int(i == j) for i in range(n))
             assert self.conj(self.element(e_j, 0), self.element(None, 1)) == \
@@ -119,12 +128,30 @@ class SdGroup:
     def comm(self, g: SdElement, h: SdElement) -> SdElement:
         return self.mul(self.inv(self.mul(h, g)), self.mul(g, h))
 
+    def check_element(self, g: SdElement) -> SdElement:
+        v, k = g
+        if (len(v) != self.n or not all(type(x) is int for x in v)
+                or type(k) is not int or not 0 <= k < self.p):
+            raise ValueError(f"element {g} does not belong to {self!r}")
+        return g
+
+    def conjugators(self, f: int, h: int) -> tuple:
+        """(j, theta^j, 0) per power j on slice 0, (0, I, 0) alone on a slice
+        k != 0, nothing across slices: the conjugates of (v, f) in slice h are
+        the union of the cosets M v + s + slack(h)."""
+        return self._conjugators[f, h]
+
+    def slack(self, h: int) -> Sublattice:
+        """The zero lattice on slice 0, comm_lattice on every other slice."""
+        return self._slack[h]
+
     def probes(self) -> list[list[SdElement]]:
         """Per slice: the origin, then one step along each axis."""
         return [[SdElement(v, k) for v in ((0,) * self.n,) + mat_identity(self.n)]
                 for k in range(self.p)]
 
     def ball(self, radius: int) -> list[SdElement]:
+        check_radius(radius)
         return [
             SdElement(v, k)
             for v in product(range(-radius, radius + 1), repeat=self.n)
@@ -156,19 +183,27 @@ class SdCosetClass:
         return {"kind": "coset", "k": self.k, **self.coset.to_json()}
 
 
+def _offsets(G: SdGroup, g: SdElement, h: int) -> list:
+    """M v + s per entry (_, M, s) of G.conjugators(g.k, h)."""
+    return [tuple(sum(map(mul, row, g.v)) + t for row, t in zip(m, s))
+            for _, m, s in G.conjugators(g.k, h)]
+
+
 def class_sd(G: SdGroup, g: SdElement):
+    """Exact class descriptor, read off G.conjugators and G.slack."""
+    G.check_element(g)
+    offsets = _offsets(G, g, g.k)
     if g.k == 0:
-        return TranslationClass(frozenset(
-            SdElement(matvec(m, g.v), 0) for m in G.powers))
-    return SdCosetClass(g.k, Coset(g.v, G.comm_lattice))
+        return TranslationClass(frozenset(SdElement(v, 0) for v in offsets))
+    return SdCosetClass(g.k, Coset(offsets[0], G.slack(g.k)))
 
 
 def is_conjugate_sd(G: SdGroup, g: SdElement, h: SdElement) -> bool:
-    if g.k != h.k:
-        return False
-    if g.k == 0:
-        return any(matvec(m, g.v) == h.v for m in G.powers)
-    return G.comm_lattice.contains(vsub(h.v, g.v))
+    """Closed-form conjugacy test; raises ValueError when g or h is not in G."""
+    G.check_element(g)
+    G.check_element(h)
+    lat = G.slack(h.k)
+    return any(lat.contains(vsub(h.v, a)) for a in _offsets(G, g, h.k))
 
 
 def derived_lattice(G: SdGroup) -> Sublattice:
@@ -230,74 +265,36 @@ def p2_candidate(G: SdGroup) -> SdMap:
 
 
 def verify_sd(G: SdGroup, m: SdMap, radius: int) -> dict:
-    """Weak Cayley table check of m over ball(radius), per k-slice pair.
+    """Exact weak Cayley table check of m over all of G, per k-slice pair.
 
-    Both sides of m(g1 g2) ~ m(g1) m(g2) are linear in (v1, v2), so each
-    slice pair is first attempted uniformly: for k1 + k2 != 0 the difference
-    must have all its columns in the commutator lattice, and for k1 + k2 = 0
-    the two coefficient matrices must agree up to one global theta-power.
-    Slices without a uniform certificate fall back to enumerating the ball;
-    the verdict reports which method settled each slice pair.
+    This is maps.wct_certificate_symbolic plus a witness, and for prime p it
+    is exact.  Both sides of m(g1 g2) ~ m(g1) m(g2) are linear in
+    v = (v1, v2) in Z^{2n}.  For k1 + k2 != 0 the class is one slack coset,
+    so without a uniform conjugator some unit vector of Z^{2n} fails.  For
+    k1 + k2 = 0 the condition holds on the union of the kernels of
+    A - theta^j B.  If none is all of Z^{2n}, each has a nonzero row, which
+    vanishes on at most 2n - 1 points (1, t, ..., t^{2n-1}) of the moment
+    curve, so one of the first p(2n - 1) + 1 points avoids all p kernels.
+    methods labels the slice pairs "uniform" up to the first one without a
+    uniform conjugator, labelled "witness"; its first unit or moment-curve
+    point that is_conjugate_sd rejects is the witness.  radius is validated
+    and echoed; it does not change the verdict.
     """
     check_radius(radius)
-    eye = mat_identity(G.n)
-    lat = G.comm_lattice
-    methods = {}
-    for k1 in range(G.p):
-        for k2 in range(G.p):
-            ks = (k1 + k2) % G.p
-            # m(g1 g2) = A1 v1 + A2 v2, m(g1) m(g2) = B1 v1 + B2 v2
-            a = m.mats[ks]
-            tw = G.powers[(-k1) % G.p]
-            a1, a2 = a, matmul(a, tw)
-            b1, b2 = m.mats[k1], matmul(tw, m.mats[k2])
-            if ks != 0:
-                cols_ok = all(
-                    lat.contains(tuple(a1[i][j] - b1[i][j] for i in range(G.n)))
-                    and lat.contains(tuple(a2[i][j] - b2[i][j] for i in range(G.n)))
-                    for j in range(G.n))
-                if cols_ok:
-                    methods[(k1, k2)] = "uniform"
-                    continue
-            else:
-                if any(matmul(tp, b1) == a1 and matmul(tp, b2) == a2
-                       for tp in G.powers):
-                    methods[(k1, k2)] = "uniform"
-                    continue
-            methods[(k1, k2)] = "ball"
-            for v1 in product(range(-radius, radius + 1), repeat=G.n):
-                for v2 in product(range(-radius, radius + 1), repeat=G.n):
-                    g1, g2 = SdElement(v1, k1), SdElement(v2, k2)
-                    lhs = m.apply(G.mul(g1, g2))
-                    rhs = G.mul(m.apply(g1), m.apply(g2))
-                    if not is_conjugate_sd(G, lhs, rhs):
-                        return {"ok": False,
-                                "witness": [g1.to_json(), g2.to_json()],
-                                "radius": radius,
-                                "methods": _method_json(methods)}
-    return {"ok": True, "witness": None, "radius": radius,
-            "methods": _method_json(methods)}
-
-
-def _method_json(methods: dict) -> dict:
-    return {f"{k1},{k2}": how for (k1, k2), how in sorted(methods.items())}
-
-
-def sd_power_compatible(G: SdGroup, m: SdMap, radius: int, max_power: int = 5) -> bool:
-    """m(a^j) = m(a)^j for translations a in ball(radius): forced for any
-    weak Cayley table bijection of the product."""
-    for v in product(range(-radius, radius + 1), repeat=G.n):
-        a = SdElement(v, 0)
-        img = m.apply(a)
-        acc_a, acc_img = a, img
-        for _ in range(max_power - 1):
-            acc_a = G.mul(acc_a, a)
-            acc_img = G.mul(acc_img, img)
-            if m.apply(acc_a) != acc_img:
-                return False
-    return True
-
-
+    cert = wct_certificate_symbolic(G, m)
+    methods = {f"{k1},{k2}": "uniform" if j is not None else "witness"
+               for (k1, k2), j in cert["pairs"].items()}
+    if cert["proven"]:
+        return {"ok": True, "witness": None, "radius": radius, "methods": methods}
+    (k1, k2), n = list(cert["pairs"])[-1], G.n
+    points = (mat_identity(2 * n) if (k1 + k2) % G.p else
+              [tuple(t ** i for i in range(2 * n)) for t in range(G.p * (2 * n - 1) + 1)])
+    for v in points:
+        g1, g2 = SdElement(v[:n], k1), SdElement(v[n:], k2)
+        if not is_conjugate_sd(G, m.apply(G.mul(g1, g2)), G.mul(m.apply(g1), m.apply(g2))):
+            return {"ok": False, "witness": [g1.to_json(), g2.to_json()],
+                    "radius": radius, "methods": methods}
+    raise AssertionError(f"slice pair ({k1}, {k2}) has no uniform conjugator and no witness")
 
 
 def sd_invariants(G: SdGroup, m: SdMap, radius: int = 2) -> dict:

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
+
+from wct import conjugacy
 
 from wct.conjugacy import (
     CosetUnionClass,
@@ -22,7 +26,7 @@ from wct.conjugacy import (
 )
 from wct.groups import GROUP_IDS, Element, all_groups, load_group
 from wct.lattice import Coset, Sublattice, matvec
-from wct.semidirect import build
+from wct.semidirect import SdElement, build
 
 
 def test_kf_frozen_values():
@@ -48,7 +52,7 @@ def test_kf_invariance(gid):
         k = kf(G, f)
         # K is shared with the inverse part and stable under the part itself
         assert kf(G, G.point_inv[f][0]) == k
-        assert k.transform(G.act[f]) == k
+        assert Sublattice(2, [matvec(G.act[f], r) for r in k.rows]) == k
         # offsets produced by conjugating with translations stay inside K
         g = G.element(3, -2, f)
         for t in ((1, 0), (0, 1), (2, 3)):
@@ -313,3 +317,48 @@ def test_conjugates_within_rejects_unknown_part():
     G = load_group("p4")
     with pytest.raises(ValueError, match="does not belong to p4"):
         conjugates_within(G, Element((0, 0), "sigma"), 2)
+
+
+def test_brute_is_conjugate_rejects_foreign_elements():
+    G = load_group("p4")
+    with pytest.raises(ValueError, match="does not belong to p4"):
+        brute_is_conjugate(G, Element((0, 0), "sigma"), G.identity, 1)
+    with pytest.raises(ValueError, match="does not belong to p4"):
+        brute_is_conjugate(G, G.identity, Element((0, 0), "sigma"), 1)
+    H = build([[0, -1], [1, -1]], 3)
+    for bad in (SdElement((0, 0, 0), 1), SdElement((0, 0), 3)):
+        with pytest.raises(ValueError, match="does not belong"):
+            brute_is_conjugate(H, bad, H.identity, 1)
+        with pytest.raises(ValueError, match="does not belong"):
+            brute_is_conjugate(H, H.identity, bad, 1)
+
+
+def test_ball_rejects_negative_radius():
+    for G in (load_group("p4"), build([[0, -1], [1, -1]], 3)):
+        with pytest.raises(ValueError, match="radius must be non-negative"):
+            G.ball(-1)
+
+
+_CLOSED_FORM_NAMES = {"point_conj", "conjugators", "slack", "kf", "_plan",
+                      "conjugacy_class", "is_conjugate"}
+
+
+def _names_in(fn: ast.FunctionDef) -> set:
+    names = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    return names
+
+
+@pytest.mark.parametrize("oracle", ("conjugates_within", "brute_is_conjugate"))
+def test_oracles_read_no_closed_form(oracle):
+    """The brute sweeps must not share a bug with the closed forms they check."""
+    tree = ast.parse(Path(conjugacy.__file__).read_text())
+    (fn,) = [node for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name == oracle]
+    assert not _names_in(fn) & _CLOSED_FORM_NAMES

@@ -15,7 +15,7 @@ from wct.groups import (
     load_group,
     parse_element,
 )
-from wct.lattice import matmul
+from wct.lattice import Sublattice, matmul, matvec, vadd, vsub
 
 
 @pytest.mark.parametrize("gid", GROUP_IDS)
@@ -140,6 +140,27 @@ def test_point_conj_table():
             for fp in G.F:
                 expected = G.conj(Element((0, 0), f), Element((0, 0), fp))
                 assert G.point_conj[(f, fp)] == (expected.a, expected.f)
+
+
+@pytest.mark.parametrize("gid", GROUP_IDS)
+def test_conjugation_hooks(gid):
+    # conjugating a*f by a pure part f' lands on act(f') a + s in part h, and
+    # the moves of a under conjugation by x and y span slack(f)
+    G = load_group(gid)
+    a = (3, -2)
+    for f in G.F:
+        moves = [vsub(G.conj(Element(a, f), Element(t, "1")).a, a) for t in ((1, 0), (0, 1))]
+        assert G.slack(f) == Sublattice(2, moves)
+        seen = []
+        for h in G.F:
+            labels = [fp for fp, _, _ in G.conjugators(f, h)]
+            assert labels == sorted(labels, key=G.F.index)
+            for fp, m, s in G.conjugators(f, h):
+                assert m == G.act[fp]
+                assert G.conj(Element(a, f), Element((0, 0), fp)) == \
+                    Element(vadd(matvec(m, a), s), h)
+            seen += labels
+        assert sorted(seen) == sorted(G.F)
 
 
 def test_power():

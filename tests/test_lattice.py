@@ -124,14 +124,6 @@ def test_coset_identity():
     assert Coset((1, 1), lat).to_json() == {"offset": [1, 1], "lattice": [[2, 0], [0, 3]]}
 
 
-def test_transform():
-    lat = Sublattice(2, [(1, 0)])
-    rot = ((0, -1), (1, 0))
-    assert lat.transform(rot) == Sublattice(2, [(0, 1)])
-    full = Sublattice.full(2)
-    assert full.transform(rot) == full
-
-
 def test_solve_integer():
     # unique solution
     m = ((2, 1), (1, 1))

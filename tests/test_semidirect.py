@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import random
+from itertools import permutations, product
 
 import pytest
 
 from wct import semidirect
+from wct.acceptance import P2_THETAS, SD_CASES
 from wct.conjugacy import TranslationClass, brute_is_conjugate
-from wct.lattice import Sublattice, mat_identity, matvec
+from wct.lattice import Sublattice, mat_identity, matvec, vsub
 from wct.maps import (
     antihomomorphism_failure,
     homomorphism_failure,
     nontriviality_certificate,
+    wct_certificate_symbolic,
 )
 from wct.semidirect import (
     SdElement,
@@ -25,7 +28,6 @@ from wct.semidirect import (
     p2_candidate,
     phi_for_odd_p,
     sd_invariants,
-    sd_power_compatible,
     verify_sd,
 )
 
@@ -105,6 +107,39 @@ def test_ball_size():
     G = build(THETA3, 3)
     assert len(G.ball(1)) == 9 * 3
     assert G.identity in G.ball(0)
+
+
+def test_check_element():
+    G = build(THETA3, 3)
+    assert G.check_element(SdElement((1, -2), 2)) == SdElement((1, -2), 2)
+    for bad in (SdElement((1, 2, 3), 0), SdElement((1.0, 2), 0), SdElement((True, 2), 0),
+                SdElement((1, 2), 3), SdElement((1, 2), -1)):
+        with pytest.raises(ValueError, match="does not belong"):
+            G.check_element(bad)
+    with pytest.raises(ValueError, match="does not belong"):
+        is_conjugate_sd(G, SdElement((1, 2), 3), G.identity)
+    with pytest.raises(ValueError, match="does not belong"):
+        class_sd(G, SdElement((1, 2), 3))
+
+
+@pytest.mark.parametrize("theta,p", ((THETA3, 3), (COMPANION5, 5), ([[0, 1], [1, 0]], 2)))
+def test_conjugation_hooks(theta, p):
+    # slice 0: conjugating by r^j applies theta^j; slice k != 0: the class is
+    # v plus the span of the moves under conjugation by translations; no
+    # conjugator changes k
+    G = build(theta, p)
+    zero = (0,) * G.n
+    v = tuple(range(1, G.n + 1))
+    assert G.conjugators(0, 0) == tuple((j, G.powers[j], zero) for j in range(p))
+    assert [G.conj(SdElement(v, 0), G.element(None, j)).v for j in range(p)] == \
+        [matvec(m, v) for _, m, _ in G.conjugators(0, 0)]
+    assert G.slack(0) == Sublattice.zero(G.n)
+    for k in range(1, p):
+        assert G.conjugators(k, k) == ((0, mat_identity(G.n), zero),)
+        moves = [vsub(G.conj(SdElement(v, k), SdElement(e, 0)).v, v) for e in mat_identity(G.n)]
+        assert G.slack(k) == Sublattice(G.n, moves)
+    for k in range(p):
+        assert all(G.conjugators(k, h) == () for h in range(p) if h != k)
 
 
 # -- derived subgroup -----------------------------------------------------------
@@ -227,10 +262,95 @@ def test_phi_is_wct_map(theta, p):
     assert phi.apply(G.mul(h1, h2)) != G.mul(phi.apply(h2), phi.apply(h1))
 
 
-@pytest.mark.parametrize("theta,p", ((THETA3, 3), (COMPANION5, 5)))
-def test_phi_power_compatible(theta, p):
+def test_certificate_serves_semidirect():
+    G = build(THETA3, 3)
+    cert = wct_certificate_symbolic(G, phi_for_odd_p(G))
+    assert cert["proven"]
+    # on a pair landing in A the label is the power j with
+    # m(g1) m(g2) = theta^j m(g1 g2); here phi(g1 g2) = theta v1 + v2 on (1, 2)
+    assert cert["pairs"] == {(0, 0): 0, (0, 1): 0, (0, 2): 0, (1, 0): 0, (1, 1): 0,
+                             (1, 2): 2, (2, 0): 0, (2, 1): 2, (2, 2): 0}
+
+
+def _witness_is_genuine(G, m, res):
+    """The reported pair breaks the class condition.  A product in A is also
+    checked by brute force, which is exact there: the conjugates of (v, 0)
+    are its theta-orbit, and ball(0) holds every power of r."""
+    g1, g2 = (SdElement(tuple(w["v"]), w["k"]) for w in res["witness"])
+    lhs = m.apply(G.mul(g1, g2))
+    rhs = G.mul(m.apply(g1), m.apply(g2))
+    return (not is_conjugate_sd(G, lhs, rhs)
+            and (lhs.k != 0 or not brute_is_conjugate(G, lhs, rhs, 0)))
+
+
+def test_verify_sd_is_exact_at_every_radius():
+    # radius 0 used to pass all three: their failing slice pairs fell back to
+    # an empty-handed ball(0) sweep
+    G = build(THETA3, 3)
+    eye = mat_identity(2)
+    for mats in ([((-1, 0), (0, -1)), eye, eye], [eye, G.theta, eye],
+                 [G.theta, G.theta, eye]):
+        m = SdMap(G, mats)
+        for radius in range(4):
+            res = verify_sd(G, m, radius)
+            assert not res["ok"] and res["radius"] == radius
+            *before, last = res["methods"].values()
+            assert set(before) <= {"uniform"} and last == "witness"
+            assert _witness_is_genuine(G, m, res)
+
+
+def _pool(n: int) -> list:
+    """Signed permutation matrices for n = 3; for n <= 2 every matrix with
+    entries in {-1, 0, 1} and determinant +-1."""
+    if n == 3:
+        return [tuple(tuple(sign[i] * (perm[i] == j) for j in range(n)) for i in range(n))
+                for perm in permutations(range(n)) for sign in product((-1, 1), repeat=n)]
+    mats = [tuple(e[i * n:(i + 1) * n] for i in range(n)) for e in product((-1, 0, 1), repeat=n * n)]
+    return [m for m in mats if Sublattice(n, m) == Sublattice.full(n)]
+
+
+def _ball_sweep_ok(G, m, radius, cache, first):
+    """Literal class-condition sweep of ball(radius)^2, one slice pair at a
+    time.  The sweep of (k1, k2) depends only on the matrices of slices k1,
+    k2 and k1 + k2, so its result is cached on them across maps; sweeping
+    the pair `first` ahead of the others only stops a failing map sooner."""
+    box = [g.v for g in G.ball(radius) if g.k == 0]
+    for k1, k2 in sorted(product(range(G.p), repeat=2), key=lambda kk: kk != first):
+        key = (k1, k2, m.mats[k1], m.mats[k2], m.mats[(k1 + k2) % G.p])
+        if key not in cache:
+            cache[key] = all(
+                is_conjugate_sd(G, m.apply(G.mul(g1, g2)), G.mul(m.apply(g1), m.apply(g2)))
+                for g1 in [SdElement(v, k1) for v in box]
+                for g2 in [SdElement(v, k2) for v in box])
+        if not cache[key]:
+            return False
+    return True
+
+
+# 1000 maps in all; the Z^3 sweeps cost most, so that case gets few
+RANDOM_SD_CASES = ((THETA3, 3, 650), (SD_CASES[1][2], 3, 30)) + tuple(
+    (theta, 2, count) for (_, theta), count in zip(P2_THETAS, (20, 150, 150)))
+
+
+@pytest.mark.parametrize("theta,p,count", RANDOM_SD_CASES)
+def test_verify_sd_agrees_with_ball_sweep(theta, p, count):
     G = build(theta, p)
-    assert sd_power_compatible(G, phi_for_odd_p(G), 2)
+    pool = _pool(G.n)
+    rnd = random.Random(f"sd:{p}:{theta}")
+    cache = {}
+    verdicts = set()
+    for _ in range(count):
+        # half the slices take a power of theta, so some maps pass
+        m = SdMap(G, [rnd.choice(G.powers) if rnd.random() < 0.5 else rnd.choice(pool)
+                      for _ in range(p)])
+        res = verify_sd(G, m, 0)
+        failing = next((tuple(map(int, key.split(","))) for key, how in res["methods"].items()
+                        if how == "witness"), None)
+        assert res["ok"] == _ball_sweep_ok(G, m, 2, cache, failing), m.mats
+        assert res["ok"] == (failing is None) == (res["witness"] is None)
+        assert res["ok"] or _witness_is_genuine(G, m, res), m.mats
+        verdicts.add(res["ok"])
+    assert verdicts == {True, False} or G.n == 1
 
 
 def test_identity_map_passes():
@@ -255,20 +375,24 @@ def test_p2_candidate_is_trivially_wct(theta):
 
 def test_broken_map_fails_with_witness():
     # swapping coordinates on A only is not class-preserving on the
-    # slice pair whose product lands back in A
+    # slice pair whose product lands back in A; the witness is the moment
+    # curve point t = 2, (v1, v2) = (1, 2, 4, 8)
     G = build(THETA3, 3)
     eye = mat_identity(2)
     m = SdMap(G, [((0, 1), (1, 0)), eye, eye])
     res = verify_sd(G, m, 2)
     assert not res["ok"]
-    assert res["witness"] == [{"v": [-2, -2], "k": 1}, {"v": [-1, -2], "k": 2}]
-    g1 = SdElement((-2, -2), 1)
-    g2 = SdElement((-1, -2), 2)
+    assert res["witness"] == [{"v": [1, 2], "k": 1}, {"v": [4, 8], "k": 2}]
+    assert res["methods"] == {"0,0": "uniform", "0,1": "uniform", "0,2": "uniform",
+                              "1,0": "uniform", "1,1": "uniform", "1,2": "witness"}
+    g1 = SdElement((1, 2), 1)
+    g2 = SdElement((4, 8), 2)
     lhs = m.apply(G.mul(g1, g2))
     rhs = G.mul(m.apply(g1), m.apply(g2))
-    assert lhs == SdElement((-1, -3), 0)
-    assert rhs == SdElement((-3, -1), 0)
+    assert lhs == SdElement((-2, 5), 0)
+    assert rhs == SdElement((5, -2), 0)
     assert not is_conjugate_sd(G, lhs, rhs)
+    assert not brute_is_conjugate(G, lhs, rhs, 0)
 
 
 def test_invariants_hold_for_the_catalog_maps():
