@@ -24,9 +24,9 @@ brute_is_conjugate/conjugates_within sweep conjugators from a ball instead
 and exist so the closed forms can be tested against something that cannot
 share their bugs.  brute_is_conjugate is the literal loop over G.ball and
 G.conj, and serves SdGroup as well.  conjugates_within is the same sweep
-with its lookups hoisted: the box of translations t with max-norm(t) <=
-radius is cached once per radius, and the table entries for each conjugator
-part f' (fprod, act, act_inv, point_inv) are read once per f'.  Every
+with its lookups hoisted: the translations t come from groups.cells, cached
+once per radius, and the table entries for each conjugator part f' (fprod,
+act, act_inv, point_inv) are read once per f'.  Every
 conjugator c = t * f' is still multiplied out on its own, c^-1 first and
 then c^-1 (g c), in flat integer arithmetic.  The kernel reads only the
 multiplication tables that check_presentation validates; it must never read
@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .groups import Element, GroupTable, check_radius
+from .groups import Element, GroupTable, cells
 from .lattice import Coset, Sublattice, matvec, solve_integer, vadd, vneg
 
 
@@ -194,21 +194,14 @@ def is_conjugate(G: GroupTable, g: Element, h: Element) -> bool:
     return False
 
 
-@lru_cache(maxsize=None)
-def _box(radius: int) -> tuple:
-    """The translation parts (i, j) of ball(radius), as flat int pairs."""
-    return tuple((i, j) for i in range(-radius, radius + 1) for j in range(-radius, radius + 1))
-
-
 def conjugates_within(G: GroupTable, g: Element, radius: int) -> set:
     """Brute conjugate set {g^c : c in ball(radius)}; oracle for is_conjugate.
 
     Each g^c = c^-1 (g c) is multiplied out as GroupTable.inv and .mul do,
     with the table entries of the part f' of c = t * f' looked up once per f'.
     """
-    check_radius(radius)
+    box = cells(radius)
     G.check_element(g)
-    box = _box(radius)
     (gx, gy), gf = g
     (a00, a01), (a10, a11) = G.act_inv[gf]
     out = set()

@@ -306,13 +306,9 @@ class GroupTable:
         return [[Element(_ZERO, f), Element(_X, f), Element(_Y, f)] for f in self.F]
 
     def ball(self, radius: int) -> list[Element]:
-        """All a*f with max-norm(a) <= radius, ordered by norm then lexicographically."""
-        check_radius(radius)
-        cells = sorted(
-            ((i, j) for i in range(-radius, radius + 1) for j in range(-radius, radius + 1)),
-            key=lambda v: (max(abs(v[0]), abs(v[1])), v),
-        )
-        return [Element(v, f) for v in cells for f in self.F]
+        """All a*f with max-norm(a) <= radius, ordered as cells(radius), then
+        by part in G.F order."""
+        return [Element(v, f) for v in cells(radius) for f in self.F]
 
     def word(self, tokens: str) -> Element:
         """Evaluate a word over x, y, r, s, g (capital letter = inverse)."""
@@ -344,6 +340,17 @@ def check_radius(radius: int) -> None:
     """Reject a negative radius: its ball is empty, so any sweep over it is vacuous."""
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
+
+
+@lru_cache(maxsize=None)
+def cells(radius: int) -> tuple:
+    """The translation parts a with max-norm(a) <= radius, as flat int pairs
+    ordered by norm, then lexicographically: the cell order of every ball."""
+    check_radius(radius)
+    return tuple(sorted(
+        ((i, j) for i in range(-radius, radius + 1) for j in range(-radius, radius + 1)),
+        key=lambda v: (max(abs(v[0]), abs(v[1])), v),
+    ))
 
 
 @lru_cache(maxsize=None)

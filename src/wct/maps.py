@@ -18,6 +18,14 @@ two conjugation hooks G.conjugators and G.slack, which hold each family's
 closed form of conjugacy.  For Z^n x C_p with p prime the certificate is
 exact and semidirect.verify_sd reports it with a witness; for wallpaper
 groups proven=False is still inconclusive.
+
+is_wct_on_ball decides ball(radius) x ball(radius) one pair of source parts
+at a time.  There only the translation parts x1, x2 vary, and the residual
+of each conjugator candidate of is_conjugate's plan splits as
+P(x1) + Q(x2), so each distinct tuple of residues modulo K is decided once
+instead of each element pair (see _Block).  Its verdict, witness and
+pairs_checked are those of a pair-by-pair sweep, and a pass is still
+evidence from a finite ball, not a proof.
 """
 
 from __future__ import annotations
@@ -26,9 +34,10 @@ import random
 import re
 from functools import lru_cache
 from itertools import product
+from operator import eq
 
-from .conjugacy import conjugacy_class, is_conjugate
-from .groups import Element, GroupTable, check_radius, load_group, parse_element
+from .conjugacy import _plan, conjugacy_class, is_conjugate
+from .groups import Element, GroupTable, cells, check_radius, load_group, parse_element
 from .lattice import (
     Vec,
     mat_identity,
@@ -263,41 +272,163 @@ def is_wct_on_ball(G: GroupTable, m: CosetwiseAffineMap, radius: int) -> dict:
     """Check m(g1 g2) ~ m(g1) m(g2) for all pairs from ball(radius).
 
     Sound for violations (the witness re-checks); passing is evidence, not
-    proof, since the ball is finite.  pairs_checked counts the pairs
-    examined: all of ball x ball on a pass, up to the witness otherwise.
+    proof, since the ball is finite.  pairs_checked counts the pairs the
+    verdict covers: all of ball x ball on a pass, up to and including the
+    witness otherwise, in ball order.
 
-    Both sides are computed inline from G.fprod, G.act_inv and m.rule, as
-    GroupTable.mul and CosetwiseAffineMap.apply do; a witness is re-derived
-    through mul/apply before it is reported.
+    The pairs are decided per part pair, not per element pair: with the
+    parts of g1 = x1*f1 and g2 = x2*f2 fixed, the residual is_conjugate
+    tests splits as P(x1) + Q(x2), and a pair holds exactly when Q(x2) and
+    -P(x1) agree modulo K for some candidate (see _Block).  Row g1 of
+    ball x ball crosses one block per part f2; its first failing pair is the
+    minimum over those blocks, and the scan stops at the first row that has
+    one.  That pair is re-derived through G.mul and m.apply and re-checked
+    with is_conjugate, by an explicit raise that python -O keeps, before it
+    is reported.
     """
-    ball = G.ball(radius)
-    images = [m.apply(g) for g in ball]
-    fprod, act_inv, rule = G.fprod, G.act_inv, m.rule
-    for i1, (((x1, y1), f1), ((u1, v1), e1)) in enumerate(zip(ball, images)):
-        (a00, a01), (a10, a11) = act_inv[f1]
-        (b00, b01), (b10, b11) = act_inv[e1]
-        for i2, (((x2, y2), f2), ((u2, v2), e2)) in enumerate(zip(ball, images)):
-            (c0, c1), f12 = fprod[f1, f2]
-            px = x1 + a00 * x2 + a01 * y2 + c0
-            py = y1 + a10 * x2 + a11 * y2 + c1
-            lf, ((m00, m01), (m10, m11)), (t0, t1) = rule[f12]
-            lhs = Element((m00 * px + m01 * py + t0, m10 * px + m11 * py + t1), lf)
-            (d0, d1), rf = fprod[e1, e2]
-            rhs = Element((u1 + b00 * u2 + b01 * v2 + d0,
-                           v1 + b10 * u2 + b11 * v2 + d1), rf)
-            if not is_conjugate(G, lhs, rhs):
-                g1, g2 = ball[i1], ball[i2]
-                lhs2 = m.apply(G.mul(g1, g2))
-                rhs2 = G.mul(m.apply(g1), m.apply(g2))
-                assert (lhs2, rhs2) == (lhs, rhs) and not is_conjugate(G, lhs2, rhs2)
+    xs = cells(radius)
+    parts = G.F
+    width = len(parts)
+    size = len(xs) * width
+    blocks = [[None] * width for _ in parts]
+    for c1, (x1, y1) in enumerate(xs):
+        for j1, f1 in enumerate(parts):
+            row = blocks[j1]
+            best = size
+            for j2, f2 in enumerate(parts):
+                block = row[j2]
+                if block is None:
+                    block = row[j2] = _Block(G, m, f1, f2, xs)
+                c2 = block.first_failure(x1, y1)
+                if c2 is not None:
+                    best = min(best, c2 * width + j2)
+                    if c2 == 0:
+                        break
+            if best < size:
+                g1 = Element((x1, y1), f1)
+                g2 = Element(xs[best // width], parts[best % width])
+                lhs = m.apply(G.mul(g1, g2))
+                rhs = G.mul(m.apply(g1), m.apply(g2))
+                if is_conjugate(G, lhs, rhs):
+                    raise AssertionError(
+                        f"ball check in {G.gid}: residues reject ({g1}, {g2}), "
+                        f"but {lhs} and {rhs} are conjugate")
                 return {
                     "ok": False,
                     "witness": [g1.to_json(), g2.to_json()],
                     "radius": radius,
-                    "pairs_checked": i1 * len(ball) + i2 + 1,
+                    "pairs_checked": (c1 * width + j1) * size + best + 1,
                 }
-    return {"ok": True, "witness": None, "radius": radius,
-            "pairs_checked": len(ball) ** 2}
+    return {"ok": True, "witness": None, "radius": radius, "pairs_checked": size ** 2}
+
+
+class _Block:
+    """The pairs (x1*f1, x2*f2) of ball x ball for one part pair (f1, f2).
+
+    With the parts fixed, only the translation parts x1 and x2 vary.  For
+    fprod[f1, f2] = (c, f12), rule[f12] = (lf, L, t), rule[f1] = (e1, M1, u),
+    rule[f2] = (e2, M2, w), fprod[e1, e2] = (d, rf), A1 = act_inv(f1) and
+    B1 = act_inv(e1), the two sides are
+
+      lhs = m(g1 g2) = L (x1 + A1 x2 + c) + t          in part lf,
+      rhs = m(g1) m(g2) = M1 x1 + u + B1 (M2 x2 + w) + d  in part rf,
+
+    and is_conjugate's plan entry for (lf, rf) gives the candidates (N, s)
+    and the HNF rows (p, q), (0, r) of K.  The pair holds exactly when
+    rhs - N lhs - s lies in K for some candidate, and that residual splits
+    as P(x1) + Q(x2) with
+
+      P = (M1 - N L) x1 + u + d - N (L c + t) - s,
+      Q = (B1 M2 - N L A1) x2 + B1 w.
+
+    So it holds exactly when, for some candidate, Q(x2) and -P(x1) have the
+    same canonical representative modulo K.  A cell's signature is the tuple
+    of its Q representatives, one per candidate, and a row's key the tuple
+    of its -P representatives; the pair fails when they agree in no
+    position.  Signatures are computed lazily in cell order, each distinct
+    one kept with its first cell, so the first failing cell for a key is the
+    first cell of the first distinct signature that fails it.  That answer
+    is memoized per key.  Blocks live for one ball check only.
+    """
+
+    __slots__ = ("row_terms", "cell_terms", "lattice", "xs", "done", "signatures", "memo")
+
+    def __init__(self, G: GroupTable, m: CosetwiseAffineMap, f1: str, f2: str, xs: tuple):
+        (c0, c1), f12 = G.fprod[f1, f2]
+        lf, ((l00, l01), (l10, l11)), (t0, t1) = m.rule[f12]
+        e1, ((m00, m01), (m10, m11)), (u0, u1) = m.rule[f1]
+        e2, ((h00, h01), (h10, h11)), (w0, w1) = m.rule[f2]  # M2
+        (d0, d1), rf = G.fprod[e1, e2]
+        cands, p, q, r = _plan(G.gid)[lf, rf]
+        (a00, a01), (a10, a11) = G.act_inv[f1]
+        (b00, b01), (b10, b11) = G.act_inv[e1]
+        # the candidate-free pieces: L c + t, L A1, B1 M2 and B1 w
+        v0, v1 = l00 * c0 + l01 * c1 + t0, l10 * c0 + l11 * c1 + t1
+        la00, la01 = l00 * a00 + l01 * a10, l00 * a01 + l01 * a11
+        la10, la11 = l10 * a00 + l11 * a10, l10 * a01 + l11 * a11
+        bm00, bm01 = b00 * h00 + b01 * h10, b00 * h01 + b01 * h11
+        bm10, bm11 = b10 * h00 + b11 * h10, b10 * h01 + b11 * h11
+        bw0, bw1 = b00 * w0 + b01 * w1, b10 * w0 + b11 * w1
+        terms = {}  # (-P, Q) per candidate N = ((n00, n01), (n10, n11)); repeats dropped
+        for n00, n01, n10, n11, s0, s1 in cands:
+            neg_p = (n00 * l00 + n01 * l10 - m00, n00 * l01 + n01 * l11 - m01,
+                     n10 * l00 + n11 * l10 - m10, n10 * l01 + n11 * l11 - m11,
+                     n00 * v0 + n01 * v1 + s0 - u0 - d0, n10 * v0 + n11 * v1 + s1 - u1 - d1)
+            q_term = (bm00 - n00 * la00 - n01 * la10, bm01 - n00 * la01 - n01 * la11,
+                      bm10 - n10 * la00 - n11 * la10, bm11 - n10 * la01 - n11 * la11, bw0, bw1)
+            terms[neg_p, q_term] = None
+        self.row_terms = tuple(neg_p for neg_p, _ in terms)
+        self.cell_terms = tuple(q_term for _, q_term in terms)
+        self.lattice = (p, q, r)
+        self.xs = xs
+        self.done = 0          # cells whose signature has been computed
+        self.signatures = {}   # distinct signature -> its first cell
+        self.memo = {}         # key -> first failing cell, or None
+
+    def _reps(self, terms: tuple, x: int, y: int) -> tuple:
+        """The representatives modulo K of the affine terms at (x, y).
+
+        Each is one int when K has a pivot: the reduced coordinate lies in
+        [0, pivot) and folds into the other one.  For K = 0 it is the
+        vector itself.
+        """
+        p, q, r = self.lattice
+        out = []
+        for t00, t01, t10, t11, k0, k1 in terms:
+            u = t00 * x + t01 * y + k0
+            v = t10 * x + t11 * y + k1
+            if p:
+                k = u // p
+                u -= k * p
+                v -= k * q
+                out.append((v % r if r else v) * p + u)
+            elif r:
+                out.append(u * r + v % r)
+            else:
+                out.append((u, v))
+        return tuple(out)
+
+    def _distinct(self):
+        """The distinct signatures with their first cells, in cell order,
+        computed only as far as the caller reads."""
+        yield from self.signatures.items()
+        xs = self.xs
+        while self.done < len(xs):
+            cell = self.done
+            self.done += 1
+            sig = self._reps(self.cell_terms, *xs[cell])
+            if sig not in self.signatures:
+                self.signatures[sig] = cell
+                yield sig, cell
+
+    def first_failure(self, x: int, y: int):
+        """The first cell x2 at which (x*f1, x2*f2) fails, or None."""
+        key = self._reps(self.row_terms, x, y)
+        memo = self.memo
+        if key not in memo:
+            memo[key] = next((cell for sig, cell in self._distinct()
+                              if not any(map(eq, sig, key))), None)
+        return memo[key]
 
 
 def nontriviality_certificate(G, m, radius: int):

@@ -37,6 +37,7 @@ from .lattice import (
     Sublattice,
     Vec,
     mat_identity,
+    mat_inv_unimodular,
     mat_pow,
     matvec,
     vadd,
@@ -217,15 +218,29 @@ def derived_lattice(G: SdGroup) -> Sublattice:
 
 
 class SdMap:
-    """Bijection fixing each k-slice, linear on translation parts."""
+    """Bijection fixing each k-slice, linear on translation parts.
+
+    Each slice matrix must be an n x n integer matrix with determinant +-1,
+    so the map is a bijection of G that carries A onto A.
+    """
 
     __slots__ = ("p", "mats")
 
     def __init__(self, G: SdGroup, mats: Sequence[Mat]):
         if len(mats) != G.p:
             raise ValueError("need one matrix per k-slice")
+        for k, mat in enumerate(mats):
+            if not (isinstance(mat, (list, tuple)) and len(mat) == G.n and all(
+                    isinstance(row, (list, tuple)) and len(row) == G.n for row in mat)):
+                raise ValueError(f"matrix on slice {k} must be {G.n}x{G.n}")
+            if any(type(x) is not int for row in mat for x in row):
+                raise ValueError(f"matrix on slice {k} must have int entries")
+            try:
+                mat_inv_unimodular(mat)
+            except ValueError:
+                raise ValueError(f"matrix on slice {k} is not unimodular") from None
         self.p = G.p
-        self.mats = tuple(mats)
+        self.mats = tuple(tuple(tuple(row) for row in mat) for mat in mats)
 
     def apply(self, g: SdElement) -> SdElement:
         return SdElement(matvec(self.mats[g.k], g.v), g.k)
@@ -298,8 +313,6 @@ def verify_sd(G: SdGroup, m: SdMap, radius: int) -> dict:
 
 
 def sd_invariants(G: SdGroup, m: SdMap, radius: int = 2) -> dict:
-    """maps.forced_consequences with class_sd; A is fixed setwise exactly
-    when the translation slice matrix is unimodular."""
-    cols = [tuple(row[j] for row in m.mats[0]) for j in range(G.n)]
-    return forced_consequences(G, m, radius, class_sd,
-                               Sublattice(G.n, cols) == Sublattice.full(G.n))
+    """maps.forced_consequences with class_sd.  A is fixed setwise: SdMap
+    keeps slice 0 and its matrix is unimodular."""
+    return forced_consequences(G, m, radius, class_sd, True)

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wct
 from wct.acceptance import P2_THETAS, SD_CASES, TRIVIAL_GROUPS
 from wct.conjugacy import conjugacy_class, is_conjugate
 from wct.groups import GROUP_IDS, Element, load_group, parse_element
@@ -443,11 +448,12 @@ def test_w0_generator_names_resolve():
 def _reference_ball_check(G, m, radius):
     """is_wct_on_ball spelled out through mul, apply and class descriptors."""
     ball = G.ball(radius)
+    images = [m.apply(g) for g in ball]
     classes = {}
-    for i1, g1 in enumerate(ball):
-        for i2, g2 in enumerate(ball):
+    for i1, (g1, m1) in enumerate(zip(ball, images)):
+        for i2, (g2, m2) in enumerate(zip(ball, images)):
             lhs = m.apply(G.mul(g1, g2))
-            rhs = G.mul(m.apply(g1), m.apply(g2))
+            rhs = G.mul(m1, m2)
             if lhs not in classes:
                 classes[lhs] = conjugacy_class(G, lhs)
             if not classes[lhs].contains(rhs):
@@ -479,6 +485,78 @@ def test_ball_check_matches_reference_on_random_maps(gid):
     rnd = random.Random(f"ball-reference:{gid}")
     for _ in range(25):
         _assert_matches_reference(G, random_map(G, rnd), 1)
+
+
+@pytest.mark.parametrize("radius", (0, 2))
+@pytest.mark.parametrize("gid", GROUP_IDS)
+def test_ball_check_matches_reference_on_catalog_at_radii_0_and_2(gid, radius):
+    G = load_group(gid)
+    failing = {name for name, m in catalog(G).items()
+               if not _assert_matches_reference(G, m, radius)}
+    # radius 0 is too small to see conj_rho_on_rho2 fail
+    assert failing == ({"conj_rho_on_rho2"} if gid == "p4" and radius else set())
+
+
+@pytest.mark.parametrize("gid,name", [(gid, name) for gid, names in NONTRIVIAL_CATALOG.items()
+                                      for name in names] + [("p4", "conj_rho_on_rho2")])
+def test_ball_check_matches_reference_at_radius_3(gid, name):
+    G = load_group(gid)
+    assert _assert_matches_reference(G, generator(G, name), 3) == (name != "conj_rho_on_rho2")
+
+
+@pytest.mark.parametrize("gid", GROUP_IDS)
+def test_ball_check_matches_reference_on_catalog_words(gid):
+    G = load_group(gid)
+    rnd = random.Random(f"ball-words:{gid}")
+    names = sorted(catalog(G))
+    for _ in range(6):
+        atoms = [rnd.choice(names) for _ in range(3)]
+        expr = " * ".join(f"inv({a})" if rnd.random() < 0.3 else a for a in atoms)
+        _assert_matches_reference(G, parse_map_expr(G, expr), 2)
+
+
+@pytest.mark.parametrize("gid", GROUP_IDS)
+def test_ball_check_matches_reference_past_row_0(gid):
+    """Random maps whose first failing pair lies past the row of the
+    identity, so the first failure of a row is a minimum over several part
+    pairs."""
+    G = load_group(gid)
+    size = len(G.ball(2))
+    rnd = random.Random(f"ball-late:{gid}")
+    late = 0
+    while late < 4:
+        m = random_map(G, rnd)
+        if m.apply(G.identity) != G.identity:
+            continue  # fails on the row of the identity, which has one cell
+        ok, witness, pairs = _reference_ball_check(G, m, 2)
+        if pairs > size:
+            late += 1
+            res = is_wct_on_ball(G, m, 2)
+            assert (res["ok"], res["witness"], res["pairs_checked"]) == (ok, witness, pairs), m
+
+
+def test_witness_recheck_survives_python_O():
+    """The re-check of a witness is no assert statement, so python -O keeps it."""
+    src = str(Path(wct.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "\n".join((
+        "assert False, 'assert statements run'",
+        "import wct.maps",
+        "from wct.groups import load_group",
+        "wct.maps.is_conjugate = lambda G, g, h: True",
+        "G = load_group('p4')",
+        "try:",
+        "    res = wct.maps.is_wct_on_ball(G, wct.maps.generator(G, 'conj_rho_on_rho2'), 2)",
+        "except AssertionError as exc:",
+        "    print('raised:', exc)",
+        "else:",
+        "    print('reported:', res)",
+    ))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: ball check in p4"), proc.stdout
 
 
 def test_ball_check_counts_pairs_up_to_the_witness():
@@ -600,9 +678,15 @@ def _semidirect_samples():
         swap = tuple(tuple(int(i + j == H.n - 1) for j in range(H.n))
                      for i in range(H.n))
         yield H, SdMap(H, [swap] * H.p)  # a homomorphism only if it commutes with theta
-        for _ in range(4):
-            yield H, SdMap(H, [tuple(tuple(rnd.randint(-1, 1) for _ in range(H.n))
-                                     for _ in range(H.n)) for _ in range(H.p)])
+        drawn = 0
+        while drawn < 4:  # random slice matrices with entries in {-1, 0, 1}
+            try:
+                m = SdMap(H, [tuple(tuple(rnd.randint(-1, 1) for _ in range(H.n))
+                                    for _ in range(H.n)) for _ in range(H.p)])
+            except ValueError:
+                continue  # a singular draw is no bijection
+            drawn += 1
+            yield H, m
 
 
 def test_semidirect_probes_match_brute_search():

@@ -241,8 +241,33 @@ def test_phi_requires_odd_p():
 
 def test_sd_map_validation():
     G = build(THETA3, 3)
+    eye = mat_identity(2)
     with pytest.raises(ValueError, match="per k-slice"):
         SdMap(G, [mat_identity(2)])
+    # a singular slice matrix makes no bijection
+    for singular in (((0, 0), (0, 0)), ((2, 0), (0, 2))):
+        with pytest.raises(ValueError, match="not unimodular"):
+            SdMap(G, [singular] * 3)
+        with pytest.raises(ValueError, match="slice 2 is not unimodular"):
+            SdMap(G, [eye, eye, singular])
+    for wrong_shape in (mat_identity(3), ((1, 0),), ((1, 0), (0,)), (1, 0), ((1, 0), 5)):
+        with pytest.raises(ValueError, match="must be 2x2"):
+            SdMap(G, [eye, wrong_shape, eye])
+    for entry in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match="int entries"):
+            SdMap(G, [((entry, 0), (0, 1)), eye, eye])
+    with pytest.raises(ValueError, match="not unimodular"):
+        SdMap(build(THETA3_EMBED, 3), [((1, 0, 0), (0, 1, 0), (0, 0, 2))] * 3)
+    # lists are accepted and stored as tuples
+    assert SdMap(G, [[[1, 0], [0, 1]]] * 3) == identity_sd_map(G)
+
+
+@pytest.mark.parametrize("theta,p", ((THETA3, 3), (THETA3_EMBED, 3), (COMPANION5, 5)) +
+                         tuple((theta, 2) for theta in P2_SAMPLES))
+def test_built_in_sd_maps_construct(theta, p):
+    G = build(theta, p)
+    for m in (identity_sd_map(G), phi_for_odd_p(G) if p > 2 else p2_candidate(G)):
+        assert SdMap(G, m.mats) == m
 
 
 @pytest.mark.parametrize("theta,p", ((THETA3, 3), (THETA3_EMBED, 3), (COMPANION5, 5)))
@@ -405,12 +430,13 @@ def test_invariants_hold_for_the_catalog_maps():
 
 
 def test_invariants_flag_broken_translation_slice():
+    # SdMap rejects a stretched translation slice, so every SdMap carries A
+    # onto A
     G = build(THETA3, 3)
     eye = mat_identity(2)
-    stretch = SdMap(G, [((2, 0), (0, 1)), eye, eye])
-    rep = sd_invariants(G, stretch, 1)
-    assert not rep["preserves_translations"]
-    assert not rep["ok"]
+    with pytest.raises(ValueError, match="slice 0 is not unimodular"):
+        SdMap(G, [((2, 0), (0, 1)), eye, eye])
+    assert sd_invariants(G, SdMap(G, [((0, 1), (1, 0)), eye, eye]), 1)["preserves_translations"]
 
 
 def test_invariants_are_necessary_not_sufficient():
