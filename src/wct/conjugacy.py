@@ -22,25 +22,32 @@ is then a few integer divisions.
 
 brute_is_conjugate/conjugates_within sweep conjugators from a ball instead
 and exist so the closed forms can be tested against something that cannot
-share their bugs.  brute_is_conjugate is the literal loop over G.ball and
-G.conj, and serves SdGroup as well.  conjugates_within is the same sweep
-with its lookups hoisted: the translations t come from groups.cells, cached
-once per radius, and the table entries for each conjugator part f' (fprod,
-act, act_inv, point_inv) are read once per f'.  Every
-conjugator c = t * f' is still multiplied out on its own, c^-1 first and
-then c^-1 (g c), in flat integer arithmetic.  The kernel reads only the
-multiplication tables that check_presentation validates; it must never read
-point_conj, conjugators, slack, kf, _plan or a class descriptor, nor use
-that g^c is affine in t, or it could share a bug with the closed forms it
-checks.  A test parses both oracle bodies to hold them to that.
+share their bugs.  For a wallpaper group brute_is_conjugate is the literal
+loop over G.ball and G.conj.  conjugates_within is the same sweep with its
+lookups hoisted: the translations t come from groups.cells, cached once per
+radius, and the table entries for each conjugator part f' (fprod, act,
+act_inv, point_inv) are read once per f'.  Every conjugator c = t * f' is
+still multiplied out on its own, c^-1 first and then c^-1 (g c), in flat
+integer arithmetic.  brute_is_conjugate serves SdGroup with the same kind
+of hoisted sweep: theta^j and theta^(j - k) are read from G.powers once per
+conjugator power j, and each c = (w, j) of the ball is multiplied out as
+SdGroup.inv and .mul would, c^-1 g first and then (c^-1 g) c, with flat
+dot products.  Both kernels read only the multiplication data (the tables
+that check_presentation validates, or G.p and G.powers); they must never
+read point_conj, conjugators, slack, kf, _plan, comm_lattice, a class
+descriptor or a closed-form test, nor use that g^c is affine in the
+conjugator's translation part, or they could share a bug with the closed
+forms they check.  A test parses both oracle bodies to hold them to that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
+from operator import mul
 
-from .groups import Element, GroupTable, cells
+from .groups import Element, GroupTable, cells, check_radius
 from .lattice import Coset, Sublattice, matvec, solve_integer, vadd, vneg
 
 
@@ -227,10 +234,31 @@ def conjugates_within(G: GroupTable, g: Element, radius: int) -> set:
 
 
 def brute_is_conjugate(G, g, h, radius: int) -> bool:
-    """Brute search of ball(radius) for a conjugator; serves SdGroup too."""
+    """Brute search of ball(radius) for a conjugator; serves SdGroup too.
+
+    A wallpaper group runs the literal loop over G.ball and G.conj.  For
+    Z^n x C_p each conjugator c = (w, j) is multiplied out on its own, as
+    SdGroup.inv and .mul do, with theta^j and theta^(j - k) read once per
+    power j: c^-1 = (-theta^j w, -j), then c^-1 g = (c^-1.v + theta^j v,
+    k - j), then (c^-1 g) c = ((c^-1 g).v + theta^(j - k) w, k).
+    """
     G.check_element(g)
     G.check_element(h)
-    return any(G.conj(g, c) == h for c in G.ball(radius))
+    if isinstance(G, GroupTable):
+        return any(G.conj(g, c) == h for c in G.ball(radius))
+    check_radius(radius)
+    (v, k), (hv, hk), p, powers = g, h, G.p, G.powers
+    box = tuple(product(range(-radius, radius + 1), repeat=len(v)))
+    for j in range(p):
+        if ((k - j) % p + j) % p != hk:  # the C_p part of c^-1 g c
+            continue
+        a, b = powers[j], powers[(j - k) % p]
+        av = [sum(map(mul, row, v)) for row in a]
+        for w in box:
+            left = [x - sum(map(mul, row, w)) for x, row in zip(av, a)]  # (c^-1 g).v
+            if tuple(x + sum(map(mul, row, w)) for x, row in zip(left, b)) == hv:
+                return True
+    return False
 
 
 # -- squares and involutions ---------------------------------------------------

@@ -64,9 +64,20 @@ class Element(NamedTuple):
         return {"a": list(self.a), "f": self.f}
 
 
+def int_coords(values, what: str) -> tuple:
+    """values as a tuple of plain ints; a float, bool or other non-int
+    coordinate raises ValueError instead of being truncated."""
+    out = tuple(values)
+    if any(type(x) is not int for x in out):
+        raise ValueError(f"{what} must have int coordinates, got {out}")
+    return out
+
+
 def element_from_json(data: dict) -> Element:
-    a = data["a"]
-    return Element((int(a[0]), int(a[1])), str(data["f"]))
+    a = int_coords(data["a"], "translation part")
+    if len(a) != 2:
+        raise ValueError(f"translation part must have 2 coordinates, got {a}")
+    return Element(a, str(data["f"]))
 
 
 class _Spec(NamedTuple):
@@ -284,7 +295,7 @@ class GroupTable:
     def element(self, i: int, j: int, f: str = "1") -> Element:
         if f not in self._part_of:
             raise ValueError(f"unknown transversal label {f!r} for {self.gid}")
-        return Element((i, j), f)
+        return Element(int_coords((i, j), "translation part"), f)
 
     def conjugators(self, f: str, h: str) -> tuple:
         """(f', act(f'), s) per conjugating part f' that carries part f onto
@@ -297,7 +308,12 @@ class GroupTable:
         return self._slack[h]
 
     def check_element(self, g: Element) -> Element:
-        if g.f not in self._part_of:
+        try:
+            (x, y), f = g
+            ok = f in self._part_of and type(x) is type(y) is int
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
             raise ValueError(f"element {g} does not belong to {self.gid}")
         return g
 

@@ -13,11 +13,14 @@ tables are read the same way, rightmost factor first.
 
 homomorphism_failure, antihomomorphism_failure, nontriviality_certificate,
 forced_consequences and wct_certificate_symbolic serve wct.semidirect too:
-they use only G.mul, G.inv, G.identity, G.ball, G.probes, m.apply and the
-two conjugation hooks G.conjugators and G.slack, which hold each family's
-closed form of conjugacy.  For Z^n x C_p with p prime the certificate is
-exact and semidirect.verify_sd reports it with a witness; for wallpaper
-groups proven=False is still inconclusive.
+they use only G.mul, G.inv, G.identity, G.ball, G.probes, m.apply, m.acts_on
+and the two conjugation hooks G.conjugators and G.slack, which hold each
+family's closed form of conjugacy.  For Z^n x C_p with p prime the
+certificate is exact and semidirect.verify_sd reports it with a witness;
+for wallpaper groups proven=False is still inconclusive.  Every verdict
+first asks m.acts_on(G) and raises ValueError for a map of another group,
+which would otherwise be judged through the part labels the two groups
+share.
 
 is_wct_on_ball decides ball(radius) x ball(radius) one pair of source parts
 at a time.  There only the translation parts x1, x2 vary, and the residual
@@ -53,21 +56,47 @@ _Z2: Vec = (0, 0)
 
 
 class CosetwiseAffineMap:
+    """rule[f] = (f2, M, t): a*f |-> (M a + t)*f2, with f2 a part of G, M a
+    2x2 int matrix of determinant +-1 and t an int pair; the targets f2
+    permute the parts.  Entries are stored as tuples."""
+
     __slots__ = ("gid", "rule", "_key")
 
     def __init__(self, G: GroupTable, rule: dict):
-        if set(rule) != set(G.F):
+        parts = G.F
+        if set(rule) != set(parts):
             raise ValueError(f"rule must cover exactly the parts of {G.gid}")
-        targets = [rule[f][0] for f in G.F]
-        if sorted(targets) != sorted(G.F):
-            raise ValueError("rule does not permute the translation cosets")
-        for f, (_, m, _) in rule.items():
-            det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-            if det not in (1, -1):
+        checked = {}
+        for f in parts:
+            f2, m, t = rule[f]
+            if f2 not in parts:
+                raise ValueError(f"target {f2!r} of coset {f!r} is not a part of {G.gid}")
+            try:
+                (a, b), (c, d) = m
+                ok = type(a) is type(b) is type(c) is type(d) is int
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
+                raise ValueError(f"matrix on coset {f!r} must be 2x2 with int entries")
+            if a * d - b * c not in (1, -1):
                 raise ValueError(f"matrix on coset {f!r} is not invertible over Z")
+            try:
+                t0, t1 = t
+                ok = type(t0) is type(t1) is int
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
+                raise ValueError(f"shift on coset {f!r} must be a pair of ints")
+            checked[f] = (f2, ((a, b), (c, d)), (t0, t1))
+        if len({f2 for f2, _, _ in checked.values()}) != len(parts):
+            raise ValueError("rule does not permute the translation cosets")
         self.gid = G.gid
-        self.rule = dict(rule)
-        self._key = (G.gid, tuple((f,) + self.rule[f] for f in G.F))
+        self.rule = checked
+        self._key = (G.gid, tuple((f,) + checked[f] for f in parts))
+
+    def acts_on(self, G) -> bool:
+        """Whether G is the wallpaper group this map was built for."""
+        return isinstance(G, GroupTable) and G.gid == self.gid
 
     def apply(self, g: Element) -> Element:
         f2, m, t = self.rule[g.f]
@@ -216,6 +245,13 @@ def automorphism(G: GroupTable, images: dict) -> CosetwiseAffineMap:
 # -- exact structural checks ---------------------------------------------------
 
 
+def _check_map(G, m) -> None:
+    """Reject a map built for another group: a verdict on it would be about
+    neither group."""
+    if not m.acts_on(G):
+        raise ValueError(f"the map does not act on {getattr(G, 'gid', G)}")
+
+
 def _probe_failure(G, m, anti: bool, radius: int = 1):
     """First probe pair with m(g1 g2) != m(g1) m(g2), or != m(g2) m(g1) when
     anti is set; None when every probe holds.
@@ -226,6 +262,7 @@ def _probe_failure(G, m, anti: bool, radius: int = 1):
     pair.  They lie in ball(1); radius 0 keeps only the origin pairs, which
     are all of ball(0) x ball(0).
     """
+    _check_map(G, m)
     for pairs in _probe_pairs(G, radius):
         for g1, g2 in pairs:
             m1, m2 = m.apply(g1), m.apply(g2)
@@ -286,6 +323,7 @@ def is_wct_on_ball(G: GroupTable, m: CosetwiseAffineMap, radius: int) -> dict:
     with is_conjugate, by an explicit raise that python -O keeps, before it
     is reported.
     """
+    _check_map(G, m)
     xs = cells(radius)
     parts = G.F
     width = len(parts)
@@ -450,6 +488,7 @@ def nontriviality_certificate(G, m, radius: int):
 
 def wct_invariants(G: GroupTable, m: CosetwiseAffineMap, radius: int = 2) -> dict:
     """forced_consequences with the exact wallpaper class descriptors."""
+    _check_map(G, m)
     return forced_consequences(G, m, radius, conjugacy_class, m.rule["1"][0] == "1")
 
 
@@ -464,6 +503,7 @@ def forced_consequences(G, m, radius: int, class_of, preserves_translations: boo
     ball(radius) to be well defined and injective; the rest is element-wise
     over the ball.  preserves_translations is the caller's test of m on A.
     """
+    _check_map(G, m)
     ball = G.ball(radius)
     checks = {
         "fixes_identity": m.apply(G.identity) == G.identity,
@@ -501,6 +541,7 @@ def wct_certificate_symbolic(G, m) -> dict:
     groups that is inconclusive, not a refutation; for Z^n x C_p it is a
     refutation (see semidirect.verify_sd).
     """
+    _check_map(G, m)
     pair_report = {}
     for pairs in _probe_pairs(G):
         images = [(m.apply(G.mul(g1, g2)), G.mul(m.apply(g1), m.apply(g2)))

@@ -18,7 +18,9 @@ second turns out to be an exact antihomomorphism, hence trivial.
 The family-agnostic verdicts are shared: homomorphism_failure,
 antihomomorphism_failure, nontriviality_certificate and forced_consequences
 from wct.maps run on SdGroup.probes/ball and SdMap.apply, and the brute
-oracle is wct.conjugacy.brute_is_conjugate.  The sd_ names bind to them.
+oracle is wct.conjugacy.brute_is_conjugate, which sweeps the conjugators
+of the ball with theta^j and theta^(j - k) read once per power j and reads
+only check_element, p and powers of SdGroup.  The sd_ names bind to them.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import NamedTuple, Sequence
 
 from .conjugacy import TranslationClass
 from .conjugacy import brute_is_conjugate as brute_is_conjugate_sd
-from .groups import check_radius
+from .groups import check_radius, int_coords
 from .lattice import (
     Coset,
     Mat,
@@ -111,9 +113,11 @@ class SdGroup:
         return SdElement((0,) * self.n, 0)
 
     def element(self, v: Sequence[int] | None, k: int = 0) -> SdElement:
-        vec = (0,) * self.n if v is None else tuple(int(x) for x in v)
+        vec = (0,) * self.n if v is None else int_coords(v, "vector")
         if len(vec) != self.n:
             raise ValueError(f"vector must have length {self.n}")
+        if type(k) is not int:
+            raise ValueError(f"slice index must be an int, got {k!r}")
         return SdElement(vec, k % self.p)
 
     def mul(self, g: SdElement, h: SdElement) -> SdElement:
@@ -244,6 +248,10 @@ class SdMap:
 
     def apply(self, g: SdElement) -> SdElement:
         return SdElement(matvec(self.mats[g.k], g.v), g.k)
+
+    def acts_on(self, G) -> bool:
+        """Whether G is a Z^n x C_p with this map's p and n."""
+        return isinstance(G, SdGroup) and G.p == self.p and G.n == len(self.mats[0])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SdMap) and self.mats == other.mats

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from wct import conjugacy
-
+from wct.acceptance import P2_THETAS, SD_CASES
 from wct.conjugacy import (
     CosetUnionClass,
     TranslationClass,
@@ -301,6 +301,34 @@ def test_conjugates_within_matches_literal_sweep(gid):
             assert conjugates_within(G, g, radius) == {G.conj(g, c) for c in ball}, (g, radius)
 
 
+def _literal_brute(G, g, h, radius):
+    """The literal sweep that brute_is_conjugate's Z^n x C_p branch hoists."""
+    return any(G.conj(g, c) == h for c in G.ball(radius))
+
+
+SD_GROUPS = tuple((p, theta) for _, p, theta in SD_CASES) + \
+    tuple((2, theta) for _, theta in P2_THETAS)
+
+
+@pytest.mark.parametrize("p,theta", SD_GROUPS)
+def test_sd_brute_is_conjugate_matches_literal_sweep(p, theta):
+    """Every g of ball(1) against every h of ball(1) plus conjugates of g,
+    at radii 0, 1 and 2.  On Z^3 x C_3 and Z^4 x C_5 (81 and 405 elements
+    in ball(1)) g and h are seeded samples of ball(1), since the literal
+    sweep of one pair costs up to |ball(2)| = 375 and 3125 conjugations."""
+    H = build(theta, p)
+    ball = H.ball(1)
+    rnd = random.Random(f"sd-brute:{p}:{theta}")
+    small = len(ball) <= 27
+    for g in ball if small else rnd.sample(ball, 6 if H.n == 3 else 2):
+        hs = ball if small else rnd.sample(ball, 27 if H.n == 3 else 12)
+        hs = hs + [H.conj(g, c) for c in rnd.sample(H.ball(2), 6)]
+        for radius in (0, 1, 2):
+            for h in hs:
+                assert brute_is_conjugate(H, g, h, radius) == \
+                    _literal_brute(H, g, h, radius), (g, h, radius)
+
+
 def test_brute_oracles_reject_negative_radius():
     G = load_group("p4")
     g = G.element(1, 0, "rho")
@@ -340,7 +368,10 @@ def test_ball_rejects_negative_radius():
 
 
 _CLOSED_FORM_NAMES = {"point_conj", "conjugators", "slack", "kf", "_plan",
-                      "conjugacy_class", "is_conjugate"}
+                      "conjugacy_class", "is_conjugate",
+                      # the Z^n x C_p closed forms
+                      "comm_lattice", "class_sd", "is_conjugate_sd", "_offsets",
+                      "_conjugators", "_slack"}
 
 
 def _names_in(fn: ast.FunctionDef) -> set:

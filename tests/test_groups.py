@@ -192,6 +192,40 @@ def test_parse_and_json_round_trip():
         load_group("p5")
 
 
+BAD_COORDS = (1.5, 1.0, True, "1", None)
+
+
+def test_element_rejects_non_int_coordinates():
+    p2 = load_group("p2")
+    assert p2.element(1, -2, "rho") == Element((1, -2), "rho")
+    for bad in BAD_COORDS:
+        with pytest.raises(ValueError, match="int coordinates"):
+            p2.element(bad, 0)
+        with pytest.raises(ValueError, match="int coordinates"):
+            p2.element(0, bad, "rho")
+
+
+def test_check_element_rejects_non_int_coordinates():
+    p2 = load_group("p2")
+    assert p2.check_element(Element((1, -2), "rho")) == Element((1, -2), "rho")
+    bad_elements = [Element((0, 0, 0), "1"), Element((0,), "rho")]
+    bad_elements += [Element((bad, 0), "1") for bad in BAD_COORDS]
+    bad_elements += [Element((0, bad), "rho") for bad in BAD_COORDS]
+    for g in bad_elements:
+        with pytest.raises(ValueError, match="does not belong to p2"):
+            p2.check_element(g)
+
+
+def test_element_from_json_rejects_non_int_coordinates():
+    assert element_from_json({"a": [1, -2], "f": "rho"}) == Element((1, -2), "rho")
+    for a in ([1.9, True], [1.0, 0], [True, 0], ["1", 0], [0, None]):
+        with pytest.raises(ValueError, match="int coordinates"):
+            element_from_json({"a": a, "f": "1"})
+    for a in ([1, 2, 3], [1]):
+        with pytest.raises(ValueError, match="2 coordinates"):
+            element_from_json({"a": a, "f": "1"})
+
+
 def test_word_rejects_missing_generator():
     p1 = load_group("p1")
     with pytest.raises(ValueError):

@@ -107,6 +107,47 @@ def test_constructor_rejects_bad_rules():
         CosetwiseAffineMap(G, rule)
 
 
+def test_constructor_rejects_non_integer_data():
+    G = load_group("p2")
+    eye = ((1, 0), (0, 1))
+
+    def rule(m=eye, t=(0, 0), target="rho"):
+        return {"1": ("1", m, t), "rho": (target, eye, (0, 0))}
+
+    # a float matrix with a half shift used to build a map that
+    # is_wct_on_ball then judged
+    with pytest.raises(ValueError, match="int entries"):
+        CosetwiseAffineMap(G, rule(((1.0, 0), (0, 1)), (0.5, 0)))
+    for m in (((1.0, 0), (0, 1)), ((True, 0), (0, 1)), ((1, "0"), (0, 1)), ((1, 0),),
+              ((1, 0, 0), (0, 1, 0)), ((1, 0), (0,)), (1, 0), ((1, 0), 5), "ab"):
+        with pytest.raises(ValueError, match="must be 2x2 with int entries"):
+            CosetwiseAffineMap(G, rule(m))
+    for t in ((0.5, 0), (1.0, 0), (True, 0), (0, None), (0,), (0, 0, 0), 0, "00"):
+        with pytest.raises(ValueError, match="pair of ints"):
+            CosetwiseAffineMap(G, rule(t=t))
+    for target in ("sigma", 1, None):
+        with pytest.raises(ValueError, match="is not a part of p2"):
+            CosetwiseAffineMap(G, rule(target=target))
+    # lists are accepted and stored as tuples
+    m = CosetwiseAffineMap(G, {f: (f, [[1, 0], [0, 1]], [0, 0]) for f in G.F})
+    assert m == identity_map(G) and hash(m) == hash(identity_map(G))
+    assert m.rule == identity_map(G).rule
+
+
+@pytest.mark.parametrize("check", (
+    lambda G, m: is_wct_on_ball(G, m, 1),
+    lambda G, m: wct_invariants(G, m, 1),
+    lambda G, m: nontriviality_certificate(G, m, 1),
+    wct_certificate_symbolic,
+), ids=("is_wct_on_ball", "wct_invariants", "nontriviality_certificate",
+        "wct_certificate_symbolic"))
+def test_verdicts_reject_a_map_of_another_group(check):
+    pm, cm = load_group("pm"), load_group("cm")
+    check(pm, catalog(pm)["iota"])
+    with pytest.raises(ValueError, match="does not act on pm"):
+        check(pm, catalog(cm)["iota"])
+
+
 def test_to_json_shape():
     G = load_group("pg")
     j = iota(G).to_json()

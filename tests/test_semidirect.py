@@ -10,12 +10,16 @@ import pytest
 from wct import semidirect
 from wct.acceptance import P2_THETAS, SD_CASES
 from wct.conjugacy import TranslationClass, brute_is_conjugate
+from wct.groups import load_group
 from wct.lattice import Sublattice, mat_identity, matvec, vsub
 from wct.maps import (
     antihomomorphism_failure,
     homomorphism_failure,
+    iota,
+    is_wct_on_ball,
     nontriviality_certificate,
     wct_certificate_symbolic,
+    wct_invariants,
 )
 from wct.semidirect import (
     SdElement,
@@ -95,6 +99,16 @@ def test_element_validation():
         G.element((1, 2, 3))
     assert G.element((1, 2), 5) == G.element((1, 2), 2)
     assert G.element(None, 1).v == (0, 0)
+
+
+def test_element_rejects_non_int_coordinates():
+    G = build(THETA3, 3)
+    for v in ((1.7, True), (1.0, 2), (True, 2), ("1", 2), (None, 2)):
+        with pytest.raises(ValueError, match="int coordinates"):
+            G.element(v, 4)
+    for k in (1.0, True, "1", None):
+        with pytest.raises(ValueError, match="slice index"):
+            G.element((1, 2), k)
 
 
 def test_probes_are_origin_and_unit_steps():
@@ -260,6 +274,25 @@ def test_sd_map_validation():
         SdMap(build(THETA3_EMBED, 3), [((1, 0, 0), (0, 1, 0), (0, 0, 2))] * 3)
     # lists are accepted and stored as tuples
     assert SdMap(G, [[[1, 0], [0, 1]]] * 3) == identity_sd_map(G)
+
+
+def test_verdicts_reject_a_map_of_another_group():
+    G = build(THETA3, 3)
+    foreign = (identity_sd_map(build(COMPANION5, 5)),       # p = 5, not 3
+               identity_sd_map(build(THETA3_EMBED, 3)),     # n = 3, not 2
+               iota(load_group("p2")))                      # a wallpaper map
+    checks = (lambda m: verify_sd(G, m, 1), lambda m: sd_invariants(G, m, 1),
+              lambda m: nontriviality_certificate(G, m, 1),
+              lambda m: wct_certificate_symbolic(G, m),
+              lambda m: antihomomorphism_failure(G, m))
+    for m in foreign:
+        for check in checks:
+            with pytest.raises(ValueError, match="does not act on"):
+                check(m)
+    p2 = load_group("p2")
+    for check in (is_wct_on_ball, wct_invariants):
+        with pytest.raises(ValueError, match="does not act on p2"):
+            check(p2, identity_sd_map(G), 1)
 
 
 @pytest.mark.parametrize("theta,p", ((THETA3, 3), (THETA3_EMBED, 3), (COMPANION5, 5)) +
