@@ -1,4 +1,4 @@
-"""Closed-form conjugacy structure of the wallpaper groups.
+"""Closed-form conjugacy structure of the wallpaper groups and Z^n x C_p.
 
 Conjugating a * f by t * f' splits into a translation step, which moves a
 within a + K_f for K_f = im(act(f) - I), and a transversal step, which maps
@@ -9,8 +9,10 @@ integer arithmetic on those descriptions.
 
 GroupTable states that closed form once, in two hooks built with its
 tables: G.conjugators(f, h) lists the (f', act(f'), s) that carry part f
-onto part h, and G.slack(h) is K_h.  SdGroup has the same two.
-conjugacy_class, kf and the is_conjugate plan read them.
+onto part h, and G.slack(h) is K_h.  SdGroup has the same two, with its
+k-slices as the parts G.F.  conjugacy_class reads them for both families
+(semidirect.class_sd is conjugacy_class itself); kf and the is_conjugate
+plan read them for wallpaper groups only.
 
 is_conjugate decides membership without building a class.  Its per-group
 plan, built once per group on first use, holds for every part pair
@@ -18,7 +20,8 @@ plan, built once per group on first use, holds for every part pair
 together with the HNF rows of G.slack(h.f).  The translation case is the
 pair ("1", "1"): its candidates are the act matrices with zero shift and its
 lattice has rank 0.  Membership h.a - act(f') g.a - s in K (rank 0, 1 or 2)
-is then a few integer divisions.
+is then a few integer divisions, after one chained type test that sends a
+non-int coordinate to check_element.
 
 brute_is_conjugate/conjugates_within sweep conjugators from a ball instead
 and exist so the closed forms can be tested against something that cannot
@@ -48,7 +51,7 @@ from itertools import product
 from operator import mul
 
 from .groups import Element, GroupTable, cells, check_radius
-from .lattice import Coset, Sublattice, matvec, solve_integer, vadd, vneg
+from .lattice import Coset, Sublattice, solve_integer, vneg
 
 
 def _mat_minus_identity(m):
@@ -115,8 +118,9 @@ class CosetUnionClass:
 
     pieces: tuple  # ((f, Coset), ...) deduplicated, canonically ordered
 
-    def contains(self, g: Element) -> bool:
-        return any(f == g.f and c.contains(g.a) for f, c in self.pieces)
+    def contains(self, g) -> bool:
+        a, f = g
+        return any(part == f and c.contains(a) for part, c in self.pieces)
 
     def to_json(self) -> dict:
         return {
@@ -125,21 +129,26 @@ class CosetUnionClass:
         }
 
 
-def conjugacy_class(G: GroupTable, g: Element):
-    """Exact descriptor of the conjugacy class of g, read off G.conjugators
-    and G.slack."""
-    G.check_element(g)
-    if g.f == "1":
+def conjugacy_class(G, g):
+    """Exact descriptor of the conjugacy class of g in a wallpaper group or a
+    Z^n x C_p, read off G.conjugators and G.slack."""
+    a, f = G.check_element(g)
+    e = G.identity
+    make, one = type(e), e[1]
+
+    def offset(m, s):  # M a + s
+        return tuple(sum(map(mul, row, a)) + t for row, t in zip(m, s))
+
+    if f == one:
         return TranslationClass(frozenset(
-            Element(vadd(matvec(m, g.a), s), "1") for _, m, s in G.conjugators("1", "1")))
-    pieces = {}
+            make(offset(m, s), one) for _, m, s in G.conjugators(one, one)))
+    pieces = []
     for h in G.F:
-        for _, m, s in G.conjugators(g.f, h):
-            pieces[h, Coset(vadd(matvec(m, g.a), s), G.slack(h))] = None  # drops duplicates
-    order = {f: i for i, f in enumerate(G.F)}
-    return CosetUnionClass(
-        tuple(sorted(pieces, key=lambda p: (order[p[0]], p[1].offset)))
-    )
+        entries = G.conjugators(f, h)
+        if entries:
+            cosets = {Coset(offset(m, s), G.slack(h)) for _, m, s in entries}
+            pieces += [(h, c) for c in sorted(cosets, key=lambda c: c.offset)]
+    return CosetUnionClass(tuple(pieces))
 
 
 @lru_cache(maxsize=None)
@@ -177,7 +186,8 @@ def _plan(gid: str) -> dict:
 def is_conjugate(G: GroupTable, g: Element, h: Element) -> bool:
     """Closed-form conjugacy test; no search.
 
-    Raises ValueError when g or h has a part outside G.
+    Raises ValueError when g or h has a part outside G or a coordinate that
+    is not an int.
     """
     try:
         cands, p, q, r = _plan(G.gid)[g.f, h.f]
@@ -187,6 +197,9 @@ def is_conjugate(G: GroupTable, g: Element, h: Element) -> bool:
         raise
     x0, y0 = g.a
     x1, y1 = h.a
+    if not type(x0) is type(y0) is type(x1) is type(y1) is int:
+        G.check_element(g)  # one of the two raises ValueError
+        G.check_element(h)
     for m00, m01, m10, m11, s0, s1 in cands:
         x = x1 - m00 * x0 - m01 * y0 - s0
         y = y1 - m10 * x0 - m11 * y0 - s1

@@ -15,12 +15,14 @@ homomorphism_failure, antihomomorphism_failure, nontriviality_certificate,
 forced_consequences and wct_certificate_symbolic serve wct.semidirect too:
 they use only G.mul, G.inv, G.identity, G.ball, G.probes, m.apply, m.acts_on
 and the two conjugation hooks G.conjugators and G.slack, which hold each
-family's closed form of conjugacy.  For Z^n x C_p with p prime the
-certificate is exact and semidirect.verify_sd reports it with a witness;
-for wallpaper groups proven=False is still inconclusive.  Every verdict
-first asks m.acts_on(G) and raises ValueError for a map of another group,
-which would otherwise be judged through the part labels the two groups
-share.
+family's closed form of conjugacy (forced_consequences reads them through
+conjugacy.conjugacy_class).  wct_invariants and semidirect.sd_invariants are
+bindings of forced_consequences, one function for both families.  For
+Z^n x C_p with p prime the certificate is exact and semidirect.verify_sd
+reports it with a witness; for wallpaper groups proven=False is still
+inconclusive.  Every verdict first asks m.acts_on(G) and raises ValueError
+for a map of another group, which would otherwise be judged through the
+part labels the two groups share.
 
 is_wct_on_ball decides ball(radius) x ball(radius) one pair of source parts
 at a time.  There only the translation parts x1, x2 vary, and the residual
@@ -486,46 +488,46 @@ def nontriviality_certificate(G, m, radius: int):
     return {"hom_witness": hom, "antihom_witness": anti}
 
 
-def wct_invariants(G: GroupTable, m: CosetwiseAffineMap, radius: int = 2) -> dict:
-    """forced_consequences with the exact wallpaper class descriptors."""
-    _check_map(G, m)
-    return forced_consequences(G, m, radius, conjugacy_class, m.rule["1"][0] == "1")
-
-
-def forced_consequences(G, m, radius: int, class_of, preserves_translations: bool) -> dict:
+def forced_consequences(G, m, radius: int = 2) -> dict:
     """Check the consequences forced on every weak Cayley table bijection.
 
     Taking g2 = e, g2 = g1^-1 or g2 = g1 in the defining condition pins down:
     the identity is fixed, inverses are respected, involutions go to
     involutions, conjugacy is preserved in both directions, and the
     translation subgroup maps onto itself.  Class preservation is checked by
-    requiring the induced map on the class descriptors class_of(G, g) over
-    ball(radius) to be well defined and injective; the rest is element-wise
-    over the ball.  preserves_translations is the caller's test of m on A.
+    requiring the induced map on the exact class descriptors
+    conjugacy_class(G, g) over ball(radius) to be well defined and
+    injective; the rest is element-wise over the ball.  Both map types send
+    each part onto one part by a unimodular rule, so m carries A onto A
+    exactly when it keeps the identity's part.
     """
     _check_map(G, m)
     ball = G.ball(radius)
+    e = G.identity
     checks = {
-        "fixes_identity": m.apply(G.identity) == G.identity,
+        "fixes_identity": m.apply(e) == e,
         "respects_inverse": all(
             m.apply(G.inv(g)) == G.inv(m.apply(g)) for g in ball),
         "involutions_to_involutions": all(
-            G.mul(m.apply(g), m.apply(g)) == G.identity
-            for g in ball if G.mul(g, g) == G.identity),
-        "preserves_translations": preserves_translations,
+            G.mul(m.apply(g), m.apply(g)) == e
+            for g in ball if G.mul(g, g) == e),
+        "preserves_translations": m.apply(e)[1] == e[1],
     }
     forward: dict = {}
     backward: dict = {}
     preserved = True
     for g in ball:
-        s = class_of(G, g)
-        si = class_of(G, m.apply(g))
+        s = conjugacy_class(G, g)
+        si = conjugacy_class(G, m.apply(g))
         if forward.setdefault(s, si) != si or backward.setdefault(si, s) != s:
             preserved = False
             break
     checks["preserves_classes"] = preserved
     checks["ok"] = all(checks.values())
     return checks
+
+
+wct_invariants = forced_consequences  # the name acceptance and perfbench call
 
 
 def wct_certificate_symbolic(G, m) -> dict:

@@ -7,8 +7,10 @@ theta^k with k != 0 mod p generates the same image lattice im(theta - I),
 which makes the conjugacy structure closed form: translations fall into
 theta-orbits of size dividing p, and (a, k) with k != 0 sweeps the single
 coset (a + im(theta - I), k).  SdGroup states this once, in the two hooks
-GroupTable also has, conjugators(k, h) and slack(h); class_sd,
-is_conjugate_sd and verify_sd read them.
+GroupTable also has, conjugators(k, h) and slack(h), with its slices
+F = (0, ..., p - 1) as the parts.  The class layer is shared with the
+wallpaper groups: class_sd is conjugacy.conjugacy_class, which reads the
+hooks, and is_conjugate_sd and verify_sd ask its descriptors.
 
 The two maps of interest are phi_for_odd_p, which twists A by theta and
 fixes everything else, and the p = 2 candidate doing the opposite; the
@@ -17,24 +19,22 @@ second turns out to be an exact antihomomorphism, hence trivial.
 
 The family-agnostic verdicts are shared: homomorphism_failure,
 antihomomorphism_failure, nontriviality_certificate and forced_consequences
-from wct.maps run on SdGroup.probes/ball and SdMap.apply, and the brute
-oracle is wct.conjugacy.brute_is_conjugate, which sweeps the conjugators
-of the ball with theta^j and theta^(j - k) read once per power j and reads
-only check_element, p and powers of SdGroup.  The sd_ names bind to them.
+(bound here as sd_invariants) from wct.maps run on SdGroup.probes/ball and
+SdMap.apply, and the brute oracle is wct.conjugacy.brute_is_conjugate,
+which sweeps the conjugators of the ball with theta^j and theta^(j - k)
+read once per power j and reads only check_element, p and powers of
+SdGroup.  The sd_ names bind to them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from operator import mul
 from typing import NamedTuple, Sequence
 
-from .conjugacy import TranslationClass
 from .conjugacy import brute_is_conjugate as brute_is_conjugate_sd
+from .conjugacy import conjugacy_class as class_sd
 from .groups import check_radius, int_coords
 from .lattice import (
-    Coset,
     Mat,
     Sublattice,
     Vec,
@@ -44,10 +44,10 @@ from .lattice import (
     matvec,
     vadd,
     vneg,
-    vsub,
 )
-from .maps import forced_consequences, wct_certificate_symbolic
+from .maps import wct_certificate_symbolic
 from .maps import antihomomorphism_failure as sd_antihomomorphism_failure
+from .maps import forced_consequences as sd_invariants
 from .maps import nontriviality_certificate as sd_nontriviality
 
 
@@ -73,12 +73,13 @@ def _is_prime(p: int) -> bool:
 class SdGroup:
     """Z^n x C_p for an integer matrix theta with theta^p = I, theta != I."""
 
-    __slots__ = ("n", "p", "theta", "powers", "comm_lattice", "_conjugators", "_slack")
+    __slots__ = ("n", "p", "F", "identity", "theta", "powers", "comm_lattice",
+                 "_conjugators", "_slack")
 
     def __init__(self, theta: Sequence[Sequence[int]], p: int):
         if not _is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
-        th: Mat = tuple(tuple(int(x) for x in row) for row in theta)
+        th: Mat = tuple(int_coords(row, "theta row") for row in theta)
         n = len(th)
         if any(len(row) != n for row in th) or n == 0:
             raise ValueError("theta must be a non-empty square matrix")
@@ -89,6 +90,8 @@ class SdGroup:
             raise ValueError(f"theta^{p} != I")
         self.n = n
         self.p = p
+        self.F = tuple(range(p))  # the parts: one k-slice per power of r
+        self.identity = SdElement((0,) * n, 0)
         self.theta = th
         self.powers = tuple(mat_pow(th, k) for k in range(p))
         # im(theta - I), spanned by the columns (theta - I) e_j; for prime p
@@ -107,10 +110,6 @@ class SdGroup:
             e_j = tuple(int(i == j) for i in range(n))
             assert self.conj(self.element(e_j, 0), self.element(None, 1)) == \
                 self.element(matvec(th, e_j), 0)
-
-    @property
-    def identity(self) -> SdElement:
-        return SdElement((0,) * self.n, 0)
 
     def element(self, v: Sequence[int] | None, k: int = 0) -> SdElement:
         vec = (0,) * self.n if v is None else int_coords(v, "vector")
@@ -174,41 +173,9 @@ def build(theta: Sequence[Sequence[int]], p: int) -> SdGroup:
 # -- conjugacy ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SdCosetClass:
-    """Class of (a, k != 0): one lattice coset in the fixed k-slice."""
-
-    k: int
-    coset: Coset
-
-    def contains(self, g: SdElement) -> bool:
-        return g.k == self.k and self.coset.contains(g.v)
-
-    def to_json(self) -> dict:
-        return {"kind": "coset", "k": self.k, **self.coset.to_json()}
-
-
-def _offsets(G: SdGroup, g: SdElement, h: int) -> list:
-    """M v + s per entry (_, M, s) of G.conjugators(g.k, h)."""
-    return [tuple(sum(map(mul, row, g.v)) + t for row, t in zip(m, s))
-            for _, m, s in G.conjugators(g.k, h)]
-
-
-def class_sd(G: SdGroup, g: SdElement):
-    """Exact class descriptor, read off G.conjugators and G.slack."""
-    G.check_element(g)
-    offsets = _offsets(G, g, g.k)
-    if g.k == 0:
-        return TranslationClass(frozenset(SdElement(v, 0) for v in offsets))
-    return SdCosetClass(g.k, Coset(offsets[0], G.slack(g.k)))
-
-
 def is_conjugate_sd(G: SdGroup, g: SdElement, h: SdElement) -> bool:
     """Closed-form conjugacy test; raises ValueError when g or h is not in G."""
-    G.check_element(g)
-    G.check_element(h)
-    lat = G.slack(h.k)
-    return any(lat.contains(vsub(h.v, a)) for a in _offsets(G, g, h.k))
+    return class_sd(G, g).contains(G.check_element(h))
 
 
 def derived_lattice(G: SdGroup) -> Sublattice:
@@ -319,8 +286,3 @@ def verify_sd(G: SdGroup, m: SdMap, radius: int) -> dict:
                     "radius": radius, "methods": methods}
     raise AssertionError(f"slice pair ({k1}, {k2}) has no uniform conjugator and no witness")
 
-
-def sd_invariants(G: SdGroup, m: SdMap, radius: int = 2) -> dict:
-    """maps.forced_consequences with class_sd.  A is fixed setwise: SdMap
-    keeps slice 0 and its matrix is unimodular."""
-    return forced_consequences(G, m, radius, class_sd, True)

@@ -281,6 +281,17 @@ def test_is_conjugate_rejects_unknown_part():
             is_conjugate(G, g, h)
 
 
+def test_is_conjugate_rejects_non_int_coordinates():
+    # a float or bool coordinate must not be judged through its int value
+    G = load_group("p2")
+    ok = G.element(1, 0)
+    for bad in (Element((1.5, 0), "1"), Element((1, 0.0), "rho"),
+                Element((True, 0), "1"), Element((0, False), "rho")):
+        for g, h in ((bad, bad), (bad, ok), (ok, bad)):
+            with pytest.raises(ValueError, match="does not belong to p2"):
+                is_conjugate(G, g, h)
+
+
 def _sweep_elements(G):
     """Per part: the origin, the far corner (7, -7) and three seeded elements
     with coordinates in [-7, 7]."""

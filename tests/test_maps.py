@@ -377,6 +377,20 @@ def test_wct_invariants_flag_violations():
     assert not inv["preserves_classes"]
 
 
+@pytest.mark.parametrize("gid", GROUP_IDS)
+def test_preserves_translations_reads_the_identity_part(gid):
+    # the derived test "m keeps the identity's part" is the rule of coset 1
+    G = load_group(gid)
+    rnd = random.Random(f"translations:{gid}")
+    candidates = list(catalog(G).values()) + [random_map(G, rnd) for _ in range(12)]
+    seen = set()
+    for m in candidates:
+        keeps = m.rule["1"][0] == "1"
+        assert wct_invariants(G, m, 0)["preserves_translations"] == keeps, m
+        seen.add(keeps)
+    assert seen == ({True} if len(G.F) == 1 else {True, False})  # p1 has one coset
+
+
 # -- map expressions -------------------------------------------------------------
 
 

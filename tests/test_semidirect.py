@@ -9,11 +9,12 @@ import pytest
 
 from wct import semidirect
 from wct.acceptance import P2_THETAS, SD_CASES
-from wct.conjugacy import TranslationClass, brute_is_conjugate
+from wct.conjugacy import TranslationClass, brute_is_conjugate, conjugacy_class
 from wct.groups import load_group
 from wct.lattice import Sublattice, mat_identity, matvec, vsub
 from wct.maps import (
     antihomomorphism_failure,
+    forced_consequences,
     homomorphism_failure,
     iota,
     is_wct_on_ball,
@@ -66,6 +67,16 @@ def test_build_rejections():
         build([[-1]], 1)
     with pytest.raises(ValueError, match="square"):
         build([[1, 0]], 2)
+
+
+@pytest.mark.parametrize("theta,p", (
+    ([[-1.5]], 2),                       # was truncated to [[-1]]
+    ([[0.0, -1.0], [1.0, -1.0]], 3),     # was accepted as THETA3
+    ([[0, -1], [True, -1]], 3),
+))
+def test_build_rejects_non_int_theta(theta, p):
+    with pytest.raises(ValueError, match="theta row must have int coordinates"):
+        build(theta, p)
 
 
 def test_defining_relation():
@@ -200,11 +211,15 @@ def test_class_frozen_examples():
 
 
 def test_class_descriptor_json():
+    # a class off slice 0 is the one-piece form of the wallpaper coset unions
     G = build(THETA3, 3)
     j = class_sd(G, G.element((1, 0), 1)).to_json()
-    assert j["kind"] == "coset" and j["k"] == 1
+    assert j == {"kind": "cosetUnion",
+                 "pieces": [{"f": 1, "offset": [0, 1], "lattice": [[1, 2], [0, 3]]}]}
     j = class_sd(G, G.element((1, 0))).to_json()
-    assert j["kind"] == "finiteSet" and len(j["elements"]) == 3
+    assert j == {"kind": "finiteSet",
+                 "elements": [{"v": [-1, -1], "k": 0}, {"v": [0, 1], "k": 0},
+                              {"v": [1, 0], "k": 0}]}
 
 
 @pytest.mark.parametrize("theta", P2_SAMPLES)
@@ -498,7 +513,10 @@ def test_sd_names_are_the_shared_helpers():
     assert semidirect.sd_nontriviality is nontriviality_certificate
     assert semidirect.sd_antihomomorphism_failure is antihomomorphism_failure
     assert semidirect.brute_is_conjugate_sd is brute_is_conjugate
+    assert class_sd is conjugacy_class
+    assert sd_invariants is wct_invariants is forced_consequences
     G = build(THETA3, 3)
+    assert G.F == (0, 1, 2)
     assert isinstance(class_sd(G, G.element((1, 0))), TranslationClass)
 
 
