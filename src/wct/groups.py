@@ -307,6 +307,36 @@ class GroupTable:
         """K_h = im(act(h) - I), the lattice a class spreads over in part h."""
         return self._slack[h]
 
+    def pair_form(self, m, f1: str, f2: str) -> tuple:
+        """(lf, a0, A, rf, b0, B): both sides of the WCT condition on the
+        part pair (f1, f2) of the map m, read from the tables and m.rule.
+
+        For g1 = x1*f1 and g2 = x2*f2, m(g1 g2) = (a0 + A (x1, x2))*lf and
+        m(g1) m(g2) = (b0 + B (x1, x2))*rf, with A and B given as their four
+        columns.  With fprod[f1, f2] = (c, f12), rule[f12] = (lf, L, t),
+        rule[f1] = (e1, M1, u), rule[f2] = (e2, M2, w), fprod[e1, e2] =
+        (d, rf), A1 = act_inv(f1) and B1 = act_inv(e1):
+
+          m(g1 g2) = L (x1 + A1 x2 + c) + t,
+          m(g1) m(g2) = M1 x1 + u + B1 (M2 x2 + w) + d.
+        """
+        (c0, c1), f12 = self.fprod[f1, f2]
+        lf, ((l00, l01), (l10, l11)), (t0, t1) = m.rule[f12]
+        e1, ((m00, m01), (m10, m11)), (u0, u1) = m.rule[f1]
+        e2, ((h00, h01), (h10, h11)), (w0, w1) = m.rule[f2]  # M2
+        (d0, d1), rf = self.fprod[e1, e2]
+        (a00, a01), (a10, a11) = self.act_inv[f1]
+        (b00, b01), (b10, b11) = self.act_inv[e1]
+        a0 = (l00 * c0 + l01 * c1 + t0, l10 * c0 + l11 * c1 + t1)
+        A = ((l00, l10), (l01, l11),
+             (l00 * a00 + l01 * a10, l10 * a00 + l11 * a10),
+             (l00 * a01 + l01 * a11, l10 * a01 + l11 * a11))
+        b0 = (u0 + b00 * w0 + b01 * w1 + d0, u1 + b10 * w0 + b11 * w1 + d1)
+        B = ((m00, m10), (m01, m11),
+             (b00 * h00 + b01 * h10, b10 * h00 + b11 * h10),
+             (b00 * h01 + b01 * h11, b10 * h01 + b11 * h11))
+        return lf, a0, A, rf, b0, B
+
     def check_element(self, g: Element) -> Element:
         try:
             (x, y), f = g

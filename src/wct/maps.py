@@ -13,16 +13,24 @@ tables are read the same way, rightmost factor first.
 
 homomorphism_failure, antihomomorphism_failure, nontriviality_certificate,
 forced_consequences and wct_certificate_symbolic serve wct.semidirect too:
-they use only G.mul, G.inv, G.identity, G.ball, G.probes, m.apply, m.acts_on
-and the two conjugation hooks G.conjugators and G.slack, which hold each
+they use only G.mul, G.inv, G.identity, G.ball, G.probes, m.apply, m.acts_on,
+the two conjugation hooks G.conjugators and G.slack, which hold each
 family's closed form of conjugacy (forced_consequences reads them through
-conjugacy.conjugacy_class).  wct_invariants and semidirect.sd_invariants are
-bindings of forced_consequences, one function for both families.  For
-Z^n x C_p with p prime the certificate is exact and semidirect.verify_sd
-reports it with a witness; for wallpaper groups proven=False is still
-inconclusive.  Every verdict first asks m.acts_on(G) and raises ValueError
-for a map of another group, which would otherwise be judged through the
-part labels the two groups share.
+conjugacy.conjugacy_class), and G.pair_form, which reads both sides of the
+WCT condition on one pair of parts off the tables and the map's rule as
+affine functions of the two translation parts.  wct_certificate_symbolic
+and the ball check's _Block read that form, not probe images, so the
+product rule of each family is derived in one place.  wct_invariants and
+semidirect.sd_invariants are bindings of forced_consequences, one function
+for both families.  For Z^n x C_p with p prime the certificate is exact and
+semidirect.verify_sd reports it with a witness; for wallpaper groups
+proven=False is still inconclusive.  Every verdict first asks m.acts_on(G)
+and raises ValueError for a map of another group, which would otherwise be
+judged through the part labels the two groups share.
+
+compose and invert build their results without re-validation (see
+CosetwiseAffineMap._trusted); CosetwiseAffineMap(G, rule) keeps every
+check for rules built by callers.
 
 is_wct_on_ball decides ball(radius) x ball(radius) one pair of source parts
 at a time.  There only the translation parts x1, x2 vary, and the residual
@@ -39,19 +47,11 @@ import random
 import re
 from functools import lru_cache
 from itertools import product
-from operator import eq
+from operator import eq, mul
 
 from .conjugacy import _plan, conjugacy_class, is_conjugate
 from .groups import Element, GroupTable, cells, check_radius, load_group, parse_element
-from .lattice import (
-    Vec,
-    mat_identity,
-    mat_inv_unimodular,
-    matmul,
-    matvec,
-    vadd,
-    vneg,
-)
+from .lattice import Vec, mat_identity, matvec
 
 _I2 = mat_identity(2)
 _Z2: Vec = (0, 0)
@@ -109,25 +109,38 @@ class CosetwiseAffineMap:
             f2,
         )
 
+    @classmethod
+    def _trusted(cls, gid: str, rule: dict) -> "CosetwiseAffineMap":
+        """A map from a rule already in G.F order with tuple entries, built
+        without the checks of __init__: compose and invert only make such
+        rules, since products and inverses of unimodular coset permutations
+        are unimodular coset permutations again.  ==, hash, repr and
+        to_json then see the map a validated construction would give."""
+        out = object.__new__(cls)
+        out.gid = gid
+        out.rule = rule
+        out._key = (gid, tuple((f,) + entry for f, entry in rule.items()))
+        return out
+
     def compose(self, other: "CosetwiseAffineMap") -> "CosetwiseAffineMap":
         """self after other."""
         if self.gid != other.gid:
             raise ValueError("maps act on different groups")
-        G = load_group(self.gid)
+        mine = self.rule
         rule = {}
-        for f in G.F:
-            f2, m2, t2 = other.rule[f]
-            f1, m1, t1 = self.rule[f2]
-            rule[f] = (f1, matmul(m1, m2), vadd(matvec(m1, t2), t1))
-        return CosetwiseAffineMap(G, rule)
+        for f, (f2, ((a, b), (c, d)), (t0, t1)) in other.rule.items():
+            f1, ((p, q), (r, s)), (u0, u1) = mine[f2]
+            rule[f] = (f1, ((p * a + q * c, p * b + q * d), (r * a + s * c, r * b + s * d)),
+                       (p * t0 + q * t1 + u0, r * t0 + s * t1 + u1))
+        return CosetwiseAffineMap._trusted(self.gid, rule)
 
     def invert(self) -> "CosetwiseAffineMap":
-        G = load_group(self.gid)
-        rule = {}
-        for f, (f2, m, t) in self.rule.items():
-            mi = mat_inv_unimodular(m)
-            rule[f2] = (f, mi, vneg(matvec(mi, t)))
-        return CosetwiseAffineMap(G, rule)
+        inverse = {}
+        for f, (f2, ((a, b), (c, d)), (t0, t1)) in self.rule.items():
+            det = a * d - b * c  # +-1, so it is its own inverse
+            p, q, r, s = det * d, -det * b, -det * c, det * a
+            inverse[f2] = (f, ((p, q), (r, s)), (-(p * t0 + q * t1), -(r * t0 + s * t1)))
+        return CosetwiseAffineMap._trusted(self.gid, {f: inverse[f] for f in self.rule})
 
     def conjugate_by(self, n: "CosetwiseAffineMap") -> "CosetwiseAffineMap":
         """inv(n) * self * n, applied n first."""
@@ -365,21 +378,19 @@ def is_wct_on_ball(G: GroupTable, m: CosetwiseAffineMap, radius: int) -> dict:
 class _Block:
     """The pairs (x1*f1, x2*f2) of ball x ball for one part pair (f1, f2).
 
-    With the parts fixed, only the translation parts x1 and x2 vary.  For
-    fprod[f1, f2] = (c, f12), rule[f12] = (lf, L, t), rule[f1] = (e1, M1, u),
-    rule[f2] = (e2, M2, w), fprod[e1, e2] = (d, rf), A1 = act_inv(f1) and
-    B1 = act_inv(e1), the two sides are
+    With the parts fixed, only the translation parts x1 and x2 vary, and
+    G.pair_form gives both sides as affine functions of them:
 
-      lhs = m(g1 g2) = L (x1 + A1 x2 + c) + t          in part lf,
-      rhs = m(g1) m(g2) = M1 x1 + u + B1 (M2 x2 + w) + d  in part rf,
+      lhs = m(g1 g2) = a0 + A1 x1 + A2 x2          in part lf,
+      rhs = m(g1) m(g2) = b0 + B1 x1 + B2 x2       in part rf,
 
-    and is_conjugate's plan entry for (lf, rf) gives the candidates (N, s)
-    and the HNF rows (p, q), (0, r) of K.  The pair holds exactly when
-    rhs - N lhs - s lies in K for some candidate, and that residual splits
-    as P(x1) + Q(x2) with
+    with A = [A1 | A2] and B = [B1 | B2].  is_conjugate's plan entry for
+    (lf, rf) gives the candidates (N, s) and the HNF rows (p, q), (0, r) of
+    K.  The pair holds exactly when rhs - N lhs - s lies in K for some
+    candidate, and that residual splits as P(x1) + Q(x2) with
 
-      P = (M1 - N L) x1 + u + d - N (L c + t) - s,
-      Q = (B1 M2 - N L A1) x2 + B1 w.
+      P = (B1 - N A1) x1 + b0 - N a0 - s,
+      Q = (B2 - N A2) x2.
 
     So it holds exactly when, for some candidate, Q(x2) and -P(x1) have the
     same canonical representative modulo K.  A cell's signature is the tuple
@@ -394,31 +405,22 @@ class _Block:
     __slots__ = ("row_terms", "cell_terms", "lattice", "xs", "done", "signatures", "memo")
 
     def __init__(self, G: GroupTable, m: CosetwiseAffineMap, f1: str, f2: str, xs: tuple):
-        (c0, c1), f12 = G.fprod[f1, f2]
-        lf, ((l00, l01), (l10, l11)), (t0, t1) = m.rule[f12]
-        e1, ((m00, m01), (m10, m11)), (u0, u1) = m.rule[f1]
-        e2, ((h00, h01), (h10, h11)), (w0, w1) = m.rule[f2]  # M2
-        (d0, d1), rf = G.fprod[e1, e2]
+        lf, (c0, c1), A, rf, (d0, d1), B = G.pair_form(m, f1, f2)
+        (x00, x10), (x01, x11), (y00, y10), (y01, y11) = A  # A1, A2
+        (u00, u10), (u01, u11), (w00, w10), (w01, w11) = B  # B1, B2
         cands, p, q, r = _plan(G.gid)[lf, rf]
-        (a00, a01), (a10, a11) = G.act_inv[f1]
-        (b00, b01), (b10, b11) = G.act_inv[e1]
-        # the candidate-free pieces: L c + t, L A1, B1 M2 and B1 w
-        v0, v1 = l00 * c0 + l01 * c1 + t0, l10 * c0 + l11 * c1 + t1
-        la00, la01 = l00 * a00 + l01 * a10, l00 * a01 + l01 * a11
-        la10, la11 = l10 * a00 + l11 * a10, l10 * a01 + l11 * a11
-        bm00, bm01 = b00 * h00 + b01 * h10, b00 * h01 + b01 * h11
-        bm10, bm11 = b10 * h00 + b11 * h10, b10 * h01 + b11 * h11
-        bw0, bw1 = b00 * w0 + b01 * w1, b10 * w0 + b11 * w1
-        terms = {}  # (-P, Q) per candidate N = ((n00, n01), (n10, n11)); repeats dropped
+        # -P and Q per candidate N = ((n00, n01), (n10, n11)).  The
+        # candidates' N are distinct and A1 is invertible, so no two row
+        # terms coincide.
+        row_terms, cell_terms = [], []
         for n00, n01, n10, n11, s0, s1 in cands:
-            neg_p = (n00 * l00 + n01 * l10 - m00, n00 * l01 + n01 * l11 - m01,
-                     n10 * l00 + n11 * l10 - m10, n10 * l01 + n11 * l11 - m11,
-                     n00 * v0 + n01 * v1 + s0 - u0 - d0, n10 * v0 + n11 * v1 + s1 - u1 - d1)
-            q_term = (bm00 - n00 * la00 - n01 * la10, bm01 - n00 * la01 - n01 * la11,
-                      bm10 - n10 * la00 - n11 * la10, bm11 - n10 * la01 - n11 * la11, bw0, bw1)
-            terms[neg_p, q_term] = None
-        self.row_terms = tuple(neg_p for neg_p, _ in terms)
-        self.cell_terms = tuple(q_term for _, q_term in terms)
+            row_terms.append((n00 * x00 + n01 * x10 - u00, n00 * x01 + n01 * x11 - u01,
+                              n10 * x00 + n11 * x10 - u10, n10 * x01 + n11 * x11 - u11,
+                              n00 * c0 + n01 * c1 + s0 - d0, n10 * c0 + n11 * c1 + s1 - d1))
+            cell_terms.append((w00 - n00 * y00 - n01 * y10, w01 - n00 * y01 - n01 * y11,
+                               w10 - n10 * y00 - n11 * y10, w11 - n10 * y01 - n11 * y11, 0, 0))
+        self.row_terms = row_terms
+        self.cell_terms = cell_terms
         self.lattice = (p, q, r)
         self.xs = xs
         self.done = 0          # cells whose signature has been computed
@@ -533,35 +535,39 @@ wct_invariants = forced_consequences  # the name acceptance and perfbench call
 def wct_certificate_symbolic(G, m) -> dict:
     """Try to prove the WCT property for all of G at once; serves SdGroup too.
 
-    For each pair of source parts, in G.F order, look for the first
-    conjugator (label, M, s) in G.conjugators(f, h) that works uniformly:
-    when m(g1 g2) = a*f, m(g1) m(g2) must be b*h with b in M a + s +
-    G.slack(h), for every choice of the two translation parts.  a and b are
-    affine in those parts, so the probe pairs of _probe_pairs decide it.
-    pairs maps each part pair to that label, or to None for the first pair
+    For each pair of source parts (f1, f2), in G.F order, G.pair_form gives
+    both sides of the condition as affine functions of the translation
+    parts v = (x1, x2): m(g1 g2) = (a0 + A v)*lf and m(g1) m(g2) =
+    (b0 + B v)*rf.  A conjugator (label, N, s) in G.conjugators(lf, rf)
+    works uniformly when b0 + B v - N (a0 + A v) - s lies in G.slack(rf)
+    for every v; the slack is a lattice, so that holds exactly when
+    b0 - N a0 - s and every column of B - N A lie in it.  pairs maps each
+    part pair to the first such label, or to None for the first pair
     without one, where the search stops with proven=False.  For wallpaper
     groups that is inconclusive, not a refutation; for Z^n x C_p it is a
     refutation (see semidirect.verify_sd).
     """
     _check_map(G, m)
     pair_report = {}
-    for pairs in _probe_pairs(G):
-        images = [(m.apply(G.mul(g1, g2)), G.mul(m.apply(g1), m.apply(g2)))
-                  for g1, g2 in pairs]
-        (_, f), (_, h) = images[0]
-        found = None
-        if all(lhs[1] == f and rhs[1] == h for lhs, rhs in images):
-            lat = G.slack(h)
-            for label, mat, s in G.conjugators(f, h):
-                if all(lat.contains([y - x - t for x, y, t in zip(matvec(mat, a), b, s)])
-                       for (a, _), (b, _) in images):
+    for f1 in G.F:
+        for f2 in G.F:
+            lf, a0, A, rf, b0, B = G.pair_form(m, f1, f2)
+            lat = G.slack(rf)
+            found = None
+            for label, mat, s in G.conjugators(lf, rf):
+                if lat.contains(_residual(mat, a0, [y - t for y, t in zip(b0, s)])) and all(
+                        lat.contains(_residual(mat, a, b)) for a, b in zip(A, B)):
                     found = label
                     break
-        (_, f1), (_, f2) = pairs[0]
-        pair_report[f1, f2] = found
-        if found is None:
-            return {"proven": False, "pairs": pair_report}
+            pair_report[f1, f2] = found
+            if found is None:
+                return {"proven": False, "pairs": pair_report}
     return {"proven": True, "pairs": pair_report}
+
+
+def _residual(mat, a, b) -> list:
+    """b - mat a."""
+    return [y - sum(map(mul, row, a)) for row, y in zip(mat, b)]
 
 
 # -- the named generator catalog -------------------------------------------------

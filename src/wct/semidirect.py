@@ -8,9 +8,12 @@ which makes the conjugacy structure closed form: translations fall into
 theta-orbits of size dividing p, and (a, k) with k != 0 sweeps the single
 coset (a + im(theta - I), k).  SdGroup states this once, in the two hooks
 GroupTable also has, conjugators(k, h) and slack(h), with its slices
-F = (0, ..., p - 1) as the parts.  The class layer is shared with the
-wallpaper groups: class_sd is conjugacy.conjugacy_class, which reads the
-hooks, and is_conjugate_sd and verify_sd ask its descriptors.
+F = (0, ..., p - 1) as the parts; a third, pair_form(m, k1, k2), gives
+both sides of the WCT condition on a slice pair as linear functions of
+the translation parts, for the shared certificate.  The class layer is
+shared with the wallpaper groups: class_sd is conjugacy.conjugacy_class,
+which reads the hooks, and is_conjugate_sd and verify_sd ask its
+descriptors.
 
 The two maps of interest are phi_for_odd_p, which twists A by theta and
 fixes everything else, and the p = 2 candidate doing the opposite; the
@@ -29,6 +32,7 @@ SdGroup.  The sd_ names bind to them.
 from __future__ import annotations
 
 from itertools import product
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .conjugacy import brute_is_conjugate as brute_is_conjugate_sd
@@ -68,6 +72,11 @@ def _is_prime(p: int) -> bool:
             return False
         d += 1
     return True
+
+
+def _product_columns(x: Mat, y: Mat) -> tuple:
+    """The columns of the matrix product x y."""
+    return tuple(tuple(sum(map(mul, row, col)) for row in x) for col in zip(*y))
 
 
 class SdGroup:
@@ -148,6 +157,21 @@ class SdGroup:
     def slack(self, h: int) -> Sublattice:
         """The zero lattice on slice 0, comm_lattice on every other slice."""
         return self._slack[h]
+
+    def pair_form(self, m: "SdMap", k1: int, k2: int) -> tuple:
+        """(k, 0, A, k, 0, B) with k = k1 + k2 mod p: both sides of the WCT
+        condition on the slice pair (k1, k2) of m, read from powers and
+        m.mats.  From (v1, k1)(v2, k2) = (v1 + theta^-k1 v2, k) and
+        m(v, k) = (M_k v, k), m(g1 g2) = M_k v1 + M_k theta^-k1 v2 and
+        m(g1) m(g2) = M_k1 v1 + theta^-k1 M_k2 v2; A and B are given as
+        their 2n columns."""
+        k = (k1 + k2) % self.p
+        twist = self.powers[-k1 % self.p]
+        lhs, first, second = m.mats[k], m.mats[k1], m.mats[k2]
+        zero = self.identity.v
+        A = tuple(zip(*lhs)) + _product_columns(lhs, twist)
+        B = tuple(zip(*first)) + _product_columns(twist, second)
+        return k, zero, A, k, zero, B
 
     def probes(self) -> list[list[SdElement]]:
         """Per slice: the origin, then one step along each axis."""
@@ -259,12 +283,15 @@ def verify_sd(G: SdGroup, m: SdMap, radius: int) -> dict:
 
     This is maps.wct_certificate_symbolic plus a witness, and for prime p it
     is exact.  Both sides of m(g1 g2) ~ m(g1) m(g2) are linear in
-    v = (v1, v2) in Z^{2n}.  For k1 + k2 != 0 the class is one slack coset,
-    so without a uniform conjugator some unit vector of Z^{2n} fails.  For
-    k1 + k2 = 0 the condition holds on the union of the kernels of
-    A - theta^j B.  If none is all of Z^{2n}, each has a nonzero row, which
-    vanishes on at most 2n - 1 points (1, t, ..., t^{2n-1}) of the moment
-    curve, so one of the first p(2n - 1) + 1 points avoids all p kernels.
+    v = (v1, v2) in Z^{2n}, and the certificate reads them per slice pair
+    from SdGroup.pair_form, that is from powers and m.mats, not from
+    products of probe elements.  For k1 + k2 != 0 the class is one slack
+    coset, so without a uniform conjugator some unit vector of Z^{2n}
+    fails.  For k1 + k2 = 0 the condition holds on the union of the
+    kernels of B - theta^j A.  If none is all of Z^{2n}, each has a nonzero
+    row, which vanishes on at most 2n - 1 points (1, t, ..., t^{2n-1}) of
+    the moment curve, so one of the first p(2n - 1) + 1 points avoids all p
+    kernels.
     methods labels the slice pairs "uniform" up to the first one without a
     uniform conjugator, labelled "witness"; its first unit or moment-curve
     point that is_conjugate_sd rejects is the witness.  radius is validated
