@@ -73,6 +73,7 @@ def _cmd_verify_map(args) -> tuple[int, dict]:
     G = load_group(args.group)
     m = maps.parse_map_expr(G, args.map)
     rep = maps.is_wct_on_ball(G, m, args.radius)
+    proven = maps.wct_certificate_symbolic(G, m)["proven"]
     cert = None
     if rep["ok"]:
         cert = maps.nontriviality_certificate(G, m, args.certificate_radius)
@@ -84,6 +85,8 @@ def _cmd_verify_map(args) -> tuple[int, dict]:
         "map": m.to_json(),
         "radius": args.radius,
         "ok": rep["ok"],
+        "proven": proven,
+        "evidence": "proof" if proven else "ball",
         "witness": rep["witness"],
         "pairs_checked": rep["pairs_checked"],
         "nontrivial": cert is not None,

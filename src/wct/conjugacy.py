@@ -3,9 +3,10 @@
 Conjugating a * f by t * f' splits into a translation step, which moves a
 within a + K_f for K_f = im(act(f) - I), and a transversal step, which maps
 that coset onto act(f')(a + K_f) + s(f, f') inside the A-coset of the
-conjugated point part.  Classes are therefore finite orbits for translations
-and finite unions of lattice cosets otherwise; everything below is exact
-integer arithmetic on those descriptions.
+conjugated point part.  A translation's class is therefore a finite orbit;
+any other class meets each part h in finitely many cosets of K_h, which
+CosetUnionClass keeps as their offsets reduced modulo K_h, so membership of
+a * h is one reduction and one set lookup.  All of it is exact integer math.
 
 GroupTable states that closed form once, in two hooks built with its
 tables: G.conjugators(f, h) lists the (f', act(f'), s) that carry part f
@@ -114,13 +115,20 @@ class TranslationClass:
 
 @dataclass(frozen=True)
 class CosetUnionClass:
-    """Class of a non-translation: finitely many lattice cosets, tagged by part."""
+    """Class of a non-translation: per part h, a set of residues modulo K_h."""
 
-    pieces: tuple  # ((f, Coset), ...) deduplicated, canonically ordered
+    parts: tuple  # ((h, K_h, frozenset of K_h.reduce(M a + s)), ...) in G.F order
 
     def contains(self, g) -> bool:
         a, f = g
-        return any(part == f and c.contains(a) for part, c in self.pieces)
+        for part, lat, offsets in self.parts:
+            if part == f:
+                return lat.reduce(a) in offsets
+        return False
+
+    @property
+    def pieces(self) -> tuple:  # ((h, Coset), ...), offsets sorted within each part
+        return tuple((h, Coset(o, lat)) for h, lat, offs in self.parts for o in sorted(offs))
 
     def to_json(self) -> dict:
         return {
@@ -142,13 +150,12 @@ def conjugacy_class(G, g):
     if f == one:
         return TranslationClass(frozenset(
             make(offset(m, s), one) for _, m, s in G.conjugators(one, one)))
-    pieces = []
+    parts = []
     for h in G.F:
-        entries = G.conjugators(f, h)
-        if entries:
-            cosets = {Coset(offset(m, s), G.slack(h)) for _, m, s in entries}
-            pieces += [(h, c) for c in sorted(cosets, key=lambda c: c.offset)]
-    return CosetUnionClass(tuple(pieces))
+        if entries := G.conjugators(f, h):
+            lat = G.slack(h)
+            parts.append((h, lat, frozenset(lat.reduce(offset(m, s)) for _, m, s in entries)))
+    return CosetUnionClass(tuple(parts))
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,10 @@ from pathlib import Path
 import pytest
 
 import wct
+from wct import acceptance
 from wct.acceptance import CRITERIA, run_criterion, run_suite
+from wct.groups import GROUP_IDS
+from wct.lattice import Coset
 
 
 def _check_conjugacy(detail):
@@ -27,6 +30,7 @@ def _check_conjugacy(detail):
 
 def _check_p4mg(detail):
     assert detail["nontranslation_rows_match"]
+    assert detail["first_mismatch"] is None
     assert detail["involutions_match"]
     # the stated table needs exactly one repair, on the translation row
     assert [d["row"] for d in detail["discrepancies"]] == ["translations"]
@@ -131,3 +135,52 @@ def test_import_leaves_process_pool_unloaded():
         capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _tagged_sweep(job):
+    """Stands in for criterion 2's sweep: one disagreement naming its group
+    and the process that ran it."""
+    gid, _ = job
+    return {"group": gid, "pairs": 1,
+            "disagreements": [{"group": gid, "pid": os.getpid()}]}
+
+
+@pytest.mark.parametrize("number", (2, 10))
+def test_parallel_detail_matches_serial(monkeypatch, number):
+    # two CPUs whatever the host has, so WCT_THREADS=2 really opens the pool
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    details = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("WCT_THREADS", threads)
+        details.append(run_criterion(number, "fast")["detail"])
+    assert details[0] == details[1]
+
+
+def test_parallel_results_keep_group_order(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("WCT_THREADS", "2")
+    monkeypatch.setattr(acceptance, "_conj_sweep", _tagged_sweep)
+    ok, detail = acceptance._crit_conjugacy("fast", 0)
+    assert not ok
+    assert [d["group"] for d in detail["disagreements"]] == list(GROUP_IDS)
+    assert os.getpid() not in {d["pid"] for d in detail["disagreements"]}
+
+
+def test_p4mg_names_first_mismatch(monkeypatch):
+    rows = acceptance._p4mg_rows
+
+    def wrong_rho2(G):
+        # the stated rho2 row with X = <x^2> in place of U = <xy, x^2>
+        out = rows(G)
+        out["rho2"] = lambda a: [("rho2", Coset(a, acceptance._X))]
+        return out
+
+    monkeypatch.setattr(acceptance, "_p4mg_rows", wrong_rho2)
+    res = run_criterion(4, "fast")
+    assert not res["ok"]
+    assert res["detail"]["nontranslation_rows_match"] is False
+    # first sample a = x^-2 y^-2, first window point b = x^-5 y^-5:
+    # b - a = (-3, -3) lies in U but not in X
+    assert res["detail"]["first_mismatch"] == {
+        "row": "rho2", "a": [-2, -2], "b": [-5, -5], "part": "rho2",
+        "stated": False, "computed": True}

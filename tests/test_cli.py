@@ -123,6 +123,25 @@ def test_verify_map_reports_pairs_checked(capsys):
     assert 0 < rep["pairs_checked"] < len(load_group("p4").ball(2)) ** 2
 
 
+def test_verify_map_labels_ball_evidence(capsys):
+    # radius 0 sees only the origin pairs, so a map that fails from radius 1
+    # passes there; the report says the pass is ball evidence, not a proof
+    code, rep = run_cli(capsys, "verify-map", "--group", "p4",
+                        "--map", "conj_rho_on_rho2", "--radius", "0")
+    assert code == 0 and rep["ok"]
+    assert rep["proven"] is False and rep["evidence"] == "ball"
+    code, rep = run_cli(capsys, "verify-map", "--group", "p4",
+                        "--map", "conj_rho_on_rho2", "--radius", "1")
+    assert code == 1 and rep["evidence"] == "ball"
+
+
+def test_verify_map_labels_proof(capsys):
+    code, rep = run_cli(capsys, "verify-map", "--group", "p3",
+                        "--map", "tau", "--radius", "1")
+    assert code == 0 and rep["ok"]
+    assert rep["proven"] is True and rep["evidence"] == "proof"
+
+
 @pytest.mark.parametrize("argv", (
     ("--map", "conj_rho_on_rho2", "--radius", "-1"),
     ("--map", "tau_x", "--radius", "1", "--certificate-radius", "-1"),

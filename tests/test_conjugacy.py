@@ -25,7 +25,7 @@ from wct.conjugacy import (
     squares_image,
 )
 from wct.groups import GROUP_IDS, Element, all_groups, load_group
-from wct.lattice import Coset, Sublattice, matvec
+from wct.lattice import Coset, Sublattice, matvec, vadd
 from wct.semidirect import SdElement, build
 
 
@@ -224,6 +224,79 @@ def test_coset_union_piece_counts():
     # rotations by a quarter turn fuse with their inverse part only via mirrors
     cls_r = conjugacy_class(G, G.element(0, 0, "rho"))
     assert {f for f, _ in cls_r.pieces} == {"rho", "rho3"}
+
+
+def _reference_pieces(G, g):
+    """Reference ((h, Coset), ...) of a non-translation's class, built Coset
+    by Coset: one per distinct M a + s of G.conjugators(g.f, h) over
+    G.slack(h), sorted by offset within part h, in G.F order."""
+    a, f = g
+    pieces = []
+    for h in G.F:
+        cosets = {Coset(vadd(matvec(m, a), s), G.slack(h)) for _, m, s in G.conjugators(f, h)}
+        pieces += [(h, c) for c in sorted(cosets, key=lambda c: c.offset)]
+    return tuple(pieces)
+
+
+def _reference_contains(pieces, h):
+    a, f = h
+    return any(part == f and c.contains(a) for part, c in pieces)
+
+
+@pytest.mark.parametrize("gid", GROUP_IDS)
+def test_class_contains_matches_is_conjugate_on_balls(gid):
+    G = load_group(gid)
+    outer = G.ball(2)
+    for g in G.ball(1):
+        cls = conjugacy_class(G, g)
+        pieces = _reference_pieces(G, g) if g.f != "1" else None
+        for h in outer:
+            got = cls.contains(h)
+            assert got == is_conjugate(G, g, h), (g, h)
+            if pieces is not None:
+                assert got == _reference_contains(pieces, h), (g, h)
+
+
+@pytest.mark.parametrize("label,p,theta", SD_CASES, ids=[c[0] for c in SD_CASES])
+def test_sd_class_contains_matches_coset_pieces(label, p, theta):
+    """On Z^n x C_p is_conjugate is the descriptor itself, so the reference is
+    the Coset-by-Coset membership of the pieces; translation classes keep
+    their element sets and are skipped."""
+    H = build(theta, p)
+    outer = H.ball(2)
+    for g in H.ball(1):
+        if g.k == 0:
+            continue
+        cls = conjugacy_class(H, g)
+        pieces = _reference_pieces(H, g)
+        for h in outer:
+            assert cls.contains(h) == _reference_contains(pieces, h), (g, h)
+
+
+@pytest.mark.parametrize("group", ("p4mg", "p6m", "Z^4 x C_5"))
+def test_class_json_matches_coset_pieces(group):
+    G = build(SD_CASES[2][2], 5) if group.startswith("Z") else load_group(group)
+    one = G.identity[1]
+    for g in G.ball(1):
+        if g[1] == one:
+            continue
+        cls = conjugacy_class(G, g)
+        pieces = _reference_pieces(G, g)
+        assert cls.pieces == pieces, g
+        assert cls.to_json() == {
+            "kind": "cosetUnion",
+            "pieces": [{"f": f, **c.to_json()} for f, c in pieces]}, g
+
+
+@pytest.mark.parametrize("group", ("p3", "cm", "p4mg", "p6m", "Z^2 x C_3"))
+def test_conjugate_descriptors_are_equal_and_hash_equal(group):
+    G = build(SD_CASES[0][2], 3) if group.startswith("Z") else load_group(group)
+    conjugators = G.ball(1)
+    for g in G.ball(1):
+        cls = conjugacy_class(G, g)
+        for c in conjugators:
+            other = conjugacy_class(G, G.conj(g, c))
+            assert other == cls and hash(other) == hash(cls), (g, c)
 
 
 def _kf_shape(lat):
