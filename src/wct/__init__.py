@@ -31,6 +31,7 @@ from .maps import (
     NONTRIVIAL_CATALOG,
     CosetwiseAffineMap,
     catalog,
+    decide,
     generator,
     identity_map,
     iota,
@@ -48,7 +49,6 @@ from .semidirect import (
     SdMap,
     build,
     class_sd,
-    derived_lattice,
     is_conjugate_sd,
     p2_candidate,
     phi_for_odd_p,

@@ -275,9 +275,11 @@ def _crit_catalog(suite: str, seed: int):
             entries.append({
                 "group": gid, "map": name, "wct_ok": rep["ok"],
                 "pairs_checked": rep["pairs_checked"],
+                "proven": maps.decide(G, m)["ok"],
                 "certificate_radius": 2 if cert else None,
             })
-    ok = all(e["wct_ok"] and e["certificate_radius"] is not None for e in entries)
+    ok = all(e["wct_ok"] and e["proven"] and e["certificate_radius"] is not None
+             for e in entries)
     return ok, {"maps": len(entries), "radius": radius, "entries": entries}
 
 

@@ -72,30 +72,28 @@ def _cmd_involutions(args) -> tuple[int, dict]:
 def _cmd_verify_map(args) -> tuple[int, dict]:
     G = load_group(args.group)
     m = maps.parse_map_expr(G, args.map)
-    rep = maps.is_wct_on_ball(G, m, args.radius)
-    proven = maps.wct_certificate_symbolic(G, m)["proven"]
-    cert = None
-    if rep["ok"]:
-        cert = maps.nontriviality_certificate(G, m, args.certificate_radius)
+    exact = maps.decide(G, m)
+    ball = maps.is_wct_on_ball(G, m, args.radius)
+    if exact["ok"] and not ball["ok"]:
+        raise AssertionError(f"decide proves the map, but the ball check refutes it: {ball}")
+    cert = maps.nontriviality_certificate(G, m, args.certificate_radius) if exact["ok"] else None
     report = {
         "schema": SCHEMA,
         "command": "verify-map",
         "group": args.group,
         "map_expr": args.map,
         "map": m.to_json(),
-        "radius": args.radius,
-        "ok": rep["ok"],
-        "proven": proven,
-        "evidence": "proof" if proven else "ball",
-        "witness": rep["witness"],
-        "pairs_checked": rep["pairs_checked"],
+        "ok": exact["ok"],
+        "witness": exact["witness"],
+        "methods": exact["methods"],
+        "ball": ball,
         "nontrivial": cert is not None,
         "certificate": None if cert is None else {
             "hom_witness": [g.to_json() for g in cert["hom_witness"]],
             "antihom_witness": [g.to_json() for g in cert["antihom_witness"]],
         },
     }
-    return (0 if rep["ok"] else 1), report
+    return (0 if exact["ok"] else 1), report
 
 
 def _cmd_wgroup_relations(args) -> tuple[int, dict]:

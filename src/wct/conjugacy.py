@@ -38,10 +38,10 @@ conjugator power j, and each c = (w, j) of the ball is multiplied out as
 SdGroup.inv and .mul would, c^-1 g first and then (c^-1 g) c, with flat
 dot products.  Both kernels read only the multiplication data (the tables
 that check_presentation validates, or G.p and G.powers); they must never
-read point_conj, conjugators, slack, kf, _plan, comm_lattice, a class
-descriptor or a closed-form test, nor use that g^c is affine in the
-conjugator's translation part, or they could share a bug with the closed
-forms they check.  A test parses both oracle bodies to hold them to that.
+read point_conj, conjugators, slack, kf, _plan, a class descriptor or a
+closed-form test, nor use that g^c is affine in the conjugator's
+translation part, or they could share a bug with the closed forms they
+check.  A test parses both oracle bodies to hold them to that.
 """
 
 from __future__ import annotations

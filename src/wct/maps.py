@@ -12,21 +12,18 @@ Conventions, fixed once: composition m1 * m2 applies m2 first, and m ** n
 tables are read the same way, rightmost factor first.
 
 homomorphism_failure, antihomomorphism_failure, nontriviality_certificate,
-forced_consequences and wct_certificate_symbolic serve wct.semidirect too:
-they use only G.mul, G.inv, G.identity, G.ball, G.probes, m.apply, m.acts_on,
-the two conjugation hooks G.conjugators and G.slack, which hold each
-family's closed form of conjugacy (forced_consequences reads them through
-conjugacy.conjugacy_class), and G.pair_form, which reads both sides of the
+forced_consequences and decide serve wct.semidirect too: they use only
+G.mul, G.inv, G.identity, G.ball, G.probes, m.apply, m.acts_on, the two
+conjugation hooks G.conjugators and G.slack, which hold each family's
+closed form of conjugacy, and G.pair_form, which reads both sides of the
 WCT condition on one pair of parts off the tables and the map's rule as
-affine functions of the two translation parts.  wct_certificate_symbolic
-and the ball check's _Block read that form, not probe images, so the
-product rule of each family is derived in one place.  wct_invariants and
-semidirect.sd_invariants are bindings of forced_consequences, one function
-for both families.  For Z^n x C_p with p prime the certificate is exact and
-semidirect.verify_sd reports it with a witness; for wallpaper groups
-proven=False is still inconclusive.  Every verdict first asks m.acts_on(G)
-and raises ValueError for a map of another group, which would otherwise be
-judged through the part labels the two groups share.
+affine functions of the two translation parts.  decide, the exact verdict
+over the whole group for both families, and the ball check's _Block read
+that form, so the product rule of each family is derived in one place.
+wct_invariants and semidirect.sd_invariants are bindings of
+forced_consequences.  Every verdict first asks m.acts_on(G) and raises
+ValueError for a map of another group, which would otherwise be judged
+through the part labels the two groups share.
 
 compose and invert build their results without re-validation (see
 CosetwiseAffineMap._trusted); CosetwiseAffineMap(G, rule) keeps every
@@ -38,20 +35,21 @@ of each conjugator candidate of is_conjugate's plan splits as
 P(x1) + Q(x2), so each distinct tuple of residues modulo K is decided once
 instead of each element pair (see _Block).  Its verdict, witness and
 pairs_checked are those of a pair-by-pair sweep, and a pass is still
-evidence from a finite ball, not a proof.
+evidence from a finite ball, not a proof; it is decide's oracle and shares
+only pair_form and the hooks with it.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, reduce
+from itertools import count, product
 from operator import eq, mul
 
 from .conjugacy import _plan, conjugacy_class, is_conjugate
 from .groups import Element, GroupTable, cells, check_radius, load_group, parse_element
-from .lattice import Vec, mat_identity, matvec
+from .lattice import Coset, Sublattice, Vec, mat_identity, matvec, solve_integer
 
 _I2 = mat_identity(2)
 _Z2: Vec = (0, 0)
@@ -532,42 +530,94 @@ def forced_consequences(G, m, radius: int = 2) -> dict:
 wct_invariants = forced_consequences  # the name acceptance and perfbench call
 
 
-def wct_certificate_symbolic(G, m) -> dict:
-    """Try to prove the WCT property for all of G at once; serves SdGroup too.
+def decide(G, m) -> dict:
+    """Decide m(g1 g2) ~ m(g1) m(g2) over all of G; serves SdGroup too.
 
-    For each pair of source parts (f1, f2), in G.F order, G.pair_form gives
-    both sides of the condition as affine functions of the translation
-    parts v = (x1, x2): m(g1 g2) = (a0 + A v)*lf and m(g1) m(g2) =
-    (b0 + B v)*rf.  A conjugator (label, N, s) in G.conjugators(lf, rf)
-    works uniformly when b0 + B v - N (a0 + A v) - s lies in G.slack(rf)
-    for every v; the slack is a lattice, so that holds exactly when
-    b0 - N a0 - s and every column of B - N A lie in it.  pairs maps each
-    part pair to the first such label, or to None for the first pair
-    without one, where the search stops with proven=False.  For wallpaper
-    groups that is inconclusive, not a refutation; for Z^n x C_p it is a
-    refutation (see semidirect.verify_sd).
+    Per pair of source parts (f1, f2), in G.F order, G.pair_form gives both
+    sides as (a0 + A v)*lf and (b0 + B v)*rf, for v = (x1, x2) in Z^d.  A
+    conjugator (label, N, s) of G.conjugators(lf, rf) serves v when r + R v
+    lies in K = G.slack(rf), for r = b0 - N a0 - s and R = B - N A.  The
+    pair is "uniform" when one serves every v: r and R's columns lie in K.
+    Else one solve_integer call on [R | -K rows] per conjugator gives the v
+    it serves as a coset c + S of Z^d, or none; the pair is "covered" when
+    they cover Z^d (see _uncovered), and else a point they miss is the
+    witness, re-checked against conjugacy_class by an explicit raise that
+    python -O keeps, and the scan stops ("witness").  Keys are "f1,f2".
     """
     _check_map(G, m)
-    pair_report = {}
+    methods = {}
     for f1 in G.F:
         for f2 in G.F:
             lf, a0, A, rf, b0, B = G.pair_form(m, f1, f2)
-            lat = G.slack(rf)
-            found = None
-            for label, mat, s in G.conjugators(lf, rf):
+            lat, conjugators = G.slack(rf), G.conjugators(lf, rf)
+            key = f"{f1},{f2}"
+            for _, mat, s in conjugators:
                 if lat.contains(_residual(mat, a0, [y - t for y, t in zip(b0, s)])) and all(
                         lat.contains(_residual(mat, a, b)) for a, b in zip(A, B)):
-                    found = label
+                    methods[key] = "uniform"
                     break
-            pair_report[f1, f2] = found
-            if found is None:
-                return {"proven": False, "pairs": pair_report}
-    return {"proven": True, "pairs": pair_report}
+            else:
+                d = len(A)
+                cosets = []
+                for _, mat, s in conjugators:
+                    r = _residual(mat, a0, [y - t for y, t in zip(b0, s)])
+                    cols = [_residual(mat, a, b) for a, b in zip(A, B)]
+                    cols += [[-x for x in row] for row in lat.rows]
+                    sol = solve_integer(tuple(zip(*cols)), [-x for x in r])
+                    if sol is not None:
+                        c, kernel = sol
+                        cosets.append(Coset(c[:d], Sublattice(d, [k[:d] for k in kernel])))
+                v = _uncovered(d, cosets)
+                if v is None:
+                    methods[key] = "covered"
+                    continue
+                methods[key] = "witness"
+                n, make = len(a0), type(G.identity)
+                g1, g2 = make(v[:n], f1), make(v[n:], f2)
+                lhs = m.apply(G.mul(g1, g2))
+                rhs = G.mul(m.apply(g1), m.apply(g2))
+                if conjugacy_class(G, lhs).contains(rhs):
+                    raise AssertionError(
+                        f"decide in {getattr(G, 'gid', G)}: the cosets miss ({g1}, {g2}), "
+                        f"but {lhs} and {rhs} are conjugate")
+                witness = [g1.to_json(), g2.to_json()]
+                return {"ok": False, "witness": witness, "methods": methods}
+    return {"ok": True, "witness": None, "methods": methods}
 
 
 def _residual(mat, a, b) -> list:
     """b - mat a."""
     return [y - sum(map(mul, row, a)) for row, y in zip(mat, b)]
+
+
+def _uncovered(d: int, cosets: list):
+    """A point of Z^d in none of the cosets, or None when they cover Z^d.
+
+    B. H. Neumann (1954): if finitely many cosets cover a group, the ones of
+    finite index already do.  So Z^d is covered exactly when each residue
+    modulo L, the intersection of the full-rank lattices, lies in a
+    full-rank coset; the residues fill the box of L's HNF pivots.  By the
+    same lemma the cosets miss a point of an uncovered residue r + L; the
+    first by max-norm of its coordinates over L's rows is returned.
+    """
+    full = [c for c in cosets if c.lattice.rank == d]
+    rows = reduce(Sublattice.intersect, [c.lattice for c in full], Sublattice.full(d)).rows
+    r = next((r for r in product(*(range(row[i]) for i, row in enumerate(rows)))
+              if not any(c.contains(r) for c in full)), None)
+    if r is None:
+        return None
+    for radius in count():
+        for x in product(range(-radius, radius + 1), repeat=d):
+            if max(map(abs, x)) == radius:
+                point = tuple(ri + sum(map(mul, x, col)) for ri, col in zip(r, zip(*rows)))
+                if not any(c.contains(point) for c in cosets):
+                    return point
+
+
+def wct_certificate_symbolic(G, m) -> dict:
+    """decide's verdict under the certificate's names, which perfbench calls."""
+    res = decide(G, m)
+    return {"proven": res["ok"], "pairs": res["methods"]}
 
 
 # -- the named generator catalog -------------------------------------------------

@@ -1,37 +1,30 @@
-"""Semidirect products Z^n x C_p with a prime-order integer action.
+"""Semidirect products Z^n x C_p for an integer matrix theta of order p >= 2.
 
 Elements are written (v, k) for the normal form v r^k, with the defining
 relation r^-1 v r = theta(v).  That pins the product to
-(v, k)(w, m) = (v + theta^-k w, k + m mod p).  Since p is prime, every
-theta^k with k != 0 mod p generates the same image lattice im(theta - I),
-which makes the conjugacy structure closed form: translations fall into
-theta-orbits of size dividing p, and (a, k) with k != 0 sweeps the single
-coset (a + im(theta - I), k).  SdGroup states this once, in the two hooks
-GroupTable also has, conjugators(k, h) and slack(h), with its slices
+(v, k)(w, m) = (v + theta^-k w, k + m mod p).  Conjugating (v, k) by a
+translation moves v within v + im(theta^k - I), and conjugating by r^j
+applies theta^j, so the class of (v, k) is the union over j of the cosets
+(theta^j v + im(theta^k - I), k).  SdGroup states this once, in the two
+hooks GroupTable also has, conjugators(k, h) and slack(h), with its slices
 F = (0, ..., p - 1) as the parts; a third, pair_form(m, k1, k2), gives
 both sides of the WCT condition on a slice pair as linear functions of
-the translation parts, for the shared certificate.  The class layer is
-shared with the wallpaper groups: class_sd is conjugacy.conjugacy_class,
-which reads the hooks, and is_conjugate_sd and verify_sd ask its
-descriptors.
+the translation parts.  Everything else is shared with the wallpaper
+groups, and the sd_ names bind to it: class_sd is conjugacy_class,
+sd_invariants is maps.forced_consequences, brute_is_conjugate_sd is
+conjugacy.brute_is_conjugate, and verify_sd reports maps.decide.
 
 The two maps of interest are phi_for_odd_p, which twists A by theta and
-fixes everything else, and the p = 2 candidate doing the opposite; the
-first is a non-trivial weak Cayley table map whenever theta != I, the
-second turns out to be an exact antihomomorphism, hence trivial.
-
-The family-agnostic verdicts are shared: homomorphism_failure,
-antihomomorphism_failure, nontriviality_certificate and forced_consequences
-(bound here as sd_invariants) from wct.maps run on SdGroup.probes/ball and
-SdMap.apply, and the brute oracle is wct.conjugacy.brute_is_conjugate,
-which sweeps the conjugators of the ball with theta^j and theta^(j - k)
-read once per power j and reads only check_element, p and powers of
-SdGroup.  The sd_ names bind to them.
+fixes everything else, and the p = 2 candidate doing the opposite.  For an
+odd prime p the first is a non-trivial weak Cayley table map; for other
+orders decide settles it (twisting Z^2 x C_4 by a quarter turn fails).
+The second turns out to be an exact antihomomorphism, hence trivial.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from math import lcm
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -44,12 +37,12 @@ from .lattice import (
     Vec,
     mat_identity,
     mat_inv_unimodular,
-    mat_pow,
+    matmul,
     matvec,
     vadd,
     vneg,
 )
-from .maps import wct_certificate_symbolic
+from .maps import decide
 from .maps import antihomomorphism_failure as sd_antihomomorphism_failure
 from .maps import forced_consequences as sd_invariants
 from .maps import nontriviality_certificate as sd_nontriviality
@@ -63,58 +56,50 @@ class SdElement(NamedTuple):
         return {"v": list(self.v), "k": self.k}
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _product_columns(x: Mat, y: Mat) -> tuple:
     """The columns of the matrix product x y."""
     return tuple(tuple(sum(map(mul, row, col)) for row in x) for col in zip(*y))
 
 
 class SdGroup:
-    """Z^n x C_p for an integer matrix theta with theta^p = I, theta != I."""
+    """Z^n x C_p for an integer matrix theta of order exactly p >= 2."""
 
-    __slots__ = ("n", "p", "F", "identity", "theta", "powers", "comm_lattice",
-                 "_conjugators", "_slack")
+    __slots__ = ("n", "p", "F", "identity", "theta", "powers", "_conjugators", "_slack")
 
     def __init__(self, theta: Sequence[Sequence[int]], p: int):
-        if not _is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
         th: Mat = tuple(int_coords(row, "theta row") for row in theta)
         n = len(th)
         if any(len(row) != n for row in th) or n == 0:
             raise ValueError("theta must be a non-empty square matrix")
-        eye = mat_identity(n)
-        if th == eye:
-            raise ValueError("theta = I gives an abelian product")
-        if mat_pow(th, p) != eye:
-            raise ValueError(f"theta^{p} != I")
+        if type(p) is not int or p < 2:
+            raise ValueError(f"p must be an int >= 2, got {p!r}")
+        # a prime power q^a dividing the order of theta divides the order N
+        # of an eigenvalue, whose minimal polynomial has degree
+        # phi(N) >= phi(q^a) >= q^a / 2, so q^a <= 2n
+        if lcm(*range(1, 2 * n + 1)) % p:
+            raise ValueError(f"no {n}x{n} integer matrix has order {p}")
+        powers = [mat_identity(n)]
+        while len(powers) <= p and (power := matmul(powers[-1], th)) != powers[0]:
+            powers.append(power)
+        if len(powers) != p:
+            raise ValueError(f"theta must have order exactly {p}")
         self.n = n
         self.p = p
         self.F = tuple(range(p))  # the parts: one k-slice per power of r
         self.identity = SdElement((0,) * n, 0)
         self.theta = th
-        self.powers = tuple(mat_pow(th, k) for k in range(p))
-        # im(theta - I), spanned by the columns (theta - I) e_j; for prime p
-        # this is also im(theta^k - I) for every k != 0, so one lattice
-        # carries all the non-translation classes
-        cols = [tuple(th[i][j] - (i == j) for i in range(n)) for j in range(n)]
-        self.comm_lattice = Sublattice(n, cols)
-        # conjugating (v, 0) by (w, j) gives (theta^j v, 0); a slice k != 0
-        # holds one class per comm_lattice coset, reached by the identity alone
-        turns = tuple((j, m, (0,) * n) for j, m in enumerate(self.powers))
+        self.powers = tuple(powers)
+        # slice k holds the cosets theta^j v + slack(k) (module docstring);
+        # one j per distinct map on the cosets of slack(k) lists them all
+        self._slack = tuple(
+            Sublattice(n, [[m[i][j] - (i == j) for i in range(n)] for j in range(n)])
+            for m in self.powers)
         self._conjugators = {(k, h): () for k in range(p) for h in range(p)}
-        for k in range(p):
-            self._conjugators[k, k] = turns if k == 0 else turns[:1]
-        self._slack = (Sublattice.zero(n),) + (self.comm_lattice,) * (p - 1)
+        for k, lat in enumerate(self._slack):
+            turns = {}
+            for j, m in enumerate(self.powers):
+                turns.setdefault(tuple(map(lat.reduce, zip(*m))), (j, m, self.identity.v))
+            self._conjugators[k, k] = tuple(turns.values())
         for j in range(n):
             e_j = tuple(int(i == j) for i in range(n))
             assert self.conj(self.element(e_j, 0), self.element(None, 1)) == \
@@ -149,13 +134,13 @@ class SdGroup:
         return g
 
     def conjugators(self, f: int, h: int) -> tuple:
-        """(j, theta^j, 0) per power j on slice 0, (0, I, 0) alone on a slice
-        k != 0, nothing across slices: the conjugates of (v, f) in slice h are
+        """(j, theta^j, 0) for the first j of each map on the cosets of
+        slack(f), on slice f alone: the conjugates of (v, f) in slice h are
         the union of the cosets M v + s + slack(h)."""
         return self._conjugators[f, h]
 
     def slack(self, h: int) -> Sublattice:
-        """The zero lattice on slice 0, comm_lattice on every other slice."""
+        """im(theta^h - I): the zero lattice on slice 0."""
         return self._slack[h]
 
     def pair_form(self, m: "SdMap", k1: int, k2: int) -> tuple:
@@ -200,13 +185,6 @@ def build(theta: Sequence[Sequence[int]], p: int) -> SdGroup:
 def is_conjugate_sd(G: SdGroup, g: SdElement, h: SdElement) -> bool:
     """Closed-form conjugacy test; raises ValueError when g or h is not in G."""
     return class_sd(G, g).contains(G.check_element(h))
-
-
-def derived_lattice(G: SdGroup) -> Sublattice:
-    """The commutator subgroup as a sublattice of A, closed form for p = 2."""
-    if G.p != 2:
-        raise ValueError("closed-form derived lattice is only stated for p = 2")
-    return G.comm_lattice
 
 
 # -- the maps ----------------------------------------------------------------
@@ -260,7 +238,8 @@ def identity_sd_map(G: SdGroup) -> SdMap:
 
 
 def phi_for_odd_p(G: SdGroup) -> SdMap:
-    """v |-> theta(v) on A, identity elsewhere; non-trivial WCT map for odd p."""
+    """v |-> theta(v) on A, identity elsewhere; non-trivial WCT map for odd
+    prime p."""
     if G.p == 2:
         raise ValueError("the twist-A map needs odd p")
     eye = mat_identity(G.n)
@@ -279,37 +258,8 @@ def p2_candidate(G: SdGroup) -> SdMap:
 
 
 def verify_sd(G: SdGroup, m: SdMap, radius: int) -> dict:
-    """Exact weak Cayley table check of m over all of G, per k-slice pair.
-
-    This is maps.wct_certificate_symbolic plus a witness, and for prime p it
-    is exact.  Both sides of m(g1 g2) ~ m(g1) m(g2) are linear in
-    v = (v1, v2) in Z^{2n}, and the certificate reads them per slice pair
-    from SdGroup.pair_form, that is from powers and m.mats, not from
-    products of probe elements.  For k1 + k2 != 0 the class is one slack
-    coset, so without a uniform conjugator some unit vector of Z^{2n}
-    fails.  For k1 + k2 = 0 the condition holds on the union of the
-    kernels of B - theta^j A.  If none is all of Z^{2n}, each has a nonzero
-    row, which vanishes on at most 2n - 1 points (1, t, ..., t^{2n-1}) of
-    the moment curve, so one of the first p(2n - 1) + 1 points avoids all p
-    kernels.
-    methods labels the slice pairs "uniform" up to the first one without a
-    uniform conjugator, labelled "witness"; its first unit or moment-curve
-    point that is_conjugate_sd rejects is the witness.  radius is validated
-    and echoed; it does not change the verdict.
-    """
+    """Exact weak Cayley table check of m over all of G: maps.decide, with
+    methods keyed by slice pair "k1,k2".  radius is validated and echoed;
+    it does not change the verdict."""
     check_radius(radius)
-    cert = wct_certificate_symbolic(G, m)
-    methods = {f"{k1},{k2}": "uniform" if j is not None else "witness"
-               for (k1, k2), j in cert["pairs"].items()}
-    if cert["proven"]:
-        return {"ok": True, "witness": None, "radius": radius, "methods": methods}
-    (k1, k2), n = list(cert["pairs"])[-1], G.n
-    points = (mat_identity(2 * n) if (k1 + k2) % G.p else
-              [tuple(t ** i for i in range(2 * n)) for t in range(G.p * (2 * n - 1) + 1)])
-    for v in points:
-        g1, g2 = SdElement(v[:n], k1), SdElement(v[n:], k2)
-        if not is_conjugate_sd(G, m.apply(G.mul(g1, g2)), G.mul(m.apply(g1), m.apply(g2))):
-            return {"ok": False, "witness": [g1.to_json(), g2.to_json()],
-                    "radius": radius, "methods": methods}
-    raise AssertionError(f"slice pair ({k1}, {k2}) has no uniform conjugator and no witness")
-
+    return {**decide(G, m), "radius": radius}

@@ -40,6 +40,7 @@ def _check_p4mg(detail):
 def _check_catalog(detail):
     assert detail["maps"] == 14
     assert all(e["certificate_radius"] <= 3 for e in detail["entries"])
+    assert all(e["proven"] for e in detail["entries"])
 
 
 def _check_failures(detail):
@@ -114,6 +115,18 @@ def test_unknown_suite_rejected():
         run_suite("exhaustive")
     with pytest.raises(ValueError, match="criterion"):
         run_criterion(11)
+
+
+def test_catalog_criterion_gates_on_the_exact_verdict(monkeypatch):
+    # the ball check stays the stated oracle; a map decide does not prove
+    # fails the criterion even where the ball passes
+    def refuted(G, m):
+        return {"ok": False, "witness": [], "methods": {}}
+
+    monkeypatch.setattr(acceptance.maps, "decide", refuted)
+    res = run_criterion(5, "fast")
+    assert not res["ok"]
+    assert all(e["wct_ok"] and not e["proven"] for e in res["detail"]["entries"])
 
 
 def test_fast_conjugacy_criterion():

@@ -39,7 +39,7 @@ n = maps.generator(G, "psi_1")
 
 def certificate(G, m):
     cert = maps.wct_certificate_symbolic(G, m)
-    return [cert["proven"], [[list(map(str, key)), label] for key, label in cert["pairs"].items()]]
+    return [cert["proven"], [[key, method] for key, method in cert["pairs"].items()]]
 
 
 own = {  # name -> the counter that must count each call of it once

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -116,30 +117,47 @@ def test_verify_map_reports_pairs_checked(capsys):
     code, rep = run_cli(capsys, "verify-map", "--group", "p4",
                         "--map", "tau_x", "--radius", "1")
     assert code == 0
-    assert rep["pairs_checked"] == len(load_group("p4").ball(1)) ** 2
+    assert rep["ball"]["pairs_checked"] == len(load_group("p4").ball(1)) ** 2
     code, rep = run_cli(capsys, "verify-map", "--group", "p4",
                         "--map", "conj_rho_on_rho2", "--radius", "2")
     assert code == 1
-    assert 0 < rep["pairs_checked"] < len(load_group("p4").ball(2)) ** 2
+    assert 0 < rep["ball"]["pairs_checked"] < len(load_group("p4").ball(2)) ** 2
 
 
 def test_verify_map_labels_ball_evidence(capsys):
-    # radius 0 sees only the origin pairs, so a map that fails from radius 1
-    # passes there; the report says the pass is ball evidence, not a proof
+    # radius 0 sees only the origin pairs, so the ball passes a map that
+    # fails from radius 1; the exact verdict leads and refutes it anyway
     code, rep = run_cli(capsys, "verify-map", "--group", "p4",
                         "--map", "conj_rho_on_rho2", "--radius", "0")
-    assert code == 0 and rep["ok"]
-    assert rep["proven"] is False and rep["evidence"] == "ball"
+    assert code == 1 and not rep["ok"]
+    assert rep["witness"] == [{"a": [0, 1], "f": "1"}, {"a": [0, 1], "f": "rho2"}]
+    assert list(rep["methods"].values()) == ["uniform", "uniform", "witness"]
+    assert rep["ball"] == {"ok": True, "witness": None, "radius": 0, "pairs_checked": 16}
+    assert "proven" not in rep and "evidence" not in rep
     code, rep = run_cli(capsys, "verify-map", "--group", "p4",
                         "--map", "conj_rho_on_rho2", "--radius", "1")
-    assert code == 1 and rep["evidence"] == "ball"
+    assert code == 1 and not rep["ok"] and not rep["ball"]["ok"]
 
 
 def test_verify_map_labels_proof(capsys):
     code, rep = run_cli(capsys, "verify-map", "--group", "p3",
                         "--map", "tau", "--radius", "1")
-    assert code == 0 and rep["ok"]
-    assert rep["proven"] is True and rep["evidence"] == "proof"
+    assert code == 0 and rep["ok"] and rep["ball"]["ok"]
+    parts = load_group("p3").F
+    assert rep["methods"] == {f"{f1},{f2}": "uniform" for f1 in parts for f2 in parts}
+
+
+def test_verify_map_ball_disagreement_is_internal_fault(capsys, monkeypatch):
+    # the ball check is the exact verdict's oracle: a proof it contradicts
+    # is a fault of the program, not a verdict
+    def refuting(G, m, radius):
+        return {"ok": False, "witness": [], "radius": radius, "pairs_checked": 1}
+
+    monkeypatch.setattr("wct.maps.is_wct_on_ball", refuting)
+    code = main(["verify-map", "--group", "p3", "--map", "tau", "--radius", "1"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("error: internal fault: AssertionError: decide proves")
 
 
 @pytest.mark.parametrize("argv", (
@@ -219,6 +237,28 @@ def test_semidirect_bad_theta(capsys):
     assert main(["semidirect", "--theta", "[[0,-1],[1,-1]]", "--p", "5"]) == 2
     assert main(["semidirect", "--theta", "[[0.5]]", "--p", "2"]) == 2
     capsys.readouterr()
+
+
+def test_semidirect_impossible_order_fails_fast(capsys):
+    # theta has order 3, and no 2x2 integer matrix has order 10000019;
+    # the order is rejected before any power of theta is built
+    start = time.perf_counter()
+    code = main(["semidirect", "--theta", "[[0,-1],[1,-1]]", "--p", "10000019",
+                 "--check", "presentation"])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "no 2x2 integer matrix has order 10000019" in captured.err
+
+
+def test_semidirect_composite_order(capsys):
+    # twisting A by the quarter turn is not a weak Cayley table map of
+    # Z^2 x C_4; the verdict is exact and carries a witness
+    code, rep = run_cli(capsys, "semidirect", "--theta", "[[0,-1],[1,0]]",
+                        "--p", "4", "--check", "phi")
+    assert code == 1
+    assert not rep["verify"]["ok"] and len(rep["verify"]["witness"]) == 2
+    assert list(rep["verify"]["methods"].values())[-1] == "witness"
 
 
 def test_semidirect_theta_rejects_booleans(capsys):

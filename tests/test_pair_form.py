@@ -2,12 +2,13 @@
 
 G.pair_form(m, f1, f2) gives both sides of m(g1 g2) ~ m(g1) m(g2) on one
 pair of parts as affine functions of the translation parts.  Here it is
-held to G.mul and m.apply at sampled points of ball(3), and
-wct_certificate_symbolic, which reads it, is held to the probe-based
-certificate it replaced, kept below verbatim as a reference: both give the
-same proven and pairs, and verify_sd built on either gives the same report.
-compose and invert build their results without re-validation; they are
-compared with the validated construction of the same rules.
+held to G.mul and m.apply at sampled points of ball(3), and maps.decide,
+which reads it, is held to the probe-based certificate of uniform
+conjugators that came before it, kept below verbatim as a reference: the
+part pairs the reference labels are exactly the ones decide calls
+"uniform", and a proof by the reference is a pass of decide.  compose and
+invert build their results without re-validation; they are compared with
+the validated construction of the same rules.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from wct.maps import (
     _check_map,
     _probe_pairs,
     catalog,
+    decide,
     parse_map_expr,
     random_map,
-    wct_certificate_symbolic,
 )
 from wct.semidirect import SdElement, SdMap, build, verify_sd
 
@@ -112,10 +113,17 @@ def _sd_maps(H, rnd, count):
 # -- the certificate against its probe-based reference ---------------------------
 
 
-def _assert_same_certificate(G, m):
-    got, want = wct_certificate_symbolic(G, m), _reference_certificate(G, m)
-    assert got == want and list(got["pairs"]) == list(want["pairs"]), m
-    return got["proven"]
+def _assert_same_certificate(G, m, res=None):
+    """The reference labels a part pair exactly when decide calls it
+    "uniform", up to the pair where the reference stops."""
+    res = decide(G, m) if res is None else res
+    want = _reference_certificate(G, m)
+    keys = [f"{f1},{f2}" for f1, f2 in want["pairs"]]
+    assert list(res["methods"])[:len(keys)] == keys, m
+    assert [res["methods"][key] == "uniform" for key in keys] == \
+        [label is not None for label in want["pairs"].values()], m
+    assert res["ok"] or not want["proven"], m
+    return want["proven"]
 
 
 @pytest.mark.parametrize("gid", GROUP_IDS)
@@ -141,16 +149,13 @@ def test_certificate_matches_reference_on_random_maps(gid):
 
 
 @pytest.mark.parametrize("theta,p", SD_GROUPS)
-def test_verify_sd_matches_reference(theta, p, monkeypatch):
+def test_verify_sd_matches_reference(theta, p):
     H = build(theta, p)
     rnd = random.Random(f"pair-form-sd:{p}:{theta}")
     named = semidirect.phi_for_odd_p(H) if p > 2 else semidirect.p2_candidate(H)
     sd_maps = [semidirect.identity_sd_map(H), named] + list(_sd_maps(H, rnd, 150))
-    got = [(wct_certificate_symbolic(H, m), verify_sd(H, m, 1)) for m in sd_maps]
-    monkeypatch.setattr(semidirect, "wct_certificate_symbolic", _reference_certificate)
-    want = [(_reference_certificate(H, m), verify_sd(H, m, 1)) for m in sd_maps]
-    assert got == want
-    assert {cert["proven"] for cert, _ in got} == ({True, False} if H.n > 1 else {True})
+    proven = {_assert_same_certificate(H, m, verify_sd(H, m, 1)) for m in sd_maps}
+    assert proven == ({True, False} if H.n > 1 else {True})
 
 
 # -- the pair form itself --------------------------------------------------------

@@ -27,7 +27,6 @@ from wct.semidirect import (
     SdMap,
     build,
     class_sd,
-    derived_lattice,
     identity_sd_map,
     is_conjugate_sd,
     p2_candidate,
@@ -54,17 +53,24 @@ def test_build_accepts_valid_actions():
     assert build([[-1]], 2).n == 1
     assert build(THETA3, 3).p == 3
     assert build(COMPANION5, 5).n == 4
+    # any order, not only a prime one: the quarter turn of p4
+    assert build(load_group("p4").act["rho"], 4).powers[2] == ((-1, 0), (0, -1))
 
 
 def test_build_rejections():
-    with pytest.raises(ValueError, match="abelian"):
+    with pytest.raises(ValueError, match="order exactly 2"):
         build([[1, 0], [0, 1]], 2)
-    with pytest.raises(ValueError, match="!= I"):
+    with pytest.raises(ValueError, match="order exactly 2"):
         build(THETA3, 2)
-    with pytest.raises(ValueError, match="prime"):
+    with pytest.raises(ValueError, match="order exactly 4"):
+        build([[-1, 0], [0, -1]], 4)  # order 2, not 4
+    with pytest.raises(ValueError, match="no 1x1 integer matrix has order 4"):
         build([[-1]], 4)
-    with pytest.raises(ValueError, match="prime"):
-        build([[-1]], 1)
+    with pytest.raises(ValueError, match="no 2x2 integer matrix has order 5"):
+        build(THETA3, 5)
+    for p in (0, 1, -3, True, 2.0):
+        with pytest.raises(ValueError, match="p must be an int >= 2"):
+            build([[-1]], p)
     with pytest.raises(ValueError, match="square"):
         build([[1, 0]], 2)
 
@@ -171,15 +177,10 @@ def test_conjugation_hooks(theta, p):
 
 
 def test_derived_lattice_frozen():
-    assert derived_lattice(build([[-1, 0], [0, -1]], 2)) == \
-        Sublattice(2, [(2, 0), (0, 2)])
-    assert derived_lattice(build([[0, 1], [1, 0]], 2)) == Sublattice(2, [(1, -1)])
-    assert derived_lattice(build([[-1]], 2)) == Sublattice(1, [(2,)])
-
-
-def test_derived_lattice_requires_p2():
-    with pytest.raises(ValueError, match="p = 2"):
-        derived_lattice(build(THETA3, 3))
+    # for p = 2 the commutator subgroup is slack(1) = im(theta - I)
+    assert build([[-1, 0], [0, -1]], 2).slack(1) == Sublattice(2, [(2, 0), (0, 2)])
+    assert build([[0, 1], [1, 0]], 2).slack(1) == Sublattice(2, [(1, -1)])
+    assert build([[-1]], 2).slack(1) == Sublattice(1, [(2,)])
 
 
 @pytest.mark.parametrize("theta", P2_SAMPLES[:4])
@@ -191,7 +192,7 @@ def test_derived_lattice_matches_commutators(theta):
             c = G.comm(g, h)
             assert c.k == 0  # C_p is abelian, so commutators are translations
             gens.append(c.v)
-    assert Sublattice(G.n, gens) == G.comm_lattice
+    assert Sublattice(G.n, gens) == G.slack(1)
 
 
 # -- conjugacy -------------------------------------------------------------------
@@ -339,10 +340,9 @@ def test_certificate_serves_semidirect():
     G = build(THETA3, 3)
     cert = wct_certificate_symbolic(G, phi_for_odd_p(G))
     assert cert["proven"]
-    # on a pair landing in A the label is the power j with
-    # m(g1) m(g2) = theta^j m(g1 g2); here phi(g1 g2) = theta v1 + v2 on (1, 2)
-    assert cert["pairs"] == {(0, 0): 0, (0, 1): 0, (0, 2): 0, (1, 0): 0, (1, 1): 0,
-                             (1, 2): 2, (2, 0): 0, (2, 1): 2, (2, 2): 0}
+    # every slice pair has a conjugator that serves all of Z^4, among them
+    # (1, 2) and (2, 1), whose products land in A with phi(g1 g2) = theta v1 + v2
+    assert cert["pairs"] == {f"{k1},{k2}": "uniform" for k1 in range(3) for k2 in range(3)}
 
 
 def _witness_is_genuine(G, m, res):
@@ -448,22 +448,19 @@ def test_p2_candidate_is_trivially_wct(theta):
 
 def test_broken_map_fails_with_witness():
     # swapping coordinates on A only is not class-preserving on the
-    # slice pair whose product lands back in A; the witness is the moment
-    # curve point t = 2, (v1, v2) = (1, 2, 4, 8)
+    # slice pair whose product lands back in A
     G = build(THETA3, 3)
     eye = mat_identity(2)
     m = SdMap(G, [((0, 1), (1, 0)), eye, eye])
     res = verify_sd(G, m, 2)
     assert not res["ok"]
-    assert res["witness"] == [{"v": [1, 2], "k": 1}, {"v": [4, 8], "k": 2}]
     assert res["methods"] == {"0,0": "uniform", "0,1": "uniform", "0,2": "uniform",
                               "1,0": "uniform", "1,1": "uniform", "1,2": "witness"}
-    g1 = SdElement((1, 2), 1)
-    g2 = SdElement((4, 8), 2)
+    g1, g2 = (SdElement(tuple(w["v"]), w["k"]) for w in res["witness"])
+    assert (g1.k, g2.k) == (1, 2)
     lhs = m.apply(G.mul(g1, g2))
     rhs = G.mul(m.apply(g1), m.apply(g2))
-    assert lhs == SdElement((-2, 5), 0)
-    assert rhs == SdElement((5, -2), 0)
+    assert lhs.k == rhs.k == 0
     assert not is_conjugate_sd(G, lhs, rhs)
     assert not brute_is_conjugate(G, lhs, rhs, 0)
 
