@@ -20,7 +20,7 @@ import traceback
 
 from . import acceptance, maps, semidirect
 from .conjugacy import conjugacy_class, involution_loci
-from .groups import GROUP_IDS, load_group, parse_element
+from .groups import GROUP_IDS, check_radius, load_group, parse_element
 
 SCHEMA = "wct/1"
 
@@ -70,6 +70,7 @@ def _cmd_involutions(args) -> tuple[int, dict]:
 
 
 def _cmd_verify_map(args) -> tuple[int, dict]:
+    check_radius(args.certificate_radius)
     G = load_group(args.group)
     m = maps.parse_map_expr(G, args.map)
     exact = maps.decide(G, m)
@@ -204,7 +205,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True,
                    help="expression over catalog names, e.g. 'tau * inv(psi_x)'")
     p.add_argument("--radius", type=int, default=4)
-    p.add_argument("--certificate-radius", type=int, default=3)
+    p.add_argument("--certificate-radius", type=int, default=3,
+                   help="validated; the nontrivial verdict is exact at any radius")
     p.set_defaults(fn=_cmd_verify_map)
 
     p = sub.add_parser("wgroup-relations", parents=[common],

@@ -6,7 +6,8 @@ that coset onto act(f')(a + K_f) + s(f, f') inside the A-coset of the
 conjugated point part.  A translation's class is therefore a finite orbit;
 any other class meets each part h in finitely many cosets of K_h, which
 CosetUnionClass keeps as their offsets reduced modulo K_h, so membership of
-a * h is one reduction and one set lookup.  All of it is exact integer math.
+a * h is one G.check_element call, one reduction and one set lookup.  All
+of it is exact integer math.
 
 GroupTable states that closed form once, in two hooks built with its
 tables: G.conjugators(f, h) lists the (f', act(f'), s) that carry part f
@@ -46,10 +47,11 @@ check.  A test parses both oracle bodies to hold them to that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from operator import mul
+from typing import Callable
 
 from .groups import Element, GroupTable, cells, check_radius
 from .lattice import Coset, Sublattice, solve_integer, vneg
@@ -96,11 +98,15 @@ def _eigenline(G: GroupTable, f: str, sign: int) -> Sublattice:
 
 @dataclass(frozen=True)
 class TranslationClass:
-    """Finite conjugacy class of a translation: the point-group orbit."""
+    """Finite conjugacy class of a translation: the point-group orbit.  check
+    is G.check_element, so contains raises ValueError wherever is_conjugate
+    does; it takes no part in ==, hash or to_json."""
 
     elements: frozenset
+    check: Callable = field(compare=False, repr=False)
 
     def contains(self, g: Element) -> bool:
+        self.check(g)
         return g in self.elements
 
     def size(self) -> int:
@@ -115,12 +121,14 @@ class TranslationClass:
 
 @dataclass(frozen=True)
 class CosetUnionClass:
-    """Class of a non-translation: per part h, a set of residues modulo K_h."""
+    """Class of a non-translation: per part h, a set of residues modulo K_h;
+    check as in TranslationClass."""
 
     parts: tuple  # ((h, K_h, frozenset of K_h.reduce(M a + s)), ...) in G.F order
+    check: Callable = field(compare=False, repr=False)
 
     def contains(self, g) -> bool:
-        a, f = g
+        a, f = self.check(g)
         for part, lat, offsets in self.parts:
             if part == f:
                 return lat.reduce(a) in offsets
@@ -149,13 +157,13 @@ def conjugacy_class(G, g):
 
     if f == one:
         return TranslationClass(frozenset(
-            make(offset(m, s), one) for _, m, s in G.conjugators(one, one)))
+            make(offset(m, s), one) for _, m, s in G.conjugators(one, one)), G.check_element)
     parts = []
     for h in G.F:
         if entries := G.conjugators(f, h):
             lat = G.slack(h)
             parts.append((h, lat, frozenset(lat.reduce(offset(m, s)) for _, m, s in entries)))
-    return CosetUnionClass(tuple(parts))
+    return CosetUnionClass(tuple(parts), G.check_element)
 
 
 @lru_cache(maxsize=None)

@@ -347,10 +347,6 @@ class GroupTable:
             raise ValueError(f"element {g} does not belong to {self.gid}")
         return g
 
-    def probes(self) -> list[list[Element]]:
-        """Per part: the origin, then one step along each lattice axis."""
-        return [[Element(_ZERO, f), Element(_X, f), Element(_Y, f)] for f in self.F]
-
     def ball(self, radius: int) -> list[Element]:
         """All a*f with max-norm(a) <= radius, ordered as cells(radius), then
         by part in G.F order."""

@@ -13,13 +13,14 @@ tables are read the same way, rightmost factor first.
 
 homomorphism_failure, antihomomorphism_failure, nontriviality_certificate,
 forced_consequences and decide serve wct.semidirect too: they use only
-G.mul, G.inv, G.identity, G.ball, G.probes, m.apply, m.acts_on, the two
-conjugation hooks G.conjugators and G.slack, which hold each family's
-closed form of conjugacy, and G.pair_form, which reads both sides of the
-WCT condition on one pair of parts off the tables and the map's rule as
-affine functions of the two translation parts.  decide, the exact verdict
-over the whole group for both families, and the ball check's _Block read
-that form, so the product rule of each family is derived in one place.
+G.mul, G.inv, G.identity, G.ball, m.apply, m.acts_on, the two conjugation
+hooks G.conjugators and G.slack, which hold each family's closed form of
+conjugacy, and G.pair_form, which reads both sides of the WCT condition on
+one pair of parts off the tables and the map's rule as affine functions of
+the two translation parts.  decide, the exact verdict over the whole group
+for both families, the three law checks and the ball check's _Block read
+that form, so the product rule of each family is derived in one place; the
+law checks read nothing else of G or m.
 wct_invariants and semidirect.sd_invariants are bindings of
 forced_consequences.  Every verdict first asks m.acts_on(G) and raises
 ValueError for a map of another group, which would otherwise be judged
@@ -181,7 +182,7 @@ def iota(G: GroupTable) -> CosetwiseAffineMap:
 
 
 def map_from_function(G: GroupTable, fn) -> CosetwiseAffineMap:
-    """Fit the affine rule of fn per coset, then verify on extra probes."""
+    """Fit the affine rule of fn per coset, then verify it at two more points."""
     rule = {}
     for f in G.F:
         base = fn(Element(_Z2, f))
@@ -196,8 +197,8 @@ def map_from_function(G: GroupTable, fn) -> CosetwiseAffineMap:
         rule[f] = (base.f, m, base.a)
     out = CosetwiseAffineMap(G, rule)
     for f in G.F:
-        for probe in ((2, 3), (-1, 4)):
-            g = Element(probe, f)
+        for point in ((2, 3), (-1, 4)):
+            g = Element(point, f)
             if out.apply(g) != fn(g):
                 raise ValueError(f"function is not affine on coset {f!r}")
     return out
@@ -265,45 +266,42 @@ def _check_map(G, m) -> None:
         raise ValueError(f"the map does not act on {getattr(G, 'gid', G)}")
 
 
-def _probe_failure(G, m, anti: bool, radius: int = 1):
-    """First probe pair with m(g1 g2) != m(g1) m(g2), or != m(g2) m(g1) when
-    anti is set; None when every probe holds.
+def _law_failure(G, m, anti: bool):
+    """First pair with m(g1 g2) != m(g1) m(g2), or != m(g2) m(g1) when anti
+    is set; None when the law holds on all of G.
 
-    For each pair of parts (cosets A*f, or k-slices of Z^n x C_p) both sides
-    are affine in the translation parts of g1 and g2 together, so the probes
-    (o, o), (e_i, o) and (o, e_j) from G.probes() decide the law on the whole
-    pair.  They lie in ball(1); radius 0 keeps only the origin pairs, which
-    are all of ball(0) x ball(0).
+    Per part pair (f1, f2), in G.F order, G.pair_form gives m(g1 g2) =
+    (a0 + A v)*lf and m(g1) m(g2) = (b0 + B v)*rf for v = (x1, x2), so the
+    law holds on the pair exactly when lf == rf, a0 == b0 and A == B.  For
+    anti the right side is that of pair_form(m, f2, f1), whose v is
+    (x2, x1), with the halves of B swapped back.  The first disagreement is
+    reported at the pair it shows at: (o, o) for the part or the constant,
+    (e_i, o) for column i < n and (o, e_j) for column n + j.
     """
     _check_map(G, m)
-    for pairs in _probe_pairs(G, radius):
-        for g1, g2 in pairs:
-            m1, m2 = m.apply(g1), m.apply(g2)
-            if m.apply(G.mul(g1, g2)) != (G.mul(m2, m1) if anti else G.mul(m1, m2)):
-                return g1, g2
+    for f1 in G.F:
+        for f2 in G.F:
+            lf, a0, A, rf, b0, B = G.pair_form(m, f1, f2)
+            if anti:
+                _, _, _, rf, b0, B = G.pair_form(m, f2, f1)
+                B = B[len(b0):] + B[:len(b0)]
+            left, right = (lf, a0) + A, (rf, b0) + B
+            if left != right:
+                k = list(map(eq, left, right)).index(False) - 2  # the column, or < 0
+                n, make = len(a0), type(G.identity)
+                v = [int(i == k) for i in range(2 * n)]
+                return make(tuple(v[:n]), f1), make(tuple(v[n:]), f2)
     return None
 
 
-def _probe_pairs(G, radius: int = 1):
-    """Per pair of parts, in G.F order: the probe pairs (o, o), (e_i, o) and
-    (o, e_j) from G.probes(); only (o, o) at radius 0."""
-    probes = G.probes()
-    for o1, *steps1 in probes:
-        for o2, *steps2 in probes:
-            pairs = [(o1, o2)]
-            if radius:
-                pairs += [(g1, o2) for g1 in steps1] + [(o1, g2) for g2 in steps2]
-            yield pairs
-
-
 def homomorphism_failure(G, m):
-    """First pair with m(g1 g2) != m(g1) m(g2), or None; a complete check."""
-    return _probe_failure(G, m, anti=False)
+    """First pair with m(g1 g2) != m(g1) m(g2), or None; exact over all of G."""
+    return _law_failure(G, m, anti=False)
 
 
 def antihomomorphism_failure(G, m):
-    """First pair with m(g1 g2) != m(g2) m(g1), or None; a complete check."""
-    return _probe_failure(G, m, anti=True)
+    """First pair with m(g1 g2) != m(g2) m(g1), or None; exact over all of G."""
+    return _law_failure(G, m, anti=True)
 
 
 def map_order(m: CosetwiseAffineMap, bound: int = 12):
@@ -474,15 +472,14 @@ class _Block:
 def nontriviality_certificate(G, m, radius: int):
     """Witness pairs showing m is neither a homomorphism nor an antihomomorphism.
 
-    Returns {"hom_witness": .., "antihom_witness": ..}, the first probe
-    failure of each law inside ball(radius), or None when either law holds
-    on all of those probes.  The probes are complete and lie in ball(1), so
-    for radius >= 1 None proves that m is a homomorphism or an
-    antihomomorphism of all of G.
+    Returns {"hom_witness": .., "antihom_witness": ..}, the first failure of
+    each law as _law_failure reports it, or None when either law holds on
+    all of G.  Both laws are decided exactly and every witness lies in
+    ball(1); radius is validated and otherwise ignored, as verify_sd's is.
     """
     check_radius(radius)
-    hom = _probe_failure(G, m, anti=False, radius=radius)
-    anti = None if hom is None else _probe_failure(G, m, anti=True, radius=radius)
+    hom = _law_failure(G, m, anti=False)
+    anti = None if hom is None else _law_failure(G, m, anti=True)
     if anti is None:
         return None
     return {"hom_witness": hom, "antihom_witness": anti}

@@ -14,11 +14,12 @@ groups, and the sd_ names bind to it: class_sd is conjugacy_class,
 sd_invariants is maps.forced_consequences, brute_is_conjugate_sd is
 conjugacy.brute_is_conjugate, and verify_sd reports maps.decide.
 
-The two maps of interest are phi_for_odd_p, which twists A by theta and
-fixes everything else, and the p = 2 candidate doing the opposite.  For an
-odd prime p the first is a non-trivial weak Cayley table map; for other
-orders decide settles it (twisting Z^2 x C_4 by a quarter turn fails).
-The second turns out to be an exact antihomomorphism, hence trivial.
+The two maps of interest twist one part by theta and fix the rest.
+phi_for_odd_p twists A, for any order p: for an odd prime p it is a
+non-trivial weak Cayley table map, at p = 2 it is an exact
+antihomomorphism, hence trivial, and for other orders decide settles it
+(twisting Z^2 x C_4 by a quarter turn fails).  p2_candidate, for p = 2
+only, twists the r-coset instead; it is an exact antihomomorphism too.
 """
 
 from __future__ import annotations
@@ -158,11 +159,6 @@ class SdGroup:
         B = tuple(zip(*first)) + _product_columns(twist, second)
         return k, zero, A, k, zero, B
 
-    def probes(self) -> list[list[SdElement]]:
-        """Per slice: the origin, then one step along each axis."""
-        return [[SdElement(v, k) for v in ((0,) * self.n,) + mat_identity(self.n)]
-                for k in range(self.p)]
-
     def ball(self, radius: int) -> list[SdElement]:
         check_radius(radius)
         return [
@@ -184,7 +180,7 @@ def build(theta: Sequence[Sequence[int]], p: int) -> SdGroup:
 
 def is_conjugate_sd(G: SdGroup, g: SdElement, h: SdElement) -> bool:
     """Closed-form conjugacy test; raises ValueError when g or h is not in G."""
-    return class_sd(G, g).contains(G.check_element(h))
+    return class_sd(G, g).contains(h)
 
 
 # -- the maps ----------------------------------------------------------------
@@ -238,17 +234,17 @@ def identity_sd_map(G: SdGroup) -> SdMap:
 
 
 def phi_for_odd_p(G: SdGroup) -> SdMap:
-    """v |-> theta(v) on A, identity elsewhere; non-trivial WCT map for odd
-    prime p."""
-    if G.p == 2:
-        raise ValueError("the twist-A map needs odd p")
+    """The twist of A by theta: v |-> theta(v) on A, identity on the other
+    slices, for any p.  A non-trivial WCT map for odd prime p; at p = 2 it
+    is p2_candidate followed by conjugation by r, so an exact
+    antihomomorphism."""
     eye = mat_identity(G.n)
     return SdMap(G, [G.theta] + [eye] * (G.p - 1))
 
 
 def p2_candidate(G: SdGroup) -> SdMap:
-    """Fix A, twist the r-coset: the only non-identity shape available at
-    p = 2.  It is an exact antihomomorphism, so it never leaves W_0."""
+    """The twist of the r-coset by theta at p = 2: identity on A, theta on
+    slice 1.  It is an exact antihomomorphism, so it never leaves W_0."""
     if G.p != 2:
         raise ValueError("the twisted-coset candidate is specific to p = 2")
     return SdMap(G, [mat_identity(G.n), G.theta])

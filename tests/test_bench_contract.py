@@ -2,13 +2,16 @@
 
 perfbench/tracing.py wraps wct functions by name, among them the semidirect
 and maps names that are now bindings of the shared class layer (class_sd,
-sd_invariants, wct_invariants), and the map algebra and certificates
+sd_invariants, wct_invariants), the map algebra and certificates
 (CosetwiseAffineMap.compose and .invert, wct_certificate_symbolic,
 verify_sd), which now build and read maps without going through
-CosetwiseAffineMap.__init__ or G.mul.  The tracer patches modules in place,
-so it runs in a fresh interpreter here: install must not raise, every name
-must still be counted, those four once per call under their own counter,
-and every result must be the one computed before install.
+CosetwiseAffineMap.__init__ or G.mul, and the law checks
+(homomorphism_failure, antihomomorphism_failure, nontriviality_certificate
+and their semidirect names), which read only G.pair_form.  The tracer
+patches modules in place, so it runs in a fresh interpreter here: install
+must not raise, every name must still be counted, those nine once per call
+under their own counter, and every result must be the one computed before
+install.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ H = semidirect.build([[0, -1], [1, -1]], 3)
 g, h = G.element(1, -2, "rho"), H.element((1, 0), 1)
 m, phi = maps.generator(G, "iota"), semidirect.phi_for_odd_p(H)
 n = maps.generator(G, "psi_1")
+P3 = load_group("p3")
+tau = maps.generator(P3, "tau")
 
 
 def certificate(G, m):
@@ -42,11 +47,25 @@ def certificate(G, m):
     return [cert["proven"], [[key, method] for key, method in cert["pairs"].items()]]
 
 
+def witness(pair):
+    return None if pair is None else [g.to_json() for g in pair]
+
+
+def nontriviality(cert):
+    return None if cert is None else {key: witness(pair) for key, pair in cert.items()}
+
+
+
 own = {  # name -> the counter that must count each call of it once
     "maps.compose": "maps.compose_calls",
     "maps.invert": "maps.invert_calls",
     "maps.wct_certificate_symbolic": "maps.symbolic_calls",
     "semidirect.verify_sd": "semidirect.verify_calls",
+    "maps.homomorphism_failure": "maps.hom_probe_calls",
+    "maps.antihomomorphism_failure": "maps.antihom_probe_calls",
+    "maps.nontriviality_certificate": "maps.certificate_calls",
+    "semidirect.sd_antihomomorphism_failure": "semidirect.antihom_probe_calls",
+    "semidirect.sd_nontriviality": "semidirect.nontriviality_calls",
 }
 calls = {
     "conjugacy.conjugacy_class": lambda: conjugacy.conjugacy_class(G, g).to_json(),
@@ -60,6 +79,14 @@ calls = {
     "maps.invert": lambda: n.invert().to_json(),
     "maps.wct_certificate_symbolic": lambda: certificate(G, n),
     "semidirect.verify_sd": lambda: semidirect.verify_sd(H, phi, 1),
+    "maps.homomorphism_failure": lambda: witness(maps.homomorphism_failure(G, m)),
+    "maps.antihomomorphism_failure": lambda: witness(maps.antihomomorphism_failure(G, n)),
+    "maps.nontriviality_certificate": lambda: nontriviality(
+        maps.nontriviality_certificate(P3, tau, 0)),
+    "semidirect.sd_antihomomorphism_failure": lambda: witness(
+        semidirect.sd_antihomomorphism_failure(H, phi)),
+    "semidirect.sd_nontriviality": lambda: nontriviality(
+        semidirect.sd_nontriviality(H, phi, 2)),
 }
 before = {name: call() for name, call in calls.items()}
 
@@ -89,4 +116,4 @@ def test_tracer_installs_over_the_rebound_names():
     assert report["after"] == report["before"]
     assert all(report["counted"].values()), report["counted"]
     assert report["once"] == dict.fromkeys(report["once"], 1)
-    assert len(report["once"]) == 4
+    assert len(report["once"]) == 9

@@ -163,6 +163,7 @@ def test_verify_map_ball_disagreement_is_internal_fault(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", (
     ("--map", "conj_rho_on_rho2", "--radius", "-1"),
     ("--map", "tau_x", "--radius", "1", "--certificate-radius", "-1"),
+    ("--map", "conj_rho_on_rho2", "--radius", "1", "--certificate-radius", "-1"),
 ))
 def test_verify_map_negative_radius_is_usage_error(capsys, argv):
     code = main(["verify-map", "--group", "p4", *argv])
@@ -170,6 +171,17 @@ def test_verify_map_negative_radius_is_usage_error(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert "radius must be non-negative" in captured.err
+
+
+def test_verify_map_certificate_is_exact_at_every_radius(capsys):
+    reports = []
+    for radius in ("0", "1", "3"):
+        code, rep = run_cli(capsys, "verify-map", "--group", "p3", "--map", "tau",
+                            "--radius", "1", "--certificate-radius", radius)
+        assert code == 0
+        assert rep["ok"] and rep["nontrivial"]
+        reports.append(rep)
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_python_dash_m_runs_the_cli():

@@ -365,6 +365,26 @@ def test_is_conjugate_rejects_non_int_coordinates():
                 is_conjugate(G, g, h)
 
 
+def test_class_contains_rejects_what_is_conjugate_rejects():
+    """A float coordinate is not judged through its int value, and a part of
+    another group is no miss: contains raises, as is_conjugate does."""
+    p2 = load_group("p2")
+    rho, x = Element((0, 0), "rho"), Element((1, 0), "1")
+    cls, translations = conjugacy_class(p2, rho), conjugacy_class(p2, x)
+    assert cls.contains(Element((2, 0), "rho")) and not cls.contains(Element((1, 0), "rho"))
+    assert translations.contains(Element((-1, 0), "1"))
+    for bad in (Element((2.0, 0), "rho"), Element((0, 0), "sigma"), Element((-1.0, 0), "1")):
+        for check in (lambda h: is_conjugate(p2, rho, h), cls.contains,
+                      lambda h: is_conjugate(p2, x, h), translations.contains):
+            with pytest.raises(ValueError, match="does not belong to p2"):
+                check(bad)
+    H = build(SD_CASES[0][2], 3)
+    for g in (H.element((1, 0), 0), H.element((1, 0), 1)):
+        for bad in (SdElement((1.0, 0), g.k), SdElement((1, 0), 3), SdElement((1, 0, 0), g.k)):
+            with pytest.raises(ValueError, match="does not belong"):
+                conjugacy_class(H, g).contains(bad)
+
+
 def _sweep_elements(G):
     """Per part: the origin, the far corner (7, -7) and three seeded elements
     with coordinates in [-7, 7]."""

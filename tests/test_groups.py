@@ -128,12 +128,6 @@ def test_ball_shape():
     assert norms == sorted(norms)
 
 
-def test_probes_are_origin_and_unit_steps():
-    G = load_group("p4mg")
-    assert G.probes() == [[Element((0, 0), f), Element((1, 0), f), Element((0, 1), f)]
-                          for f in G.F]
-
-
 def test_point_conj_table():
     for G in all_groups():
         for f in G.F:

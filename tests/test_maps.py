@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from law_reference import probe_failure
 
 import wct
 from wct.acceptance import P2_THETAS, SD_CASES, TRIVIAL_GROUPS
@@ -666,15 +667,19 @@ def _top_radius(G):
 
 
 def _assert_certificate_matches_reference(G, m):
+    """At every radius the certificate gives the verdict of the ball search
+    at radius max(radius, 1): both laws are decided exactly, and their
+    witnesses lie in ball(1)."""
     top = _top_radius(G)
     found = _reference_failure_radii(G, m, top)
     for radius in range(top + 1):
         cert = nontriviality_certificate(G, m, radius)
-        expected = all(found.get(law, radius + 1) <= radius for law in ("hom", "anti"))
+        r = max(radius, 1)
+        expected = all(found.get(law, r + 1) <= r for law in ("hom", "anti"))
         assert (cert is not None) == expected, (m, radius, found)
         if cert is None:
             continue
-        ball = set(G.ball(radius))
+        ball = set(G.ball(r))
         g1, g2 = cert["hom_witness"]
         assert {g1, g2} <= ball
         assert m.apply(G.mul(g1, g2)) != G.mul(m.apply(g1), m.apply(g2))
@@ -745,13 +750,13 @@ def _semidirect_samples():
 
 
 def test_semidirect_probes_match_brute_search():
-    """The probe verdicts agree with a search over all of ball(2)^2."""
+    """The law verdicts agree with a search over all of ball(2)^2."""
     laws = {"hom": homomorphism_failure, "anti": antihomomorphism_failure}
     seen = set()
     for H, m in _semidirect_samples():
         found = _reference_failure_radii(H, m, 2)
-        for law, probe in laws.items():
-            witness = probe(H, m)
+        for law, failure in laws.items():
+            witness = failure(H, m)
             assert (witness is None) == (law not in found), (H, m.mats, law)
             seen.add((law, witness is None))
             if witness is not None:
@@ -760,3 +765,38 @@ def test_semidirect_probes_match_brute_search():
                 m1, m2 = m.apply(g1), m.apply(g2)
                 assert lhs != (H.mul(m1, m2) if law == "hom" else H.mul(m2, m1))
     assert len(seen) == 4  # each law both holds and fails somewhere
+
+
+# -- the law checks against the probe reference -----------------------------------
+
+
+def _assert_same_witnesses(G, m):
+    """The law checks report the reference's first failing probe pair, and the
+    certificate pairs them up at every radius."""
+    hom, anti = probe_failure(G, m, anti=False), probe_failure(G, m, anti=True)
+    for got, want in ((homomorphism_failure(G, m), hom),
+                      (antihomomorphism_failure(G, m), anti)):
+        assert got == want, (m, got, want)
+        assert want is None or list(map(type, got)) == list(map(type, want))
+    cert = None if hom is None or anti is None else {"hom_witness": hom, "antihom_witness": anti}
+    for radius in (0, 1, 3):
+        assert nontriviality_certificate(G, m, radius) == cert, (m, radius)
+    return hom is None, anti is None
+
+
+@pytest.mark.parametrize("gid", GROUP_IDS)
+def test_law_witnesses_match_probe_reference(gid):
+    G = load_group(gid)
+    rnd = random.Random(f"law-reference:{gid}")
+    test_maps = list(catalog(G).values()) + [random_map(G, rnd) for _ in range(40)]
+    test_maps += [CosetwiseAffineMap(G, {f: (f, M, (0, 0)) for f in G.F})
+                  for M in (((0, 1), (1, 0)), ((1, 1), (0, 1)), ((0, -1), (1, 0)))]
+    verdicts = {_assert_same_witnesses(G, m) for m in test_maps}
+    # some map breaks both laws, and id keeps the hom law (both in abelian p1)
+    assert (False, False) in verdicts and (True, gid == "p1") in verdicts
+
+
+def test_law_witnesses_match_probe_reference_on_semidirect_maps():
+    verdicts = {_assert_same_witnesses(H, m)
+                for H, m in list(_semidirect_samples()) + list(_sd_maps())}
+    assert {(True, False), (False, True), (False, False)} <= verdicts

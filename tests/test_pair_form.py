@@ -17,6 +17,7 @@ import random
 from itertools import permutations, product
 
 import pytest
+from law_reference import probe_pairs
 
 from wct import semidirect
 from wct.acceptance import P2_THETAS, SD_CASES
@@ -25,7 +26,6 @@ from wct.lattice import mat_inv_unimodular, matmul, matvec, vadd, vneg
 from wct.maps import (
     CosetwiseAffineMap,
     _check_map,
-    _probe_pairs,
     catalog,
     decide,
     parse_map_expr,
@@ -39,7 +39,7 @@ def _reference_certificate(G, m) -> dict:
     each part pair are multiplied out through G.mul and m.apply."""
     _check_map(G, m)
     pair_report = {}
-    for pairs in _probe_pairs(G):
+    for pairs in probe_pairs(G):
         images = [(m.apply(G.mul(g1, g2)), G.mul(m.apply(g1), m.apply(g2)))
                   for g1, g2 in pairs]
         (_, f), (_, h) = images[0]

@@ -11,7 +11,7 @@ from wct import semidirect
 from wct.acceptance import P2_THETAS, SD_CASES
 from wct.conjugacy import TranslationClass, brute_is_conjugate, conjugacy_class
 from wct.groups import load_group
-from wct.lattice import Sublattice, mat_identity, matvec, vsub
+from wct.lattice import Sublattice, mat_identity, matmul, matvec, vsub
 from wct.maps import (
     antihomomorphism_failure,
     forced_consequences,
@@ -126,12 +126,6 @@ def test_element_rejects_non_int_coordinates():
     for k in (1.0, True, "1", None):
         with pytest.raises(ValueError, match="slice index"):
             G.element((1, 2), k)
-
-
-def test_probes_are_origin_and_unit_steps():
-    G = build(THETA3_EMBED, 3)
-    steps = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    assert G.probes() == [[SdElement(v, k) for v in steps] for k in range(3)]
 
 
 def test_ball_size():
@@ -262,9 +256,21 @@ def test_phi_frozen_values():
     assert phi.apply(G.element((-2, 3), 2)) == G.element((-2, 3), 2)
 
 
-def test_phi_requires_odd_p():
-    with pytest.raises(ValueError, match="odd"):
-        phi_for_odd_p(build([[-1]], 2))
+@pytest.mark.parametrize("theta", [theta for _, theta in P2_THETAS])
+def test_twist_of_a_is_trivial_at_p2(theta):
+    """At p = 2 the twist of A is p2_candidate followed by conjugation by r
+    (theta on both slices): it passes decide and is an exact
+    antihomomorphism, so it certifies no nontriviality."""
+    G = build(theta, 2)
+    phi = phi_for_odd_p(G)
+    assert phi == SdMap(G, [G.theta, mat_identity(G.n)])
+    assert phi.mats == tuple(matmul(G.theta, m) for m in p2_candidate(G).mats)
+    assert verify_sd(G, phi, 1)["ok"]
+    assert antihomomorphism_failure(G, phi) is None
+    assert nontriviality_certificate(G, phi, 0) is None
+
+
+def test_p2_candidate_requires_p2():
     with pytest.raises(ValueError, match="p = 2"):
         p2_candidate(build(THETA3, 3))
 
