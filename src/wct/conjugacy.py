@@ -11,19 +11,19 @@ of it is exact integer math.
 
 GroupTable states that closed form once, in two hooks built with its
 tables: G.conjugators(f, h) lists the (f', act(f'), s) that carry part f
-onto part h, and G.slack(h) is K_h.  SdGroup has the same two, with its
-k-slices as the parts G.F.  conjugacy_class reads them for both families
-(semidirect.class_sd is conjugacy_class itself); kf and the is_conjugate
-plan read them for wallpaper groups only.
+onto part h, and G.slack(h) is K_h, whose HNF rows G.slack_hnf[h] holds as
+three ints.  SdGroup has the same two hooks, with its k-slices as the parts
+G.F.  conjugacy_class reads them for both families (semidirect.class_sd is
+conjugacy_class itself); kf and is_conjugate read them for wallpaper groups
+only, from the group they are given.
 
-is_conjugate decides membership without building a class.  Its per-group
-plan, built once per group on first use, holds for every part pair
-(g.f, h.f) the entries (act(f'), s) of G.conjugators(g.f, h.f) as flat ints,
-together with the HNF rows of G.slack(h.f).  The translation case is the
-pair ("1", "1"): its candidates are the act matrices with zero shift and its
-lattice has rank 0.  Membership h.a - act(f') g.a - s in K (rank 0, 1 or 2)
-is then a few integer divisions, after one chained type test that sends a
-non-int coordinate to check_element.
+is_conjugate decides membership without building a class.  For the part
+pair (g.f, h.f) it unpacks each entry (f', act(f'), s) of
+G.conjugators(g.f, h.f) in place and tests h.a - act(f') g.a - s against
+K = K_{h.f}, encoded by the HNF rows (p, q) and (0, r) of G.slack_hnf[h.f]:
+a few integer divisions, after one chained type test that sends a non-int
+coordinate to check_element.  The translation case is the pair ("1", "1"):
+its entries are the act matrices with zero shift and its lattice has rank 0.
 
 brute_is_conjugate/conjugates_within sweep conjugators from a ball instead
 and exist so the closed forms can be tested against something that cannot
@@ -39,7 +39,7 @@ conjugator power j, and each c = (w, j) of the ball is multiplied out as
 SdGroup.inv and .mul would, c^-1 g first and then (c^-1 g) c, with flat
 dot products.  Both kernels read only the multiplication data (the tables
 that check_presentation validates, or G.p and G.powers); they must never
-read point_conj, conjugators, slack, kf, _plan, a class descriptor or a
+read point_conj, conjugators, slack, slack_hnf, kf, a class descriptor or a
 closed-form test, nor use that g^c is affine in the conjugator's
 translation part, or they could share a bug with the closed forms they
 check.  A test parses both oracle bodies to hold them to that.
@@ -48,7 +48,6 @@ check.  A test parses both oracle bodies to hold them to that.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import product
 from operator import mul
 from typing import Callable
@@ -166,38 +165,6 @@ def conjugacy_class(G, g):
     return CosetUnionClass(tuple(parts), G.check_element)
 
 
-@lru_cache(maxsize=None)
-def _plan(gid: str) -> dict:
-    """(g.f, h.f) -> (candidates, p, q, r) for is_conjugate.
-
-    Each candidate is (m00, m01, m10, m11, s0, s1) for one entry (f', m, s)
-    of G.conjugators(g.f, h.f).  K_{h.f} = G.slack(h.f) is encoded by its HNF
-    rows: (p, q) is the row with pivot in column 0 and (0, r) the row with
-    pivot in column 1; p = 0 or r = 0 when that row is absent, which then
-    forces the coordinate to vanish.
-    """
-    from .groups import load_group
-
-    G = load_group(gid)
-    plan = {}
-    shared = {}  # equal candidates and entries are stored once
-    for f in G.F:
-        for h in G.F:
-            p = q = r = 0
-            for row in G.slack(h).rows:
-                if row[0]:
-                    p, q = row
-                else:
-                    r = row[1]
-            cands = []
-            for _, m, s in G.conjugators(f, h):
-                cand = (m[0][0], m[0][1], m[1][0], m[1][1], s[0], s[1])
-                cands.append(shared.setdefault(cand, cand))
-            entry = (tuple(cands), p, q, r)
-            plan[(f, h)] = shared.setdefault(entry, entry)
-    return plan
-
-
 def is_conjugate(G: GroupTable, g: Element, h: Element) -> bool:
     """Closed-form conjugacy test; no search.
 
@@ -205,17 +172,18 @@ def is_conjugate(G: GroupTable, g: Element, h: Element) -> bool:
     is not an int.
     """
     try:
-        cands, p, q, r = _plan(G.gid)[g.f, h.f]
+        cands = G.conjugators(g.f, h.f)
     except KeyError:
         G.check_element(g)
         G.check_element(h)
         raise
+    p, q, r = G.slack_hnf[h.f]
     x0, y0 = g.a
     x1, y1 = h.a
     if not type(x0) is type(y0) is type(x1) is type(y1) is int:
         G.check_element(g)  # one of the two raises ValueError
         G.check_element(h)
-    for m00, m01, m10, m11, s0, s1 in cands:
+    for _, ((m00, m01), (m10, m11)), (s0, s1) in cands:
         x = x1 - m00 * x0 - m01 * y0 - s0
         y = y1 - m10 * x0 - m11 * y0 - s1
         if p:

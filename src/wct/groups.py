@@ -87,7 +87,6 @@ class _Spec(NamedTuple):
     mirror: Mat | None      # act(sigma) / act(gamma)
     beta1: Vec              # gamma^2
     rel_rg: Vec             # (rho gamma)^2
-    beta2: Vec              # named constant used by the class formulas
     relations: tuple[tuple[str, str, str], ...]
     notes: tuple[str, ...] = ()
 
@@ -97,60 +96,60 @@ def _rels(*items: tuple[str, str, str]) -> tuple[tuple[str, str, str], ...]:
 
 
 _SPECS: dict[str, _Spec] = {
-    "p1": _Spec(1, None, None, None, _ZERO, _ZERO, _ZERO, _rels()),
-    "p2": _Spec(2, None, _R_P2, None, _ZERO, _ZERO, _ZERO, _rels(
+    "p1": _Spec(1, None, None, None, _ZERO, _ZERO, _rels()),
+    "p2": _Spec(2, None, _R_P2, None, _ZERO, _ZERO, _rels(
         ("x^rho = x^-1", "Rxr", "X"), ("y^rho = y^-1", "Ryr", "Y"), ("rho^2", "rr", ""))),
-    "p3": _Spec(3, None, _R_P3, None, _ZERO, _ZERO, _ZERO, _rels(
+    "p3": _Spec(3, None, _R_P3, None, _ZERO, _ZERO, _rels(
         ("x^rho = x^-1 y", "Rxr", "Xy"), ("y^rho = x^-1", "Ryr", "X"), ("rho^3", "rrr", ""))),
-    "p4": _Spec(4, None, _R_P4, None, _ZERO, _ZERO, _ZERO, _rels(
+    "p4": _Spec(4, None, _R_P4, None, _ZERO, _ZERO, _rels(
         ("x^rho = y", "Rxr", "y"), ("y^rho = x^-1", "Ryr", "X"), ("rho^4", "rrrr", ""))),
-    "p6": _Spec(6, None, _R_P6, None, _ZERO, _ZERO, _ZERO, _rels(
+    "p6": _Spec(6, None, _R_P6, None, _ZERO, _ZERO, _rels(
         ("x^rho = y", "Rxr", "y"), ("y^rho = x^-1 y", "Ryr", "Xy"), ("rho^6", "rrrrrr", ""))),
-    "cm": _Spec(1, "sigma", None, _S_SWAP, _ZERO, _ZERO, _ZERO, _rels(
+    "cm": _Spec(1, "sigma", None, _S_SWAP, _ZERO, _ZERO, _rels(
         ("x^sigma = y", "Sxs", "y"), ("y^sigma = x", "Sys", "x"), ("sigma^2", "ss", ""))),
-    "pm": _Spec(1, "sigma", None, _S_MIRROR_X, _ZERO, _ZERO, _ZERO, _rels(
+    "pm": _Spec(1, "sigma", None, _S_MIRROR_X, _ZERO, _ZERO, _rels(
         ("x^sigma = x", "Sxs", "x"), ("y^sigma = y^-1", "Sys", "Y"), ("sigma^2", "ss", ""))),
-    "pg": _Spec(1, "gamma", None, _S_MIRROR_X, _X, _ZERO, _ZERO, _rels(
+    "pg": _Spec(1, "gamma", None, _S_MIRROR_X, _X, _ZERO, _rels(
         ("x^gamma = x", "Gxg", "x"), ("y^gamma = y^-1", "Gyg", "Y"), ("gamma^2 = x", "gg", "x"))),
-    "c2mm": _Spec(2, "sigma", _R_P2, _S_SWAP, _ZERO, _ZERO, _ZERO, _rels(
+    "c2mm": _Spec(2, "sigma", _R_P2, _S_SWAP, _ZERO, _ZERO, _rels(
         ("rho^2", "rr", ""), ("sigma^2", "ss", ""),
         ("x^rho = x^-1", "Rxr", "X"), ("y^rho = y^-1", "Ryr", "Y"),
         ("x^sigma = y", "Sxs", "y"), ("y^sigma = x", "Sys", "x"),
         ("(rho sigma)^2", "rsrs", ""))),
-    "p2mm": _Spec(2, "sigma", _R_P2, _S_MIRROR_X, _ZERO, _ZERO, _ZERO, _rels(
+    "p2mm": _Spec(2, "sigma", _R_P2, _S_MIRROR_X, _ZERO, _ZERO, _rels(
         ("rho^2", "rr", ""), ("sigma^2", "ss", ""), ("(rho,sigma)", "RSrs", ""),
         ("x^rho = x^-1", "Rxr", "X"), ("y^rho = y^-1", "Ryr", "Y"),
         ("x^sigma = x", "Sxs", "x"), ("y^sigma = y^-1", "Sys", "Y"))),
-    "p2mg": _Spec(2, "sigma", _R_P2, _S_MIRROR_X, _ZERO, _Y, _Y, _rels(
+    "p2mg": _Spec(2, "sigma", _R_P2, _S_MIRROR_X, _ZERO, _Y, _rels(
         ("rho^2", "rr", ""), ("sigma^2", "ss", ""),
         ("x^rho = x^-1", "Rxr", "X"), ("y^rho = y^-1", "Ryr", "Y"),
         ("x^sigma = x", "Sxs", "x"), ("y^sigma = y^-1", "Sys", "Y"),
         ("(rho sigma)^2 = y", "rsrs", "y"))),
-    "p2gg": _Spec(2, "gamma", _R_P2, _S_MIRROR_X, _X, _Y, _Y, _rels(
+    "p2gg": _Spec(2, "gamma", _R_P2, _S_MIRROR_X, _X, _Y, _rels(
         ("rho^2", "rr", ""), ("gamma^2 = x", "gg", "x"),
         ("x^rho = x^-1", "Rxr", "X"), ("y^rho = y^-1", "Ryr", "Y"),
         ("x^gamma = x", "Gxg", "x"), ("y^gamma = y^-1", "Gyg", "Y"),
         ("(rho gamma)^2 = y", "rgrg", "y"))),
-    "p3m1": _Spec(3, "sigma", _R_P3, _S_SWAP, _ZERO, _ZERO, _ZERO, _rels(
+    "p3m1": _Spec(3, "sigma", _R_P3, _S_SWAP, _ZERO, _ZERO, _rels(
         ("rho^3", "rrr", ""), ("sigma^2", "ss", ""), ("(rho sigma)^2", "rsrs", ""),
         ("x^rho = x^-1 y", "Rxr", "Xy"), ("y^rho = x^-1", "Ryr", "X"),
         ("x^sigma = y", "Sxs", "y"), ("y^sigma = x", "Sys", "x"))),
-    "p31m": _Spec(3, "sigma", _R_P3, _S_HEX, _ZERO, _ZERO, _ZERO, _rels(
+    "p31m": _Spec(3, "sigma", _R_P3, _S_HEX, _ZERO, _ZERO, _rels(
         ("rho^3", "rrr", ""), ("sigma^2", "ss", ""), ("(rho sigma)^2", "rsrs", ""),
         ("x^rho = x^-1 y", "Rxr", "Xy"), ("y^rho = x^-1", "Ryr", "X"),
         ("x^sigma = x", "Sxs", "x"), ("y^sigma = x y^-1", "Sys", "xY")),
         notes=("source presentation lists the relation '(xy)'; read as the commutator (x,y)",)),
-    "p4mg": _Spec(4, "gamma", _R_P4, _S_MIRROR_X, _X, _ZERO, _Y, _rels(
+    "p4mg": _Spec(4, "gamma", _R_P4, _S_MIRROR_X, _X, _ZERO, _rels(
         ("rho^4", "rrrr", ""), ("gamma^2 = x", "gg", "x"),
         ("x^rho = y", "Rxr", "y"), ("y^rho = x^-1", "Ryr", "X"),
         ("x^gamma = x", "Gxg", "x"), ("y^gamma = y^-1", "Gyg", "Y"),
         ("(rho gamma)^2", "rgrg", ""))),
-    "p4mm": _Spec(4, "sigma", _R_P4, _S_MIRROR_X, _ZERO, _ZERO, _ZERO, _rels(
+    "p4mm": _Spec(4, "sigma", _R_P4, _S_MIRROR_X, _ZERO, _ZERO, _rels(
         ("rho^4", "rrrr", ""), ("sigma^2", "ss", ""),
         ("x^rho = y", "Rxr", "y"), ("y^rho = x^-1", "Ryr", "X"),
         ("x^sigma = x", "Sxs", "x"), ("y^sigma = y^-1", "Sys", "Y"),
         ("(rho sigma)^2", "rsrs", ""))),
-    "p6m": _Spec(6, "sigma", _R_P6, _S_HEX, _ZERO, _ZERO, _ZERO, _rels(
+    "p6m": _Spec(6, "sigma", _R_P6, _S_HEX, _ZERO, _ZERO, _rels(
         ("rho^6", "rrrrrr", ""), ("sigma^2", "ss", ""),
         ("x^rho = y", "Rxr", "y"), ("y^rho = x^-1 y", "Ryr", "Xy"),
         ("x^sigma = x", "Sxs", "x"), ("y^sigma = x y^-1", "Sys", "xY"),
@@ -172,10 +171,7 @@ class GroupTable:
             raise ValueError(f"unknown group {gid!r}; expected one of {', '.join(GROUP_IDS)}")
         spec = _SPECS[gid]
         self.gid = gid
-        self.d = spec.d
         self.refl = spec.refl
-        self.beta1 = spec.beta1
-        self.beta2 = spec.beta2
         self.relations = spec.relations
         self.notes = spec.notes
 
@@ -191,7 +187,6 @@ class GroupTable:
         parts: list[tuple[int, int]] = [(k, 0) for k in range(spec.d)]
         if spec.refl is not None:
             parts += [(k, 1) for k in range(spec.d)]
-        self._parts = parts
         self.F: tuple[str, ...] = tuple(_label(k, e, spec.refl) for k, e in parts)
         self._part_of = {lbl: ke for lbl, ke in zip(self.F, parts)}
 
@@ -252,6 +247,18 @@ class GroupTable:
         # + s + K_h in part h, where point_conj[(f, f')] = (s, h)
         self._slack = {f: Sublattice(2, [(m[0][0] - 1, m[1][0]), (m[0][1], m[1][1] - 1)])
                        for f, m in self.act.items()}
+        # slack_hnf[h] = (p, q, r): K_h's HNF rows (p, q) and (0, r), p = 0 or
+        # r = 0 for an absent row; the 2-D kernels of is_conjugate and
+        # maps._Block read it
+        self.slack_hnf = {}
+        for f, lat in self._slack.items():
+            p = q = r = 0
+            for row in lat.rows:
+                if row[0]:
+                    p, q = row
+                else:
+                    r = row[1]
+            self.slack_hnf[f] = (p, q, r)
         conjugators = {(f, h): [] for f in self.F for h in self.F}
         for (f, fp), (s, h) in self.point_conj.items():
             conjugators[f, h].append((fp, self.act[fp], s))

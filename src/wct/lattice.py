@@ -224,9 +224,6 @@ class Coset:
     def contains(self, v: Sequence[int]) -> bool:
         return self.lattice.contains(vsub(v, self.offset))
 
-    def shift(self, v: Sequence[int]) -> "Coset":
-        return Coset(vadd(self.offset, v), self.lattice)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Coset)

@@ -32,7 +32,7 @@ check for rules built by callers.
 
 is_wct_on_ball decides ball(radius) x ball(radius) one pair of source parts
 at a time.  There only the translation parts x1, x2 vary, and the residual
-of each conjugator candidate of is_conjugate's plan splits as
+of each conjugator entry that is_conjugate tests splits as
 P(x1) + Q(x2), so each distinct tuple of residues modulo K is decided once
 instead of each element pair (see _Block).  Its verdict, witness and
 pairs_checked are those of a pair-by-pair sweep, and a pass is still
@@ -48,7 +48,7 @@ from functools import lru_cache, reduce
 from itertools import count, product
 from operator import eq, mul
 
-from .conjugacy import _plan, conjugacy_class, is_conjugate
+from .conjugacy import conjugacy_class, is_conjugate
 from .groups import Element, GroupTable, cells, check_radius, load_group, parse_element
 from .lattice import Coset, Sublattice, Vec, mat_identity, matvec, solve_integer
 
@@ -304,9 +304,12 @@ def antihomomorphism_failure(G, m):
     return _law_failure(G, m, anti=True)
 
 
-def map_order(m: CosetwiseAffineMap, bound: int = 12):
+_MAP_ORDER_BOUND = 12  # map_order gives up above this order
+
+
+def map_order(m: CosetwiseAffineMap):
     acc = m
-    for k in range(1, bound + 1):
+    for k in range(1, _MAP_ORDER_BOUND + 1):
         if acc.is_identity():
             return k
         acc = acc.compose(m)
@@ -380,10 +383,11 @@ class _Block:
       lhs = m(g1 g2) = a0 + A1 x1 + A2 x2          in part lf,
       rhs = m(g1) m(g2) = b0 + B1 x1 + B2 x2       in part rf,
 
-    with A = [A1 | A2] and B = [B1 | B2].  is_conjugate's plan entry for
-    (lf, rf) gives the candidates (N, s) and the HNF rows (p, q), (0, r) of
-    K.  The pair holds exactly when rhs - N lhs - s lies in K for some
-    candidate, and that residual splits as P(x1) + Q(x2) with
+    with A = [A1 | A2] and B = [B1 | B2].  As in is_conjugate, the entries
+    (f', N, s) of G.conjugators(lf, rf) are the candidates and
+    G.slack_hnf[rf] gives the HNF rows (p, q), (0, r) of K.  The pair holds
+    exactly when rhs - N lhs - s lies in K for some candidate, and that
+    residual splits as P(x1) + Q(x2) with
 
       P = (B1 - N A1) x1 + b0 - N a0 - s,
       Q = (B2 - N A2) x2.
@@ -404,12 +408,11 @@ class _Block:
         lf, (c0, c1), A, rf, (d0, d1), B = G.pair_form(m, f1, f2)
         (x00, x10), (x01, x11), (y00, y10), (y01, y11) = A  # A1, A2
         (u00, u10), (u01, u11), (w00, w10), (w01, w11) = B  # B1, B2
-        cands, p, q, r = _plan(G.gid)[lf, rf]
         # -P and Q per candidate N = ((n00, n01), (n10, n11)).  The
         # candidates' N are distinct and A1 is invertible, so no two row
         # terms coincide.
         row_terms, cell_terms = [], []
-        for n00, n01, n10, n11, s0, s1 in cands:
+        for _, ((n00, n01), (n10, n11)), (s0, s1) in G.conjugators(lf, rf):
             row_terms.append((n00 * x00 + n01 * x10 - u00, n00 * x01 + n01 * x11 - u01,
                               n10 * x00 + n11 * x10 - u10, n10 * x01 + n11 * x11 - u11,
                               n00 * c0 + n01 * c1 + s0 - d0, n10 * c0 + n11 * c1 + s1 - d1))
@@ -417,7 +420,7 @@ class _Block:
                                w10 - n10 * y00 - n11 * y10, w11 - n10 * y01 - n11 * y11, 0, 0))
         self.row_terms = row_terms
         self.cell_terms = cell_terms
-        self.lattice = (p, q, r)
+        self.lattice = G.slack_hnf[rf]
         self.xs = xs
         self.done = 0          # cells whose signature has been computed
         self.signatures = {}   # distinct signature -> its first cell
@@ -995,7 +998,10 @@ W0_GENERATORS = {
 }
 
 
-def normality_check(G: GroupTable, word_length: int = 4) -> dict:
+_WORD_LENGTH = 4  # the longest word normality_check searches
+
+
+def normality_check(G: GroupTable) -> dict:
     """Conjugate each non-trivial generator by each W0 generator and find the
     result among short words in the non-trivial generators."""
     if G.gid not in W0_GENERATORS:
@@ -1007,7 +1013,7 @@ def normality_check(G: GroupTable, word_length: int = 4) -> dict:
 
     words = {identity_map(G): ("id", 0)}
     frontier = [identity_map(G)]
-    for length in range(1, word_length + 1):
+    for length in range(1, _WORD_LENGTH + 1):
         nxt = []
         for base in frontier:
             for sym_name, sym in symbols:
@@ -1032,13 +1038,16 @@ def normality_check(G: GroupTable, word_length: int = 4) -> dict:
             })
     return {
         "group": G.gid,
-        "word_length": word_length,
+        "word_length": _WORD_LENGTH,
         "pairs": pairs,
         "ok": all(p["found"] for p in pairs),
     }
 
 
 # -- randomized candidates for the triviality evidence ------------------------------
+
+
+_SHIFT_BOUND = 2  # random_map's shift coordinates, like its matrix entries, lie in [-2, 2]
 
 
 @lru_cache(maxsize=1)
@@ -1050,7 +1059,7 @@ def _unimodular_pool() -> tuple:
     return tuple(pool)
 
 
-def random_map(G: GroupTable, rnd: random.Random, shift_bound: int = 2) -> CosetwiseAffineMap:
+def random_map(G: GroupTable, rnd: random.Random) -> CosetwiseAffineMap:
     """A random coset permutation with random small affine rules per coset."""
     targets = list(G.F)
     rnd.shuffle(targets)
@@ -1058,7 +1067,7 @@ def random_map(G: GroupTable, rnd: random.Random, shift_bound: int = 2) -> Coset
     rule = {}
     for f, f2 in zip(G.F, targets):
         m = rnd.choice(pool)
-        t = (rnd.randint(-shift_bound, shift_bound),
-             rnd.randint(-shift_bound, shift_bound))
+        t = (rnd.randint(-_SHIFT_BOUND, _SHIFT_BOUND),
+             rnd.randint(-_SHIFT_BOUND, _SHIFT_BOUND))
         rule[f] = (f2, m, t)
     return CosetwiseAffineMap(G, rule)

@@ -101,10 +101,13 @@ class SdGroup:
             for j, m in enumerate(self.powers):
                 turns.setdefault(tuple(map(lat.reduce, zip(*m))), (j, m, self.identity.v))
             self._conjugators[k, k] = tuple(turns.values())
+        # the relations r^-1 e_j r = theta(e_j), by an explicit raise that
+        # python -O keeps: wct semidirect --check presentation relies on it
         for j in range(n):
             e_j = tuple(int(i == j) for i in range(n))
-            assert self.conj(self.element(e_j, 0), self.element(None, 1)) == \
-                self.element(matvec(th, e_j), 0)
+            if self.conj(self.element(e_j, 0), self.element(None, 1)) != \
+                    self.element(matvec(th, e_j), 0):
+                raise AssertionError(f"r^-1 e_{j} r != theta(e_{j}) for theta = {th}")
 
     def element(self, v: Sequence[int] | None, k: int = 0) -> SdElement:
         vec = (0,) * self.n if v is None else int_coords(v, "vector")

@@ -79,7 +79,7 @@ class AffineRep:
         shifts = _SHIFTS.get(table.gid, {})
         # generator maps: P = act(gen)^-1 over Q, t = glide shift
         rho = Affine(_frac_inv(table.act["rho"]), shifts.get("rho", (_F0, _F0))) \
-            if table.d > 1 else Affine(_FI, (_F0, _F0))
+            if "rho" in table.act else Affine(_FI, (_F0, _F0))
         refl = None
         if table.refl is not None:
             refl = Affine(_frac_inv(table.act[table.refl]), shifts.get("gamma", (_F0, _F0)))

@@ -471,7 +471,7 @@ def test_ball_rejects_negative_radius():
             G.ball(-1)
 
 
-_CLOSED_FORM_NAMES = {"point_conj", "conjugators", "slack", "kf", "_plan",
+_CLOSED_FORM_NAMES = {"point_conj", "conjugators", "slack", "slack_hnf", "kf", "_plan",
                       "conjugacy_class", "is_conjugate",
                       # the Z^n x C_p closed forms
                       "comm_lattice", "class_sd", "is_conjugate_sd", "_offsets",

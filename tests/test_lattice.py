@@ -120,7 +120,6 @@ def test_coset_identity():
     assert Coset((5, 7), lat) == Coset((1, 1), lat)
     assert Coset((5, 7), lat).contains((1, 1))
     assert Coset((1, 1), lat) != Coset((0, 1), lat)
-    assert Coset((1, 1), lat).shift((2, 3)) == Coset((3, 4), lat)
     assert Coset((1, 1), lat).to_json() == {"offset": [1, 1], "lattice": [[2, 0], [0, 3]]}
 
 

@@ -14,7 +14,7 @@ from law_reference import probe_failure
 import wct
 from wct.acceptance import P2_THETAS, SD_CASES, TRIVIAL_GROUPS
 from wct.conjugacy import conjugacy_class, is_conjugate
-from wct.groups import GROUP_IDS, Element, load_group, parse_element
+from wct.groups import GROUP_IDS, Element, GroupTable, load_group, parse_element
 from wct.maps import (
     CosetwiseAffineMap,
     NONTRIVIAL_CATALOG,
@@ -613,6 +613,27 @@ def test_witness_recheck_survives_python_O():
                           capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised: ball check in p4"), proc.stdout
+
+
+class _FirstConjugatorOnly(GroupTable):
+    """p4 whose conjugators(f, h) keeps only the first entry of each pair."""
+
+    def __init__(self):
+        super().__init__("p4")
+
+    def conjugators(self, f, h):
+        return super().conjugators(f, h)[:1]
+
+
+def test_kernels_read_the_group_they_are_given():
+    """is_conjugate and the ball check answer from the hooks of the group
+    passed to them, not from the stock group of the same name: with one
+    conjugator per part pair x and y are no longer conjugate, and iota no
+    longer passes."""
+    x, y = Element((1, 0), "1"), Element((0, 1), "1")
+    for G, expect in ((load_group("p4"), True), (_FirstConjugatorOnly(), False)):
+        assert is_conjugate(G, x, y) is expect
+        assert is_wct_on_ball(G, iota(G), 1)["ok"] is expect
 
 
 def test_ball_check_counts_pairs_up_to_the_witness():

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +77,32 @@ def test_build_rejections():
             build([[-1]], p)
     with pytest.raises(ValueError, match="square"):
         build([[1, 0]], 2)
+
+
+def test_defining_relation_check_survives_python_O():
+    """build's check of r^-1 e_j r = theta(e_j) is no assert statement, so
+    python -O keeps it: with mul twisting by theta^k instead of theta^-k the
+    relation fails and build raises."""
+    src = str(Path(semidirect.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "\n".join((
+        "assert False, 'assert statements run'",
+        "from wct import semidirect as sd",
+        "from wct.lattice import matvec, vadd",
+        "sd.SdGroup.mul = lambda self, g, h: sd.SdElement(",
+        "    vadd(g.v, matvec(self.powers[g.k % self.p], h.v)), (g.k + h.k) % self.p)",
+        "try:",
+        "    sd.build([[0, -1], [1, -1]], 3)",
+        "except AssertionError as exc:",
+        "    print('raised:', exc)",
+        "else:",
+        "    print('built')",
+    ))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: r^-1 e_0 r != theta(e_0)"), proc.stdout
 
 
 @pytest.mark.parametrize("theta,p", (
