@@ -7,11 +7,9 @@ brute-force oracle; the acceptance module wires both sides together.
 
 from .acceptance import run_criterion, run_suite
 from .conjugacy import (
-    antifixed_line,
     brute_is_conjugate,
     conjugacy_class,
     conjugates_within,
-    fixed_line,
     involution_loci,
     involution_locus,
     is_conjugate,

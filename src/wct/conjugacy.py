@@ -9,13 +9,14 @@ CosetUnionClass keeps as their offsets reduced modulo K_h, so membership of
 a * h is one G.check_element call, one reduction and one set lookup.  All
 of it is exact integer math.
 
-GroupTable states that closed form once, in two hooks built with its
-tables: G.conjugators(f, h) lists the (f', act(f'), s) that carry part f
-onto part h, and G.slack(h) is K_h, whose HNF rows G.slack_hnf[h] holds as
-three ints.  SdGroup has the same two hooks, with its k-slices as the parts
-G.F.  conjugacy_class reads them for both families (semidirect.class_sd is
-conjugacy_class itself); kf and is_conjugate read them for wallpaper groups
-only, from the group they are given.
+groups.conjugation_hooks states that closed form once for both families,
+as two hooks it builds from a group's product rule: G.conjugators(f, h)
+lists (f', act(f'), s) for the first f' of each distinct coset map that
+carries part f onto part h, and G.slack(h) is K_h.  A GroupTable also
+keeps K_h's HNF rows as three ints, G.slack_hnf[h]; an SdGroup's parts
+G.F are its k-slices.  conjugacy_class reads the hooks for both families
+(semidirect.class_sd is conjugacy_class itself); kf and is_conjugate read
+them for wallpaper groups only, from the group they are given.
 
 is_conjugate decides membership without building a class.  For the part
 pair (g.f, h.f) it unpacks each entry (f', act(f'), s) of
@@ -39,10 +40,10 @@ conjugator power j, and each c = (w, j) of the ball is multiplied out as
 SdGroup.inv and .mul would, c^-1 g first and then (c^-1 g) c, with flat
 dot products.  Both kernels read only the multiplication data (the tables
 that check_presentation validates, or G.p and G.powers); they must never
-read point_conj, conjugators, slack, slack_hnf, kf, a class descriptor or a
-closed-form test, nor use that g^c is affine in the conjugator's
-translation part, or they could share a bug with the closed forms they
-check.  A test parses both oracle bodies to hold them to that.
+read conjugation_hooks, conjugators, slack, slack_hnf, kf, a class
+descriptor or a closed-form test, nor use that g^c is affine in the
+conjugator's translation part, or they could share a bug with the closed
+forms they check.  A test parses both oracle bodies to hold them to that.
 """
 
 from __future__ import annotations
@@ -56,10 +57,6 @@ from .groups import Element, GroupTable, cells, check_radius
 from .lattice import Coset, Sublattice, solve_integer, vneg
 
 
-def _mat_minus_identity(m):
-    return ((m[0][0] - 1, m[0][1]), (m[1][0], m[1][1] - 1))
-
-
 def _mat_plus_identity(m):
     return ((m[0][0] + 1, m[0][1]), (m[1][0], m[1][1] + 1))
 
@@ -69,27 +66,6 @@ def kf(G: GroupTable, f: str) -> Sublattice:
     if f not in G.F:
         raise ValueError(f"unknown transversal label {f!r} for {G.gid}")
     return G.slack(f)
-
-
-def fixed_line(G: GroupTable, f: str) -> Sublattice:
-    """L(f) = ker(act(f) - I) for a reflection-type part (det act(f) = -1)."""
-    return _eigenline(G, f, +1)
-
-
-def antifixed_line(G: GroupTable, f: str) -> Sublattice:
-    """L_perp(f) = ker(act(f) + I) for a reflection-type part."""
-    return _eigenline(G, f, -1)
-
-
-def _eigenline(G: GroupTable, f: str, sign: int) -> Sublattice:
-    m = G.act[f]
-    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if det != -1:
-        raise ValueError(f"{f!r} in {G.gid} is not reflection-type (det act = {det})")
-    shifted = _mat_minus_identity(m) if sign > 0 else _mat_plus_identity(m)
-    sol = solve_integer(shifted, (0, 0))
-    assert sol is not None
-    return Sublattice(2, sol[1])
 
 
 # -- class descriptors --------------------------------------------------------
@@ -267,13 +243,6 @@ def square_affine(G: GroupTable, f: str):
     c, h = G.fprod[(f, f)]
     m = _mat_plus_identity(G.act_inv[f])
     return m, c, h
-
-
-def squares_image(G: GroupTable, f: str):
-    """The set {g^2 : g in A*f} as (h, Coset): affine image of the lattice."""
-    m, c, h = square_affine(G, f)
-    cols = Sublattice(2, [(m[0][0], m[1][0]), (m[0][1], m[1][1])])
-    return h, Coset(c, cols)
 
 
 def involution_locus(G: GroupTable, f: str):

@@ -163,6 +163,32 @@ def _label(k: int, e: int, refl: str | None) -> str:
     return (rot + tail) or "1"
 
 
+def conjugation_hooks(G, act) -> tuple[dict, dict]:
+    """The closed form of conjugacy, stated once for both families: the
+    hooks (slack, conjugators) of a group G whose product rule is built.
+
+    G.identity is (zero, one) and G.F the parts; act[f] is the matrix of
+    a |-> f^-1 a f.  Conjugating a*f by t*f' moves a within a + K_f, K_f =
+    im(act(f) - I), then onto act(f') a + s + K_h in part h, where
+    (s, h) = G.conj((zero, f), (zero, f')).  So slack[h] = K_h, and
+    conjugators[f, h] lists (f', act(f'), s) in G.F order, keeping only the
+    first f' of each key (the columns of act(f') and s, modulo K_h): f'
+    with one key send every a*f to the same coset of K_h.
+    """
+    zero, _ = G.identity
+    make, n = type(G.identity), len(zero)
+    slack = {h: Sublattice(n, [[act[h][i][j] - (i == j) for i in range(n)] for j in range(n)])
+             for h in G.F}
+    entries = {(f, h): {} for f in G.F for h in G.F}
+    for f in G.F:
+        for fp in G.F:
+            s, h = G.conj(make(zero, f), make(zero, fp))
+            reduce = slack[h].reduce
+            entries[f, h].setdefault((tuple(map(reduce, zip(*act[fp]))), reduce(s)),
+                                     (fp, act[fp], s))
+    return slack, {key: tuple(e.values()) for key, e in entries.items()}
+
+
 class GroupTable:
     """Immutable multiplication tables for one wallpaper group."""
 
@@ -235,18 +261,7 @@ class GroupTable:
             gens["g"] = Element(_ZERO, "gamma")
         self.generators = gens
 
-        # conjugation table for pure transversal parts: (0,f)^(0,fp) = s * h
-        self.point_conj: dict[tuple[str, str], tuple[Vec, str]] = {}
-        for f in self.F:
-            for fp in self.F:
-                c = self.conj(Element(_ZERO, f), Element(_ZERO, fp))
-                self.point_conj[(f, fp)] = (c.a, c.f)
-
-        # the closed form of conjugacy, stated once: conjugating a*f by t*f'
-        # moves a within a + K_f, then onto act(f')(a + K_f) + s = act(f') a
-        # + s + K_h in part h, where point_conj[(f, f')] = (s, h)
-        self._slack = {f: Sublattice(2, [(m[0][0] - 1, m[1][0]), (m[0][1], m[1][1] - 1)])
-                       for f, m in self.act.items()}
+        self._slack, self._conjugators = conjugation_hooks(self, self.act)
         # slack_hnf[h] = (p, q, r): K_h's HNF rows (p, q) and (0, r), p = 0 or
         # r = 0 for an absent row; the 2-D kernels of is_conjugate and
         # maps._Block read it
@@ -259,10 +274,6 @@ class GroupTable:
                 else:
                     r = row[1]
             self.slack_hnf[f] = (p, q, r)
-        conjugators = {(f, h): [] for f in self.F for h in self.F}
-        for (f, fp), (s, h) in self.point_conj.items():
-            conjugators[f, h].append((fp, self.act[fp], s))
-        self._conjugators = {key: tuple(c) for key, c in conjugators.items()}
 
     # -- group operations ----------------------------------------------------
 
@@ -286,10 +297,6 @@ class GroupTable:
         """g^h = h^-1 g h."""
         return self.mul(self.inv(h), self.mul(g, h))
 
-    def commutator(self, g: Element, h: Element) -> Element:
-        """(g, h) = g^-1 h^-1 g h."""
-        return self.mul(self.inv(g), self.mul(self.inv(h), self.mul(g, h)))
-
     def power(self, g: Element, n: int) -> Element:
         out = self.identity
         base = g if n >= 0 else self.inv(g)
@@ -305,8 +312,9 @@ class GroupTable:
         return Element(int_coords((i, j), "translation part"), f)
 
     def conjugators(self, f: str, h: str) -> tuple:
-        """(f', act(f'), s) per conjugating part f' that carries part f onto
-        part h: the conjugates of a*f in part h are the union of the cosets
+        """(f', act(f'), s) for the first conjugating part f' of each coset
+        map that carries part f onto part h (see conjugation_hooks): the
+        conjugates of a*f in part h are the union of the cosets
         act(f') a + s + slack(h), in G.F order of f'."""
         return self._conjugators[f, h]
 

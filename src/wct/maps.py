@@ -384,10 +384,10 @@ class _Block:
       rhs = m(g1) m(g2) = b0 + B1 x1 + B2 x2       in part rf,
 
     with A = [A1 | A2] and B = [B1 | B2].  As in is_conjugate, the entries
-    (f', N, s) of G.conjugators(lf, rf) are the candidates and
-    G.slack_hnf[rf] gives the HNF rows (p, q), (0, r) of K.  The pair holds
-    exactly when rhs - N lhs - s lies in K for some candidate, and that
-    residual splits as P(x1) + Q(x2) with
+    (f', N, s) of G.conjugators(lf, rf), one per distinct map on the cosets
+    of K, are the candidates and G.slack_hnf[rf] gives the HNF rows (p, q),
+    (0, r) of K.  The pair holds exactly when rhs - N lhs - s lies in K for
+    some candidate, and that residual splits as P(x1) + Q(x2) with
 
       P = (B1 - N A1) x1 + b0 - N a0 - s,
       Q = (B2 - N A2) x2.
@@ -408,9 +408,9 @@ class _Block:
         lf, (c0, c1), A, rf, (d0, d1), B = G.pair_form(m, f1, f2)
         (x00, x10), (x01, x11), (y00, y10), (y01, y11) = A  # A1, A2
         (u00, u10), (u01, u11), (w00, w10), (w01, w11) = B  # B1, B2
-        # -P and Q per candidate N = ((n00, n01), (n10, n11)).  The
-        # candidates' N are distinct and A1 is invertible, so no two row
-        # terms coincide.
+        # -P and Q per candidate N = ((n00, n01), (n10, n11)).  No two
+        # candidates share N and s modulo K, and A1 is unimodular, so no
+        # two row terms agree modulo K.
         row_terms, cell_terms = [], []
         for _, ((n00, n01), (n10, n11)), (s0, s1) in G.conjugators(lf, rf):
             row_terms.append((n00 * x00 + n01 * x10 - u00, n00 * x01 + n01 * x11 - u01,

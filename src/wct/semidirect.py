@@ -5,14 +5,15 @@ relation r^-1 v r = theta(v).  That pins the product to
 (v, k)(w, m) = (v + theta^-k w, k + m mod p).  Conjugating (v, k) by a
 translation moves v within v + im(theta^k - I), and conjugating by r^j
 applies theta^j, so the class of (v, k) is the union over j of the cosets
-(theta^j v + im(theta^k - I), k).  SdGroup states this once, in the two
-hooks GroupTable also has, conjugators(k, h) and slack(h), with its slices
-F = (0, ..., p - 1) as the parts; a third, pair_form(m, k1, k2), gives
-both sides of the WCT condition on a slice pair as linear functions of
-the translation parts.  Everything else is shared with the wallpaper
-groups, and the sd_ names bind to it: class_sd is conjugacy_class,
-sd_invariants is maps.forced_consequences, brute_is_conjugate_sd is
-conjugacy.brute_is_conjugate, and verify_sd reports maps.decide.
+(theta^j v + im(theta^k - I), k).  groups.conjugation_hooks builds the two
+hooks GroupTable also has, conjugators(k, h) and slack(h), from that rule,
+with the slices F = (0, ..., p - 1) as the parts and act(j) = theta^j; a
+third, pair_form(m, k1, k2), gives both sides of the WCT condition on a
+slice pair as linear functions of the translation parts.  Everything else
+is shared with the wallpaper groups, and the sd_ names bind to it:
+class_sd is conjugacy_class, sd_invariants is maps.forced_consequences,
+brute_is_conjugate_sd is conjugacy.brute_is_conjugate, and verify_sd
+reports maps.decide.
 
 The two maps of interest twist one part by theta and fix the rest.
 phi_for_odd_p twists A, for any order p: for an odd prime p it is a
@@ -31,7 +32,7 @@ from typing import NamedTuple, Sequence
 
 from .conjugacy import brute_is_conjugate as brute_is_conjugate_sd
 from .conjugacy import conjugacy_class as class_sd
-from .groups import check_radius, int_coords
+from .groups import check_radius, conjugation_hooks, int_coords
 from .lattice import (
     Mat,
     Sublattice,
@@ -90,17 +91,7 @@ class SdGroup:
         self.identity = SdElement((0,) * n, 0)
         self.theta = th
         self.powers = tuple(powers)
-        # slice k holds the cosets theta^j v + slack(k) (module docstring);
-        # one j per distinct map on the cosets of slack(k) lists them all
-        self._slack = tuple(
-            Sublattice(n, [[m[i][j] - (i == j) for i in range(n)] for j in range(n)])
-            for m in self.powers)
-        self._conjugators = {(k, h): () for k in range(p) for h in range(p)}
-        for k, lat in enumerate(self._slack):
-            turns = {}
-            for j, m in enumerate(self.powers):
-                turns.setdefault(tuple(map(lat.reduce, zip(*m))), (j, m, self.identity.v))
-            self._conjugators[k, k] = tuple(turns.values())
+        self._slack, self._conjugators = conjugation_hooks(self, self.powers)
         # the relations r^-1 e_j r = theta(e_j), by an explicit raise that
         # python -O keeps: wct semidirect --check presentation relies on it
         for j in range(n):
@@ -127,9 +118,6 @@ class SdGroup:
     def conj(self, g: SdElement, h: SdElement) -> SdElement:
         return self.mul(self.mul(self.inv(h), g), h)
 
-    def comm(self, g: SdElement, h: SdElement) -> SdElement:
-        return self.mul(self.inv(self.mul(h, g)), self.mul(g, h))
-
     def check_element(self, g: SdElement) -> SdElement:
         v, k = g
         if (len(v) != self.n or not all(type(x) is int for x in v)
@@ -139,8 +127,9 @@ class SdGroup:
 
     def conjugators(self, f: int, h: int) -> tuple:
         """(j, theta^j, 0) for the first j of each map on the cosets of
-        slack(f), on slice f alone: the conjugates of (v, f) in slice h are
-        the union of the cosets M v + s + slack(h)."""
+        slack(f), on slice f alone (see groups.conjugation_hooks): the
+        conjugates of (v, f) in slice h are the union of the cosets
+        M v + s + slack(h)."""
         return self._conjugators[f, h]
 
     def slack(self, h: int) -> Sublattice:

@@ -13,16 +13,13 @@ from wct.acceptance import P2_THETAS, SD_CASES
 from wct.conjugacy import (
     CosetUnionClass,
     TranslationClass,
-    antifixed_line,
     brute_is_conjugate,
     conjugacy_class,
     conjugates_within,
-    fixed_line,
     involution_loci,
     is_conjugate,
     kf,
     square_affine,
-    squares_image,
 )
 from wct.groups import GROUP_IDS, Element, all_groups, load_group
 from wct.lattice import Coset, Sublattice, matvec, vadd
@@ -43,6 +40,8 @@ def test_kf_frozen_values():
     assert kf(load_group("p2"), "rho").index() == 4
     assert kf(load_group("pm"), "sigma").rows == ((0, 2),)
     assert kf(load_group("cm"), "sigma").rows == ((1, -1),)
+    # K of a reflection part need not be primitive: p2mg's K_{rho sigma} is <x^2>
+    assert kf(load_group("p2mg"), "rhosigma") == Sublattice(2, [(2, 0)])
 
 
 @pytest.mark.parametrize("gid", GROUP_IDS)
@@ -132,29 +131,6 @@ def test_class_json_shape():
     assert len(tdata["elements"]) == 4
 
 
-def test_mirror_lines():
-    p4mm = load_group("p4mm")
-    assert fixed_line(p4mm, "sigma") == Sublattice(2, [(1, 0)])
-    assert antifixed_line(p4mm, "sigma") == Sublattice(2, [(0, 1)])
-    assert fixed_line(p4mm, "rhosigma") == Sublattice(2, [(1, -1)])
-    assert antifixed_line(p4mm, "rhosigma") == Sublattice(2, [(1, 1)])
-
-    cm = load_group("cm")
-    assert fixed_line(cm, "sigma") == Sublattice(2, [(1, 1)])
-    assert antifixed_line(cm, "sigma") == Sublattice(2, [(1, -1)])
-
-    # the axis kernel is primitive even when the slack lattice K is not:
-    # p2mg has L_perp(rho sigma) = <x> while K_{rho sigma} contains only x^2
-    p2mg = load_group("p2mg")
-    assert antifixed_line(p2mg, "rhosigma") == Sublattice(2, [(1, 0)])
-    assert kf(p2mg, "rhosigma") == Sublattice(2, [(2, 0)])
-
-    with pytest.raises(ValueError):
-        fixed_line(p4mm, "rho")
-    with pytest.raises(ValueError):
-        antifixed_line(load_group("p2"), "rho")
-
-
 @pytest.mark.parametrize("gid", GROUP_IDS)
 def test_square_affine_matches_mul(gid):
     G = load_group(gid)
@@ -163,22 +139,6 @@ def test_square_affine_matches_mul(gid):
         for a in ((0, 0), (1, 0), (0, 1), (3, -2), (-4, 7)):
             g = G.element(*a, f)
             assert G.mul(g, g) == G.element(*[x + y for x, y in zip(matvec(m, a), c)], h)
-
-
-def test_squares_image_frozen():
-    pg = load_group("pg")
-    h, img = squares_image(pg, "gamma")
-    assert h == "1" and img == Coset((1, 0), Sublattice(2, [(2, 0)]))
-
-    p2gg = load_group("p2gg")
-    h2, img2 = squares_image(p2gg, "gamma")
-    assert h2 == "1" and img2 == Coset((1, 0), Sublattice(2, [(2, 0)]))
-
-    p4mg = load_group("p4mg")
-    h3, img3 = squares_image(p4mg, "gamma")
-    assert h3 == "1" and img3 == Coset((1, 0), Sublattice(2, [(2, 0)]))
-    h4, img4 = squares_image(p4mg, "rhogamma")
-    assert h4 == "1" and img4 == Coset((0, 0), Sublattice(2, [(1, -1)]))
 
 
 @pytest.mark.parametrize("gid", GROUP_IDS)
@@ -471,7 +431,8 @@ def test_ball_rejects_negative_radius():
             G.ball(-1)
 
 
-_CLOSED_FORM_NAMES = {"point_conj", "conjugators", "slack", "slack_hnf", "kf", "_plan",
+_CLOSED_FORM_NAMES = {"conjugation_hooks", "point_conj", "conjugators", "slack", "slack_hnf",
+                      "kf", "_plan",
                       "conjugacy_class", "is_conjugate",
                       # the Z^n x C_p closed forms
                       "comm_lattice", "class_sd", "is_conjugate_sd", "_offsets",

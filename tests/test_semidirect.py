@@ -213,7 +213,7 @@ def test_derived_lattice_matches_commutators(theta):
     gens = []
     for g in G.ball(2):
         for h in G.ball(2):
-            c = G.comm(g, h)
+            c = G.mul(G.inv(G.mul(h, g)), G.mul(g, h))  # (g, h) = g^-1 h^-1 g h
             assert c.k == 0  # C_p is abelian, so commutators are translations
             gens.append(c.v)
     assert Sublattice(G.n, gens) == G.slack(1)
