@@ -5,10 +5,21 @@ basis with positive pivots and off-pivot entries reduced into [0, pivot).
 That form is unique per lattice, so equality, hashing and canonical coset
 representatives all come for free.  Everything here is plain Python int
 arithmetic; no floating point anywhere.
+
+Each HNF row is kept as one reduction step (pivot column c, pivot p, row).
+`reduce` walks the steps in row order and subtracts floor(v[c] / p) times the
+row, so every pivot coordinate of the result lies in [0, p); later rows vanish
+at earlier pivot columns, so no step undoes an earlier one and the result is
+the one canonical representative of v + L.  `contains` walks the same steps
+with one divmod per pivot, stopping at the first nonzero remainder, and
+accepts when nothing is left.  Neither copies the caller's vector into a
+work list nor writes to it.  A coset offset + L stores the reduced offset, so v lies in it
+exactly when v reduces to that offset.
 """
 
 from __future__ import annotations
 
+from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
 
 Vec = tuple[int, ...]
@@ -19,27 +30,24 @@ Mat = tuple[Vec, ...]  # tuple of rows
 # small dense helpers (column-vector convention: matvec(M, v)[i] = sum M[i][j] v[j])
 
 def vadd(u: Sequence[int], v: Sequence[int]) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vsub(u: Sequence[int], v: Sequence[int]) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def vneg(u: Sequence[int]) -> Vec:
-    return tuple(-a for a in u)
+    return tuple(map(neg, u))
 
 
 def matvec(m: Mat, v: Sequence[int]) -> Vec:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def matmul(a: Mat, b: Mat) -> Mat:
-    n = len(b[0])
-    return tuple(
-        tuple(sum(arow[k] * b[k][j] for k in range(len(b))) for j in range(n))
-        for arow in a
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, arow, col)) for col in cols) for arow in a)
 
 
 def mat_identity(n: int) -> Mat:
@@ -53,26 +61,21 @@ def mat_pow(m: Mat, k: int) -> Mat:
     return out
 
 
-def mat_det2(m: Mat) -> int:
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
-
 def mat_inv_unimodular(m: Mat) -> Mat:
     """Inverse of an integer matrix with det +-1 (2x2 closed form, general n by solving)."""
     n = len(m)
     if n == 2:
-        d = mat_det2(m)
+        d = m[0][0] * m[1][1] - m[0][1] * m[1][0]
         if d not in (1, -1):
             raise ValueError(f"matrix determinant {d} is not a unit")
         return ((d * m[1][1], -d * m[0][1]), (-d * m[1][0], d * m[0][0]))
     cols = []
-    for j in range(n):
-        e = tuple(1 if i == j else 0 for i in range(n))
+    for e in mat_identity(n):
         sol = solve_integer(m, e)
         if sol is None:
             raise ValueError("matrix is not unimodular")
         cols.append(sol[0])
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    return tuple(zip(*cols))
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +125,7 @@ def _hnf(vectors: Iterable[Sequence[int]], n: int) -> tuple[list[list[int]], lis
 class Sublattice:
     """A sublattice of Z^dim held as a canonical HNF row basis (possibly rank-deficient)."""
 
-    __slots__ = ("dim", "rows", "_pivots")
+    __slots__ = ("dim", "rows", "_steps")
 
     def __init__(self, dim: int, vectors: Iterable[Sequence[int]] = ()):
         vecs = [tuple(v) for v in vectors]
@@ -132,8 +135,9 @@ class Sublattice:
         rows, _ = _hnf(vecs, dim)
         self.dim = dim
         self.rows: Mat = tuple(tuple(r) for r in rows)
-        self._pivots: tuple[int, ...] = tuple(
-            next(j for j in range(dim) if r[j] != 0) for r in self.rows
+        # one (pivot column, pivot, row) step per HNF row, in row order
+        self._steps: tuple[tuple[int, int, Vec], ...] = tuple(
+            (c, r[c], r) for r in self.rows for c in [next(j for j in range(dim) if r[j])]
         )
 
     # -- constructors -------------------------------------------------------
@@ -157,28 +161,26 @@ class Sublattice:
         if self.rank != self.dim:
             return None
         out = 1
-        for r, c in zip(self.rows, self._pivots):
-            out *= r[c]
+        for _, p, _ in self._steps:
+            out *= p
         return out
 
     def contains(self, v: Sequence[int]) -> bool:
-        w = list(v)
-        for r, c in zip(self.rows, self._pivots):
-            if w[c] % r[c] != 0:
+        for c, p, r in self._steps:
+            q, rest = divmod(v[c], p)
+            if rest:
                 return False
-            q = w[c] // r[c]
             if q:
-                w = [a - q * b for a, b in zip(w, r)]
-        return not any(w)
+                v = [a - q * b for a, b in zip(v, r)]
+        return not any(v)
 
     def reduce(self, v: Sequence[int]) -> Vec:
         """Canonical representative of v modulo the lattice (floor reduction at each pivot)."""
-        w = list(v)
-        for r, c in zip(self.rows, self._pivots):
-            q = w[c] // r[c]
+        for c, p, r in self._steps:
+            q = v[c] // p
             if q:
-                w = [a - q * b for a, b in zip(w, r)]
-        return tuple(w)
+                v = [a - q * b for a, b in zip(v, r)]
+        return tuple(v)
 
     # -- algebra ------------------------------------------------------------
 
@@ -192,12 +194,8 @@ class Sublattice:
         k = len(stacked)
         aug = [row + [1 if i == j else 0 for j in range(k)] for i, row in enumerate(stacked)]
         _, kernel = _hnf(aug, self.dim)
-        gens = []
-        r1 = len(self.rows)
-        for row in kernel:
-            u = row[self.dim : self.dim + r1]
-            gens.append(tuple(sum(u[i] * self.rows[i][j] for i in range(r1)) for j in range(self.dim)))
-        return Sublattice(self.dim, gens)
+        r1, cols = len(self.rows), tuple(zip(*self.rows))  # u*B1 is matvec(B1^T, u)
+        return Sublattice(self.dim, [matvec(cols, row[self.dim : self.dim + r1]) for row in kernel])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Sublattice) and self.dim == other.dim and self.rows == other.rows
@@ -222,7 +220,7 @@ class Coset:
         self.offset: Vec = lattice.reduce(offset)
 
     def contains(self, v: Sequence[int]) -> bool:
-        return self.lattice.contains(vsub(v, self.offset))
+        return self.lattice.reduce(v) == self.offset
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -259,9 +257,9 @@ def solve_integer(m: Mat, b: Sequence[int]) -> tuple[Vec, list[Vec]] | None:
     coeff = [0] * n
     for row in echelon:
         c = next(j for j in range(rows) if row[j] != 0)
-        if w[c] % row[c] != 0:
+        q, rest = divmod(w[c], row[c])
+        if rest:
             return None
-        q = w[c] // row[c]
         if q:
             w = [a - q * rb for a, rb in zip(w, row[:rows])]
             coeff = [a + q * rb for a, rb in zip(coeff, row[rows:])]

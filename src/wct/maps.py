@@ -518,7 +518,8 @@ def forced_consequences(G, m, radius: int = 2) -> dict:
     preserved = True
     for g in ball:
         s = conjugacy_class(G, g)
-        si = conjugacy_class(G, m.apply(g))
+        mg = m.apply(g)
+        si = s if mg == g else conjugacy_class(G, mg)
         if forward.setdefault(s, si) != si or backward.setdefault(si, s) != s:
             preserved = False
             break
