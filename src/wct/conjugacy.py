@@ -13,8 +13,9 @@ groups.conjugation_hooks states that closed form once for both families,
 as two hooks it builds from a group's product rule: G.conjugators(f, h)
 lists (f', act(f'), s) for the first f' of each distinct coset map that
 carries part f onto part h, and G.slack(h) is K_h.  A GroupTable also
-keeps K_h's HNF rows as three ints, G.slack_hnf[h]; an SdGroup's parts
-G.F are its k-slices.  conjugacy_class reads the hooks for both families
+keeps K_h's HNF rows as three ints, G.slack_hnf[h], which is_conjugate,
+maps._Block and maps.decide read; an SdGroup's parts G.F are its
+k-slices.  conjugacy_class reads the hooks for both families
 (semidirect.class_sd is conjugacy_class itself); kf and is_conjugate read
 them for wallpaper groups only, from the group they are given.
 

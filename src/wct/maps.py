@@ -538,52 +538,86 @@ def decide(G, m) -> dict:
     sides as (a0 + A v)*lf and (b0 + B v)*rf, for v = (x1, x2) in Z^d.  A
     conjugator (label, N, s) of G.conjugators(lf, rf) serves v when r + R v
     lies in K = G.slack(rf), for r = b0 - N a0 - s and R = B - N A.  The
-    pair is "uniform" when one serves every v: r and R's columns lie in K.
-    Else one solve_integer call on [R | -K rows] per conjugator gives the v
-    it serves as a coset c + S of Z^d, or none; the pair is "covered" when
-    they cover Z^d (see _uncovered), and else a point they miss is the
-    witness, re-checked against conjugacy_class by an explicit raise that
-    python -O keeps, and the scan stops ("witness").  Keys are "f1,f2".
+    pair is "uniform" when one serves every v: r and R's columns lie in K,
+    read from the ints G.slack_hnf[rf] for a wallpaper group (_uniform_2d)
+    and from G.slack(rf) for Z^n x C_m.  Else one solve_integer call on
+    [R | -K rows] per conjugator gives the v it serves as a coset c + S of
+    Z^d, or none; the pair is "covered" when they cover Z^d (see
+    _uncovered), and else a point they miss is the witness, re-checked
+    against conjugacy_class by an explicit raise that python -O keeps, and
+    the scan stops ("witness").  Keys are "f1,f2".
     """
     _check_map(G, m)
+    flat = isinstance(G, GroupTable)
     methods = {}
     for f1 in G.F:
         for f2 in G.F:
-            lf, a0, A, rf, b0, B = G.pair_form(m, f1, f2)
+            lf, a0, A, rf, b0, B = form = G.pair_form(m, f1, f2)
             lat, conjugators = G.slack(rf), G.conjugators(lf, rf)
             key = f"{f1},{f2}"
+            if flat:
+                uniform = _uniform_2d(G, *form)
+            else:  # SdGroup: n-dimensional, with no slack_hnf
+                uniform = any(
+                    lat.contains(_residual(mat, a0, [y - t for y, t in zip(b0, s)])) and all(
+                        lat.contains(_residual(mat, a, b)) for a, b in zip(A, B))
+                    for _, mat, s in conjugators)
+            if uniform:
+                methods[key] = "uniform"
+                continue
+            d = len(A)
+            cosets = []
             for _, mat, s in conjugators:
-                if lat.contains(_residual(mat, a0, [y - t for y, t in zip(b0, s)])) and all(
-                        lat.contains(_residual(mat, a, b)) for a, b in zip(A, B)):
-                    methods[key] = "uniform"
-                    break
-            else:
-                d = len(A)
-                cosets = []
-                for _, mat, s in conjugators:
-                    r = _residual(mat, a0, [y - t for y, t in zip(b0, s)])
-                    cols = [_residual(mat, a, b) for a, b in zip(A, B)]
-                    cols += [[-x for x in row] for row in lat.rows]
-                    sol = solve_integer(tuple(zip(*cols)), [-x for x in r])
-                    if sol is not None:
-                        c, kernel = sol
-                        cosets.append(Coset(c[:d], Sublattice(d, [k[:d] for k in kernel])))
-                v = _uncovered(d, cosets)
-                if v is None:
-                    methods[key] = "covered"
-                    continue
-                methods[key] = "witness"
-                n, make = len(a0), type(G.identity)
-                g1, g2 = make(v[:n], f1), make(v[n:], f2)
-                lhs = m.apply(G.mul(g1, g2))
-                rhs = G.mul(m.apply(g1), m.apply(g2))
-                if conjugacy_class(G, lhs).contains(rhs):
-                    raise AssertionError(
-                        f"decide in {getattr(G, 'gid', G)}: the cosets miss ({g1}, {g2}), "
-                        f"but {lhs} and {rhs} are conjugate")
-                witness = [g1.to_json(), g2.to_json()]
-                return {"ok": False, "witness": witness, "methods": methods}
+                r = _residual(mat, a0, [y - t for y, t in zip(b0, s)])
+                cols = [_residual(mat, a, b) for a, b in zip(A, B)]
+                cols += [[-x for x in row] for row in lat.rows]
+                sol = solve_integer(tuple(zip(*cols)), [-x for x in r])
+                if sol is not None:
+                    c, kernel = sol
+                    cosets.append(Coset(c[:d], Sublattice(d, [k[:d] for k in kernel])))
+            v = _uncovered(d, cosets)
+            if v is None:
+                methods[key] = "covered"
+                continue
+            methods[key] = "witness"
+            n, make = len(a0), type(G.identity)
+            g1, g2 = make(v[:n], f1), make(v[n:], f2)
+            lhs = m.apply(G.mul(g1, g2))
+            rhs = G.mul(m.apply(g1), m.apply(g2))
+            if conjugacy_class(G, lhs).contains(rhs):
+                raise AssertionError(
+                    f"decide in {getattr(G, 'gid', G)}: the cosets miss ({g1}, {g2}), "
+                    f"but {lhs} and {rhs} are conjugate")
+            witness = [g1.to_json(), g2.to_json()]
+            return {"ok": False, "witness": witness, "methods": methods}
     return {"ok": True, "witness": None, "methods": methods}
+
+
+def _uniform_2d(G: GroupTable, lf: str, a0, A, rf: str, b0, B) -> bool:
+    """decide's uniform test on a wallpaper group's pair_form, in flat ints.
+
+    True when some (f', N, s) of G.conjugators(lf, rf) has b0 - N a0 - s and
+    every column B_j - N A_j in K = G.slack(rf), tested as is_conjugate does
+    on K's HNF rows (p, q) and (0, r) from G.slack_hnf[rf]; each candidate
+    stops at its first vector outside K.
+    """
+    p, q, r = G.slack_hnf[rf]
+    (b0x, b0y), cols = b0, tuple(zip(A, B))
+    for _, ((n00, n01), (n10, n11)), (s0, s1) in G.conjugators(lf, rf):
+        for (ax, ay), (bx, by) in ((a0, (b0x - s0, b0y - s1)), *cols):
+            x = bx - n00 * ax - n01 * ay
+            y = by - n10 * ax - n11 * ay
+            if p:
+                if x % p:
+                    break
+                y -= x // p * q
+            elif x:
+                break
+            if y % r if r else y:
+                break
+        else:
+            return True
+    return False
 
 
 def _residual(mat, a, b) -> list:

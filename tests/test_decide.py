@@ -7,7 +7,8 @@ _uncovered is held to constructed cosets.  Z^2 x C_m built from the
 rotation of p2, p3, p4 and p6 runs the same engine as the wallpaper group
 it relabels (a * rho^k <-> (a, k)); both are held to each other.  An ast
 guard keeps decide and the ball check from sharing more than pair_form and
-the hooks.
+the hooks.  decide's flat uniform test for the wallpaper groups is held to
+a Sublattice.contains scan of the same vectors.
 """
 
 from __future__ import annotations
@@ -165,20 +166,69 @@ def _names_in(fn: ast.FunctionDef) -> set:
     return names
 
 
-def _function(name: str) -> ast.FunctionDef:
+def _function(name: str) -> ast.FunctionDef | ast.ClassDef:
     tree = ast.parse(Path(maps.__file__).read_text())
     (fn,) = [node for node in tree.body
-             if isinstance(node, ast.FunctionDef) and node.name == name]
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name]
     return fn
 
 
-@pytest.mark.parametrize("name", ("decide", "_uncovered"))
+@pytest.mark.parametrize("name", ("decide", "_uncovered", "_uniform_2d"))
 def test_decide_reads_no_ball_check(name):
     assert not _names_in(_function(name)) & {"is_wct_on_ball", "_Block", "_plan"}
 
 
 def test_ball_check_reads_no_decide():
-    assert "decide" not in _names_in(_function("is_wct_on_ball"))
+    for name in ("is_wct_on_ball", "_Block"):
+        assert not _names_in(_function(name)) & {"decide", "_uniform_2d"}, name
+
+
+# -- decide's flat uniform test against a Sublattice.contains scan -------------------
+
+
+def _contains_scan(G, lf, a0, A, rf, b0, B):
+    """The index of the first conjugator (f', N, s) of G.conjugators(lf, rf)
+    that puts b0 - N a0 - s and every B_j - N A_j in G.slack(rf), or None."""
+    lat = G.slack(rf)
+
+    def residual(N, a, b):
+        return [y - sum(n * x for n, x in zip(row, a)) for row, y in zip(N, b)]
+
+    for i, (_, N, s) in enumerate(G.conjugators(lf, rf)):
+        terms = [(a0, [y - t for y, t in zip(b0, s)]), *zip(A, B)]
+        if all(lat.contains(residual(N, a, b)) for a, b in terms):
+            return i
+    return None
+
+
+def test_flat_uniform_test_matches_contains_scan(monkeypatch):
+    """decide's labels, verdicts and witnesses are unchanged when its flat
+    uniform test is replaced by the contains scan, on every group's catalog
+    and seeded random maps.  The inputs meet K_h of every HNF shape (p, q, r
+    each zero or not; q != 0 needs p != 0) and pairs that only a later
+    conjugator serves."""
+    shapes, later = set(), 0
+
+    def reference(G, *form):
+        nonlocal later
+        i = _contains_scan(G, *form)
+        shapes.add(tuple(map(bool, G.slack_hnf[form[3]])))
+        later += bool(i)
+        return i is not None
+
+    for gid in GROUP_IDS:
+        G = load_group(gid)
+        rnd = random.Random(f"flat-uniform:{gid}")
+        test_maps = list(catalog(G).values()) + [random_map(G, rnd) for _ in range(20)]
+        flat = [decide(G, m) for m in test_maps]
+        with monkeypatch.context() as patch:
+            patch.setattr(maps, "_uniform_2d", reference)
+            scanned = [decide(G, m) for m in test_maps]
+        for m, got, want in zip(test_maps, flat, scanned):
+            assert list(got["methods"].items()) == list(want["methods"].items()), m
+            assert got == want, m
+    assert len(shapes) == 6, shapes
+    assert later
 
 
 # -- Z^2 x C_m against the rotation groups it relabels -------------------------------
