@@ -494,36 +494,53 @@ def forced_consequences(G, m, radius: int = 2) -> dict:
     Taking g2 = e, g2 = g1^-1 or g2 = g1 in the defining condition pins down:
     the identity is fixed, inverses are respected, involutions go to
     involutions, conjugacy is preserved in both directions, and the
-    translation subgroup maps onto itself.  Class preservation is checked by
-    requiring the induced map on the exact class descriptors
-    conjugacy_class(G, g) over ball(radius) to be well defined and
-    injective; the rest is element-wise over the ball.  Both map types send
-    each part onto one part by a unimodular rule, so m carries A onto A
-    exactly when it keeps the identity's part.
+    translation subgroup maps onto itself.  Both map types send each part
+    onto one part by a unimodular rule, so m carries A onto A exactly when
+    it keeps the identity's part.  Inverses, involutions and classes are
+    checked over ball(radius), each with only the work its verdict depends
+    on, and give the verdict of the element-by-element sweep at every radius:
+    - inverses: on a part, m(g^-1) and m(g)^-1 are affine in g's translation
+      part, and two affine maps that agree at the origin and the unit steps
+      agree on the whole part, so ball(min(radius, 1)) decides.
+    - involutions: the part of g^2 depends only on the part of g, so only
+      parts whose square, read off ball(0), lies in A are multiplied out.
+    - classes: the induced map on the exact descriptors conjugacy_class(G, g)
+      must be well defined and injective.  a*f off A has the class of each
+      point of a + K_f, K_f = G.slack(f), which translations sweep (see
+      wct.conjugacy), and a translation the class of each point of its
+      orbit, so a dict local to the call, keyed by (f, a mod K_f), builds
+      each descriptor once (K is 0 on A).
     """
     _check_map(G, m)
     ball = G.ball(radius)
     e = G.identity
+    one, apply, mul, inv = e[1], m.apply, G.mul, G.inv
+    squares_in_a = {g[1] for g in G.ball(0) if mul(g, g)[1] == one}
     checks = {
-        "fixes_identity": m.apply(e) == e,
+        "fixes_identity": apply(e) == e,
         "respects_inverse": all(
-            m.apply(G.inv(g)) == G.inv(m.apply(g)) for g in ball),
+            apply(inv(g)) == inv(apply(g)) for g in G.ball(min(radius, 1))),
         "involutions_to_involutions": all(
-            G.mul(m.apply(g), m.apply(g)) == e
-            for g in ball if G.mul(g, g) == e),
-        "preserves_translations": m.apply(e)[1] == e[1],
+            mul(mg := apply(g), mg) == e
+            for g in ball if g[1] in squares_in_a and mul(g, g) == e),
+        "preserves_translations": apply(e)[1] == one,
     }
+    residue = {f: G.slack(f).reduce for f in G.F}
+    classes: dict = {}
+
+    def class_of(g):
+        a, f = g
+        if (c := classes.get(key := (f, residue[f](a)))) is None:
+            c = classes[key] = conjugacy_class(G, g)
+            if f == one:
+                classes.update(((one, x[0]), c) for x in c.elements)
+        return c
+
     forward: dict = {}
     backward: dict = {}
-    preserved = True
-    for g in ball:
-        s = conjugacy_class(G, g)
-        mg = m.apply(g)
-        si = s if mg == g else conjugacy_class(G, mg)
-        if forward.setdefault(s, si) != si or backward.setdefault(si, s) != s:
-            preserved = False
-            break
-    checks["preserves_classes"] = preserved
+    checks["preserves_classes"] = all(
+        forward.setdefault(s, si) == si and backward.setdefault(si, s) == s
+        for s, si in ((class_of(g), class_of(apply(g))) for g in ball))
     checks["ok"] = all(checks.values())
     return checks
 

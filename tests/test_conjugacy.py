@@ -22,7 +22,7 @@ from wct.conjugacy import (
     square_affine,
 )
 from wct.groups import GROUP_IDS, Element, all_groups, load_group
-from wct.lattice import Coset, Sublattice, matvec, vadd
+from wct.lattice import Coset, Sublattice, matvec, vadd, vsub
 from wct.semidirect import SdElement, build
 
 
@@ -103,6 +103,26 @@ def test_translation_classes_are_orbits():
             G.element(*matvec(G.act[f], a)) for f in G.F
         )
         assert len(G.F) % cls.size() == 0
+
+
+@pytest.mark.parametrize("group", GROUP_IDS + tuple(c[0] for c in SD_CASES))
+def test_class_depends_on_part_and_residue(group):
+    """What maps.forced_consequences keys its class lookups by: a*f off A
+    has the class of (a +- k)*f for each HNF row k of G.slack(f), and each
+    element of a translation class has that class."""
+    cases = {label: (p, theta) for label, p, theta in SD_CASES}
+    G = build(cases[group][1], cases[group][0]) if group in cases else load_group(group)
+    make, one = type(G.identity), G.identity[1]
+    for g in G.ball(1):
+        a, f = g
+        cls = conjugacy_class(G, g)
+        if f == one:
+            assert isinstance(cls, TranslationClass)
+            assert all(conjugacy_class(G, x) == cls for x in cls.elements), g
+            continue
+        for k in G.slack(f).rows:
+            for moved in (vadd(a, k), vsub(a, k)):
+                assert conjugacy_class(G, make(moved, f)) == cls, (g, k)
 
 
 def test_known_conjugacy_decisions():

@@ -392,6 +392,81 @@ def test_preserves_translations_reads_the_identity_part(gid):
     assert seen == ({True} if len(G.F) == 1 else {True, False})  # p1 has one coset
 
 
+def _literal_forced_consequences(G, m, radius):
+    """forced_consequences as an element-by-element sweep of ball(radius),
+    one class descriptor per element and per image."""
+    ball = G.ball(radius)
+    e = G.identity
+    checks = {
+        "fixes_identity": m.apply(e) == e,
+        "respects_inverse": all(m.apply(G.inv(g)) == G.inv(m.apply(g)) for g in ball),
+        "involutions_to_involutions": all(
+            G.mul(m.apply(g), m.apply(g)) == e for g in ball if G.mul(g, g) == e),
+        "preserves_translations": m.apply(e)[1] == e[1],
+    }
+    forward: dict = {}
+    backward: dict = {}
+    preserved = True
+    for g in ball:
+        s = conjugacy_class(G, g)
+        mg = m.apply(g)
+        si = s if mg == g else conjugacy_class(G, mg)
+        if forward.setdefault(s, si) != si or backward.setdefault(si, s) != s:
+            preserved = False
+            break
+    checks["preserves_classes"] = preserved
+    checks["ok"] = all(checks.values())
+    return checks
+
+
+def _identity_fixing_random_map(G, rnd):
+    """random_map with its rule changed to send the part "1" to itself with
+    shift 0; the part that was sent to "1" takes the old target of "1", so
+    the map stays a bijection."""
+    rule = dict(random_map(G, rnd).rule)
+    src = next(f for f, (f2, _, _) in rule.items() if f2 == "1")
+    target, mat, _ = rule["1"]
+    rule[src] = (target,) + rule[src][1:]
+    rule["1"] = ("1", mat, (0, 0))
+    return CosetwiseAffineMap(G, rule)
+
+
+def _forced_consequence_inputs():
+    for G in map(load_group, GROUP_IDS):
+        rnd = random.Random(f"forced:{G.gid}")
+        yield G, list(catalog(G).values()) + [
+            _identity_fixing_random_map(G, rnd) for _ in range(30)]
+    for _, p, theta in SD_CASES:
+        H = build(theta, p)
+        yield H, [phi_for_odd_p(H), identity_sd_map(H)]
+    H = build(SD_CASES[0][2], 3)  # the coordinate swap on A, identity elsewhere
+    eye = ((1, 0), (0, 1))
+    yield H, [SdMap(H, [((0, 1), (1, 0)), eye, eye])]
+    for _, theta in P2_THETAS:
+        H = build(theta, 2)
+        yield H, [p2_candidate(H)]
+
+
+def test_forced_consequences_match_literal_sweep():
+    """The per-part reductions of forced_consequences give the whole result
+    of the element-by-element sweep at radii 0-3, on inputs where each
+    reduced check both passes and fails."""
+    seen = {key: set() for key in
+            ("respects_inverse", "involutions_to_involutions", "preserves_classes")}
+    inverse_fails_from_radius_1 = 0
+    for G, candidates in _forced_consequence_inputs():
+        for m in candidates:
+            got = [wct_invariants(G, m, radius) for radius in range(4)]
+            assert got == [_literal_forced_consequences(G, m, radius)
+                           for radius in range(4)], m
+            for key, values in seen.items():
+                values.update(r[key] for r in got)
+            inverse_fails_from_radius_1 += (got[0]["respects_inverse"]
+                                            and not got[1]["respects_inverse"])
+    assert all(values == {True, False} for values in seen.values()), seen
+    assert inverse_fails_from_radius_1 > 0
+
+
 # -- map expressions -------------------------------------------------------------
 
 
