@@ -4,8 +4,8 @@ run_suite is pure compute and returns a JSON-ready report; printing belongs to
 the CLI.  The "fast" suite shrinks the two sweep-heavy checks, the "full"
 suite runs them at the advertised scale.  Every check carries a wall-clock
 budget that is part of the verdict.  WCT_THREADS caps the worker processes
-used for the sweeps; the cap never raises the count above the CPU count, and
-one worker means plain serial execution.
+used for the sweeps; the cap never raises the count above the CPUs this
+process may run on, and one worker means plain serial execution.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ P2_THETAS = (
 
 
 def worker_count() -> int:
-    cpus = os.cpu_count() or 1
+    affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS and Windows
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     cap = os.environ.get("WCT_THREADS", "")
     if cap.isdigit() and int(cap) > 0:
         return min(cpus, int(cap))
@@ -88,16 +89,17 @@ def _conj_sweep(job):
     """One group: compare class membership with an exhaustive conjugate set.
 
     Conjugators come from ball(8); every witness needed for ball(2) pairs
-    sits well inside that radius, so the brute set is the ground truth.
-    """
+    sits well inside that radius, so the brute set is the ground truth, kept
+    to the conjugates in ball(2), the only ones a pair asks about."""
     gid, inner_radius = job
     G = load_group(gid)
+    radius = 2  # h ranges over ball(radius), and the brute set keeps just that ball
     inner = G.ball(inner_radius)
-    outer = G.ball(2)
+    outer = G.ball(radius)
     pairs = 0
     disagreements = []
     for g in inner:
-        reach = conjugates_within(G, g, 8)
+        reach = conjugates_within(G, g, 8, radius)
         cls = conjugacy_class(G, g)
         for h in outer:
             pairs += 1

@@ -31,20 +31,22 @@ brute_is_conjugate/conjugates_within sweep conjugators from a ball instead
 and exist so the closed forms can be tested against something that cannot
 share their bugs.  For a wallpaper group brute_is_conjugate is the literal
 loop over G.ball and G.conj.  conjugates_within is the same sweep with its
-lookups hoisted: the translations t come from groups.cells, cached once per
-radius, and the table entries for each conjugator part f' (fprod, act,
-act_inv, point_inv) are read once per f'.  Every conjugator c = t * f' is
-still multiplied out on its own, c^-1 first and then c^-1 (g c), in flat
-integer arithmetic.  brute_is_conjugate serves SdGroup with the same kind
-of hoisted sweep: theta^j and theta^(j - k) are read from G.powers once per
-conjugator power j, and each c = (w, j) of the ball is multiplied out as
-SdGroup.inv and .mul would, c^-1 g first and then (c^-1 g) c, with flat
-dot products.  Both kernels read only the multiplication data (the tables
-that check_presentation validates, or G.p and G.powers); they must never
-read conjugation_hooks, conjugators, slack, slack_hnf, kf, a class
-descriptor or a closed-form test, nor use that g^c is affine in the
-conjugator's translation part, or they could share a bug with the closed
-forms they check.  A test parses both oracle bodies to hold them to that.
+lookups hoisted (t from groups.cells, and fprod, act, act_inv and point_inv
+once per conjugator part f'); every c = t * f' is still multiplied out on
+its own, c^-1 first and then c^-1 (g c), in flat integer arithmetic.  Given
+outer, it keeps only the conjugates in ball(outer), the ball a caller
+compares on: a bound on coordinates it has just computed says nothing about
+which elements are conjugate, so it shares nothing with the closed forms.
+brute_is_conjugate serves SdGroup with the same kind of hoisted sweep:
+theta^j and theta^(j - k) are read from G.powers once per conjugator power
+j, and each c = (w, j) of the ball is multiplied out as SdGroup.inv and .mul
+would, c^-1 g first and then (c^-1 g) c, with flat dot products.  Both
+kernels read only the multiplication data (the tables that
+check_presentation validates, or G.p and G.powers); they must never read
+conjugation_hooks, conjugators, slack, slack_hnf, kf, a class descriptor or
+a closed-form test, nor use that g^c is affine in the conjugator's
+translation part, or they could share a bug with the closed forms they
+check.  A test parses both oracle bodies to hold them to that.
 """
 
 from __future__ import annotations
@@ -174,14 +176,17 @@ def is_conjugate(G: GroupTable, g: Element, h: Element) -> bool:
     return False
 
 
-def conjugates_within(G: GroupTable, g: Element, radius: int) -> set:
+def conjugates_within(G: GroupTable, g: Element, radius: int, outer=None) -> set:
     """Brute conjugate set {g^c : c in ball(radius)}; oracle for is_conjugate.
 
     Each g^c = c^-1 (g c) is multiplied out as GroupTable.inv and .mul do,
     with the table entries of the part f' of c = t * f' looked up once per f'.
+    With outer set, only the g^c in ball(outer) are built and kept.
     """
     box = cells(radius)
     G.check_element(g)
+    check_radius(outer or 0)  # an empty keep-set would make every comparison vacuous
+    lo = None if outer is None else -outer
     (gx, gy), gf = g
     (a00, a01), (a10, a11) = G.act_inv[gf]
     out = set()
@@ -201,8 +206,11 @@ def conjugates_within(G: GroupTable, g: Element, radius: int) -> set:
             uy = gy + a10 * tx + a11 * ty + e1
             vx = tx + k0
             vy = ty + k1
-            add(new(Element, ((p00 * ux + p01 * uy + d0 - n00 * vx - n01 * vy,
-                               p10 * ux + p11 * uy + d1 - n10 * vx - n11 * vy), l2)))
+            x = p00 * ux + p01 * uy + d0 - n00 * vx - n01 * vy
+            if outer is None or lo <= x <= outer:
+                y = p10 * ux + p11 * uy + d1 - n10 * vx - n11 * vy
+                if outer is None or lo <= y <= outer:
+                    add(new(Element, ((x, y), l2)))
     return out
 
 

@@ -17,7 +17,8 @@ import pytest
 import wct
 from wct import acceptance
 from wct.acceptance import CRITERIA, run_criterion, run_suite
-from wct.groups import GROUP_IDS
+from wct.conjugacy import CosetUnionClass
+from wct.groups import GROUP_IDS, Element
 from wct.lattice import Coset
 
 
@@ -158,10 +159,15 @@ def _tagged_sweep(job):
             "disagreements": [{"group": gid, "pid": os.getpid()}]}
 
 
+def _allow_cpus(monkeypatch, n):
+    """Let this process run on n CPUs, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 @pytest.mark.parametrize("number", (2, 10))
 def test_parallel_detail_matches_serial(monkeypatch, number):
     # two CPUs whatever the host has, so WCT_THREADS=2 really opens the pool
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _allow_cpus(monkeypatch, 2)
     details = []
     for threads in ("1", "2"):
         monkeypatch.setenv("WCT_THREADS", threads)
@@ -170,13 +176,50 @@ def test_parallel_detail_matches_serial(monkeypatch, number):
 
 
 def test_parallel_results_keep_group_order(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _allow_cpus(monkeypatch, 2)
     monkeypatch.setenv("WCT_THREADS", "2")
     monkeypatch.setattr(acceptance, "_conj_sweep", _tagged_sweep)
     ok, detail = acceptance._crit_conjugacy("fast", 0)
     assert not ok
     assert [d["group"] for d in detail["disagreements"]] == list(GROUP_IDS)
     assert os.getpid() not in {d["pid"] for d in detail["disagreements"]}
+
+
+def test_one_cpu_affinity_runs_serially(monkeypatch):
+    # a CPU-pinned process on a many-CPU host: os.cpu_count() still reads 64
+    _allow_cpus(monkeypatch, 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.delenv("WCT_THREADS", raising=False)
+    monkeypatch.setattr(acceptance, "_conj_sweep", _tagged_sweep)
+    monkeypatch.setattr(acceptance, "CRITERIA", tuple(c for c in CRITERIA if c[0] == 2))
+    report = run_suite("fast")
+    assert report["workers"] == 1
+    (res,) = report["criteria"]
+    assert {d["pid"] for d in res["detail"]["disagreements"]} == {os.getpid()}
+    monkeypatch.setenv("WCT_THREADS", "4")  # the cap cannot raise the count past the affinity
+    assert acceptance.worker_count() == 1
+
+
+def test_conjugacy_criterion_catches_a_dropped_residue(monkeypatch):
+    # the class of the half turn rho in p2 loses the residue of rho itself
+    monkeypatch.setenv("WCT_THREADS", "1")
+    rho = Element((0, 0), "rho")
+    real = acceptance.conjugacy_class
+
+    def lossy(G, g):
+        cls = real(G, g)
+        if G.gid != "p2" or g != rho:
+            return cls
+        parts = tuple((h, lat, offs - {lat.reduce(rho.a)} if h == "rho" else offs)
+                      for h, lat, offs in cls.parts)
+        return CosetUnionClass(parts, cls.check)
+
+    monkeypatch.setattr(acceptance, "conjugacy_class", lossy)
+    res = run_criterion(2, "fast")
+    assert not res["ok"]
+    assert res["detail"]["disagreements"][0] == {
+        "group": "p2", "g": rho.to_json(), "h": rho.to_json(),
+        "closed_form": False, "brute": True}
 
 
 def test_p4mg_names_first_mismatch(monkeypatch):

@@ -64,7 +64,7 @@ def test_kf_invariance(gid):
 def test_is_conjugate_matches_brute(gid):
     G = load_group(gid)
     elems = G.ball(1)
-    brute = {g: conjugates_within(G, g, 6) for g in elems}
+    brute = {g: conjugates_within(G, g, 6, 1) for g in elems}  # h ranges over ball(1)
     for g in elems:
         for h in elems:
             assert is_conjugate(G, g, h) == (h in brute[g]), (g, h)
@@ -378,11 +378,28 @@ def _sweep_elements(G):
 
 @pytest.mark.parametrize("gid", GROUP_IDS)
 def test_conjugates_within_matches_literal_sweep(gid):
+    """The sweep is the literal {g^c : c in ball(radius)}, and with outer set
+    that set cut to ball(outer)."""
     G = load_group(gid)
+    emptied = 0
     for radius in (0, 1, 2, 5):
         ball = G.ball(radius)
         for g in _sweep_elements(G):
-            assert conjugates_within(G, g, radius) == {G.conj(g, c) for c in ball}, (g, radius)
+            literal = {G.conj(g, c) for c in ball}
+            assert conjugates_within(G, g, radius) == literal, (g, radius)
+            for outer in (0, 1, 2, 100):
+                kept = {h for h in literal if max(map(abs, h.a)) <= outer}
+                got = conjugates_within(G, g, radius, outer)
+                assert got == kept, (g, radius, outer)
+                emptied += not got
+            assert got == literal, (g, radius)  # outer = 100 keeps the whole sweep
+    assert emptied  # the far corner (7, -7) at radius 0 lies outside ball(2): the cut acts
+
+
+def test_conjugates_within_rejects_negative_outer():
+    G = load_group("p4")
+    with pytest.raises(ValueError, match="radius must be non-negative"):
+        conjugates_within(G, G.element(1, 0, "rho"), 2, -1)
 
 
 def _literal_brute(G, g, h, radius):
