@@ -18,6 +18,8 @@ maps._Block and maps.decide read; an SdGroup's parts G.F are its
 k-slices.  conjugacy_class reads the hooks for both families
 (semidirect.class_sd is conjugacy_class itself); kf and is_conjugate read
 them for wallpaper groups only, from the group they are given.
+involution_locus serves both families too: it reads the square of a*f off
+G.mul with groups.affine_on_part and solves it for e.
 
 is_conjugate decides membership without building a class.  For the part
 pair (g.f, h.f) it unpacks each entry (f', act(f'), s) of
@@ -56,12 +58,8 @@ from itertools import product
 from operator import mul
 from typing import Callable
 
-from .groups import Element, GroupTable, cells, check_radius
+from .groups import Element, GroupTable, affine_on_part, cells, check_radius
 from .lattice import Coset, Sublattice, solve_integer, vneg
-
-
-def _mat_plus_identity(m):
-    return ((m[0][0] + 1, m[0][1]), (m[1][0], m[1][1] + 1))
 
 
 def kf(G: GroupTable, f: str) -> Sublattice:
@@ -242,36 +240,22 @@ def brute_is_conjugate(G, g, h, radius: int) -> bool:
     return False
 
 
-# -- squares and involutions ---------------------------------------------------
+# -- involutions ----------------------------------------------------------------
 
 
-def square_affine(G: GroupTable, f: str):
-    """(a*f)^2 = (M @ a + c, h) for all a: returns (M, c, h)."""
+def involution_locus(G, f):
+    """The a with (a*f)^2 = e as a Coset of the translation lattice, or None;
+    serves SdGroup too.  (a*f)^2 = (M a + t)*h is affine in a, so the locus
+    is empty unless h is the identity's part, and else solves M a = -t.  The
+    identity's part is excluded: its only solution, e, has order 1."""
     if f not in G.F:
-        raise ValueError(f"unknown transversal label {f!r} for {G.gid}")
-    c, h = G.fprod[(f, f)]
-    m = _mat_plus_identity(G.act_inv[f])
-    return m, c, h
+        raise ValueError(f"unknown transversal label {f!r} for {getattr(G, 'gid', G)}")
+    one = G.identity[1]
+    h, m, t = affine_on_part(G, lambda g: G.mul(g, g), f)
+    sol = solve_integer(m, vneg(t)) if h == one and f != one else None
+    return None if sol is None else Coset(sol[0], Sublattice(len(t), sol[1]))
 
 
-def involution_locus(G: GroupTable, f: str):
-    """Solutions of (a*f)^2 = e as a Coset of A, or None.
-
-    The identity part is excluded: a*1 squares to e only at the identity
-    element itself, which has order 1.
-    """
-    if f == "1":
-        return None
-    m, c, h = square_affine(G, f)
-    if h != "1":
-        return None
-    sol = solve_integer(m, vneg(c))
-    if sol is None:
-        return None
-    part, kern = sol
-    return Coset(part, Sublattice(2, kern))
-
-
-def involution_loci(G: GroupTable) -> dict:
-    """Map each transversal part to its involution locus (None when empty)."""
-    return {f: involution_locus(G, f) for f in G.F if f != "1"}
+def involution_loci(G) -> dict:
+    """Map each part off the identity's to its involution locus (None when empty)."""
+    return {f: involution_locus(G, f) for f in G.F if f != G.identity[1]}

@@ -32,6 +32,7 @@ from .lattice import (
     matvec,
     vadd,
     vneg,
+    vsub,
 )
 
 GROUP_IDS = (
@@ -187,6 +188,22 @@ def conjugation_hooks(G, act) -> tuple[dict, dict]:
             entries[f, h].setdefault((tuple(map(reduce, zip(*act[fp]))), reduce(s)),
                                      (fp, act[fp], s))
     return slack, {key: tuple(e.values()) for key, e in entries.items()}
+
+
+def affine_on_part(G, fn, f) -> tuple:
+    """(h, M, t) with fn(a*f) = (M a + t)*h for all a, read off fn at the
+    origin and the unit steps of part f when fn is affine on the part, as the
+    products, inverses and maps of both families are; serves SdGroup too."""
+    zero, _ = G.identity
+    make = type(G.identity)
+    t, h = fn(make(zero, f))
+    cols = []
+    for j in range(len(zero)):
+        a, part = fn(make(zero[:j] + (1,) + zero[j + 1:], f))
+        if part != h:
+            raise ValueError(f"function is not coset-wise on {f!r}")
+        cols.append(vsub(a, t))
+    return h, tuple(zip(*cols)), t
 
 
 class GroupTable:

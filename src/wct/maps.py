@@ -13,15 +13,15 @@ tables are read the same way, rightmost factor first.
 
 homomorphism_failure, antihomomorphism_failure, nontriviality_certificate,
 forced_consequences and decide serve wct.semidirect too: they use only
-G.mul, G.inv, G.identity, G.ball, m.apply, m.acts_on, the two conjugation
+G.mul, G.inv, G.identity, m.apply, m.invert, m.acts_on, the two conjugation
 hooks G.conjugators and G.slack, which hold each family's closed form of
 conjugacy, and G.pair_form, which reads both sides of the WCT condition on
 one pair of parts off the tables and the map's rule as affine functions of
-the two translation parts.  decide, the exact verdict over the whole group
-for both families, the three law checks and the ball check's _Block read
-that form, so the product rule of each family is derived in one place; the
-law checks read nothing else of G or m.
-wct_invariants and semidirect.sd_invariants are bindings of
+the two translation parts.  decide, the three law checks and the ball
+check's _Block read that form, so the product rule of each family is
+derived in one place; the law checks read nothing else of G or m.  decide
+and forced_consequences, both exact over the whole group, share the kernel
+_cover.  wct_invariants and semidirect.sd_invariants are bindings of
 forced_consequences.  Every verdict first asks m.acts_on(G) and raises
 ValueError for a map of another group, which would otherwise be judged
 through the part labels the two groups share.
@@ -46,10 +46,11 @@ import random
 import re
 from functools import lru_cache, reduce
 from itertools import count, product
-from operator import eq, mul
+from operator import add, eq, mul
 
-from .conjugacy import conjugacy_class, is_conjugate
-from .groups import Element, GroupTable, cells, check_radius, load_group, parse_element
+from .conjugacy import conjugacy_class, involution_loci, is_conjugate
+from .groups import (Element, GroupTable, affine_on_part, cells, check_radius, load_group,
+                     parse_element)
 from .lattice import Coset, Sublattice, Vec, mat_identity, matvec, solve_integer
 
 _I2 = mat_identity(2)
@@ -183,19 +184,7 @@ def iota(G: GroupTable) -> CosetwiseAffineMap:
 
 def map_from_function(G: GroupTable, fn) -> CosetwiseAffineMap:
     """Fit the affine rule of fn per coset, then verify it at two more points."""
-    rule = {}
-    for f in G.F:
-        base = fn(Element(_Z2, f))
-        img1 = fn(Element((1, 0), f))
-        img2 = fn(Element((0, 1), f))
-        if img1.f != base.f or img2.f != base.f:
-            raise ValueError(f"function is not coset-wise on {f!r}")
-        m = (
-            (img1.a[0] - base.a[0], img2.a[0] - base.a[0]),
-            (img1.a[1] - base.a[1], img2.a[1] - base.a[1]),
-        )
-        rule[f] = (base.f, m, base.a)
-    out = CosetwiseAffineMap(G, rule)
+    out = CosetwiseAffineMap(G, {f: affine_on_part(G, fn, f) for f in G.F})
     for f in G.F:
         for point in ((2, 3), (-1, 4)):
             g = Element(point, f)
@@ -489,58 +478,35 @@ def nontriviality_certificate(G, m, radius: int):
 
 
 def forced_consequences(G, m, radius: int = 2) -> dict:
-    """Check the consequences forced on every weak Cayley table bijection.
+    """Decide, over all of G, the consequences forced on every weak Cayley
+    table bijection; radius is validated and otherwise ignored.
 
-    Taking g2 = e, g2 = g1^-1 or g2 = g1 in the defining condition pins down:
-    the identity is fixed, inverses are respected, involutions go to
-    involutions, conjugacy is preserved in both directions, and the
-    translation subgroup maps onto itself.  Both map types send each part
-    onto one part by a unimodular rule, so m carries A onto A exactly when
-    it keeps the identity's part.  Inverses, involutions and classes are
-    checked over ball(radius), each with only the work its verdict depends
-    on, and give the verdict of the element-by-element sweep at every radius:
-    - inverses: on a part, m(g^-1) and m(g)^-1 are affine in g's translation
-      part, and two affine maps that agree at the origin and the unit steps
-      agree on the whole part, so ball(min(radius, 1)) decides.
-    - involutions: the part of g^2 depends only on the part of g, so only
-      parts whose square, read off ball(0), lies in A are multiplied out.
-    - classes: the induced map on the exact descriptors conjugacy_class(G, g)
-      must be well defined and injective.  a*f off A has the class of each
-      point of a + K_f, K_f = G.slack(f), which translations sweep (see
-      wct.conjugacy), and a translation the class of each point of its
-      orbit, so a dict local to the call, keyed by (f, a mod K_f), builds
-      each descriptor once (K is 0 on A).
+    Taking g2 = e, g1^-1 or g1 in the defining condition, m fixes e, respects
+    inverses, sends involutions to involutions, preserves conjugacy both
+    ways and maps A onto A, which for both map types means it keeps the
+    identity's part.  On a part, m(g^-1) and m(g)^-1 are affine in g's
+    translation part a, so they agree everywhere when they agree at the
+    origin and the unit steps.  The involutions of part f are the coset
+    c + S of conjugacy.involution_locus, and m(g)^2 is affine in a, so it is
+    e on the coset when it is e at c and at c + each basis row of S.  Classes
+    are _keeps_classes on m (well defined) and on m.invert() (injective).
     """
     _check_map(G, m)
-    ball = G.ball(radius)
+    check_radius(radius)
     e = G.identity
-    one, apply, mul, inv = e[1], m.apply, G.mul, G.inv
-    squares_in_a = {g[1] for g in G.ball(0) if mul(g, g)[1] == one}
+    zero, one = e
+    make, apply, mul, inv = type(e), m.apply, G.mul, G.inv
+    steps = [make(a, f) for f in G.F for a in (zero,) + mat_identity(len(zero))]
+    involutions = [make(tuple(map(add, c.offset, k)), f)
+                   for f, c in involution_loci(G).items() if c is not None
+                   for k in (zero,) + c.lattice.rows]
     checks = {
         "fixes_identity": apply(e) == e,
-        "respects_inverse": all(
-            apply(inv(g)) == inv(apply(g)) for g in G.ball(min(radius, 1))),
-        "involutions_to_involutions": all(
-            mul(mg := apply(g), mg) == e
-            for g in ball if g[1] in squares_in_a and mul(g, g) == e),
+        "respects_inverse": all(apply(inv(g)) == inv(apply(g)) for g in steps),
+        "involutions_to_involutions": all(mul(mg := apply(g), mg) == e for g in involutions),
         "preserves_translations": apply(e)[1] == one,
+        "preserves_classes": _keeps_classes(G, m) and _keeps_classes(G, m.invert()),
     }
-    residue = {f: G.slack(f).reduce for f in G.F}
-    classes: dict = {}
-
-    def class_of(g):
-        a, f = g
-        if (c := classes.get(key := (f, residue[f](a)))) is None:
-            c = classes[key] = conjugacy_class(G, g)
-            if f == one:
-                classes.update(((one, x[0]), c) for x in c.elements)
-        return c
-
-    forward: dict = {}
-    backward: dict = {}
-    checks["preserves_classes"] = all(
-        forward.setdefault(s, si) == si and backward.setdefault(si, s) == s
-        for s, si in ((class_of(g), class_of(apply(g))) for g in ball))
     checks["ok"] = all(checks.values())
     return checks
 
@@ -548,56 +514,52 @@ def forced_consequences(G, m, radius: int = 2) -> dict:
 wct_invariants = forced_consequences  # the name acceptance and perfbench call
 
 
+def _keeps_classes(G, m) -> bool:
+    """Whether m(g') ~ m(g) for every g' ~ g in G.
+
+    The conjugates of a*f in part h are the (N a + s + k)*h for the entries
+    (_, N, s) of G.conjugators(f, h) and k = u K_h's HNF rows.  With m's
+    rules (lf, L, t) on h and (rf, M, b0) on f, and v = (a, u), the images
+    are (L s + t + A v)*lf, A = [L N | L K_h rows], and (b0 + B v)*rf,
+    B = [M | 0]: one pair for _cover, asked both ways round.
+    """
+    zero = G.identity[0]
+    form = {f: affine_on_part(G, m.apply, f) for f in G.F}
+    for f in G.F:
+        rf, M, b0 = form[f]
+        for h in G.F:
+            lf, L, t = form[h]
+            K = G.slack(h).rows
+            for _, N, s in G.conjugators(f, h):
+                a0 = tuple(map(add, matvec(L, s), t))
+                A = tuple(matvec(L, col) for col in (*zip(*N), *K))
+                B = tuple(zip(*M)) + (zero,) * len(K)
+                if not (isinstance(_cover(G, lf, a0, A, rf, b0, B), str)
+                        and isinstance(_cover(G, rf, b0, B, lf, a0, A), str)):
+                    return False
+    return True
+
+
 def decide(G, m) -> dict:
     """Decide m(g1 g2) ~ m(g1) m(g2) over all of G; serves SdGroup too.
 
     Per pair of source parts (f1, f2), in G.F order, G.pair_form gives both
-    sides as (a0 + A v)*lf and (b0 + B v)*rf, for v = (x1, x2) in Z^d.  A
-    conjugator (label, N, s) of G.conjugators(lf, rf) serves v when r + R v
-    lies in K = G.slack(rf), for r = b0 - N a0 - s and R = B - N A.  The
-    pair is "uniform" when one serves every v: r and R's columns lie in K,
-    read from the ints G.slack_hnf[rf] for a wallpaper group (_uniform_2d)
-    and from G.slack(rf) for Z^n x C_m.  Else one solve_integer call on
-    [R | -K rows] per conjugator gives the v it serves as a coset c + S of
-    Z^d, or none; the pair is "covered" when they cover Z^d (see
-    _uncovered), and else a point they miss is the witness, re-checked
-    against conjugacy_class by an explicit raise that python -O keeps, and
-    the scan stops ("witness").  Keys are "f1,f2".
+    sides as (a0 + A v)*lf and (b0 + B v)*rf, v = (x1, x2), and _cover labels
+    the pair "uniform" or "covered", or returns a v it misses: the witness,
+    re-checked against conjugacy_class by an explicit raise that python -O
+    keeps, where the scan stops ("witness").  Keys are "f1,f2".
     """
     _check_map(G, m)
-    flat = isinstance(G, GroupTable)
+    n, make = len(G.identity[0]), type(G.identity)
     methods = {}
     for f1 in G.F:
         for f2 in G.F:
-            lf, a0, A, rf, b0, B = form = G.pair_form(m, f1, f2)
-            lat, conjugators = G.slack(rf), G.conjugators(lf, rf)
             key = f"{f1},{f2}"
-            if flat:
-                uniform = _uniform_2d(G, *form)
-            else:  # SdGroup: n-dimensional, with no slack_hnf
-                uniform = any(
-                    lat.contains(_residual(mat, a0, [y - t for y, t in zip(b0, s)])) and all(
-                        lat.contains(_residual(mat, a, b)) for a, b in zip(A, B))
-                    for _, mat, s in conjugators)
-            if uniform:
-                methods[key] = "uniform"
-                continue
-            d = len(A)
-            cosets = []
-            for _, mat, s in conjugators:
-                r = _residual(mat, a0, [y - t for y, t in zip(b0, s)])
-                cols = [_residual(mat, a, b) for a, b in zip(A, B)]
-                cols += [[-x for x in row] for row in lat.rows]
-                sol = solve_integer(tuple(zip(*cols)), [-x for x in r])
-                if sol is not None:
-                    c, kernel = sol
-                    cosets.append(Coset(c[:d], Sublattice(d, [k[:d] for k in kernel])))
-            v = _uncovered(d, cosets)
-            if v is None:
-                methods[key] = "covered"
+            v = _cover(G, *G.pair_form(m, f1, f2))
+            if isinstance(v, str):
+                methods[key] = v
                 continue
             methods[key] = "witness"
-            n, make = len(a0), type(G.identity)
             g1, g2 = make(v[:n], f1), make(v[n:], f2)
             lhs = m.apply(G.mul(g1, g2))
             rhs = G.mul(m.apply(g1), m.apply(g2))
@@ -608,6 +570,37 @@ def decide(G, m) -> dict:
             witness = [g1.to_json(), g2.to_json()]
             return {"ok": False, "witness": witness, "methods": methods}
     return {"ok": True, "witness": None, "methods": methods}
+
+
+def _cover(G, lf, a0, A, rf, b0, B):
+    """Whether (b0 + B v)*rf is conjugate to (a0 + A v)*lf for all v in Z^d,
+    d = len(A): "uniform", "covered", or a v for which it is not.
+
+    A conjugator (label, N, s) of G.conjugators(lf, rf) serves v when r + R v
+    lies in K = G.slack(rf), for r = b0 - N a0 - s and R = B - N A.  The
+    answer is "uniform" when one serves every v: r and R's columns lie in K,
+    tested on the ints G.slack_hnf[rf] for a wallpaper group (_uniform_2d).
+    Else one solve_integer call on [R | -K rows] per conjugator gives the v
+    it serves as a coset c + S of Z^d, or none; "covered" means they cover
+    Z^d, and else a point they miss is returned (see _uncovered).
+    """
+    flat, lat = isinstance(G, GroupTable), G.slack(rf)
+    if flat and _uniform_2d(G, lf, a0, A, rf, b0, B):
+        return "uniform"
+    terms = [(_residual(mat, a0, [y - t for y, t in zip(b0, s)]),
+              [_residual(mat, a, b) for a, b in zip(A, B)])
+             for _, mat, s in G.conjugators(lf, rf)]
+    if not flat and any(lat.contains(r) and all(map(lat.contains, cols)) for r, cols in terms):
+        return "uniform"  # SdGroup: n-dimensional, with no slack_hnf
+    d, cosets = len(A), []
+    for r, cols in terms:
+        cols = cols + [[-x for x in row] for row in lat.rows]
+        sol = solve_integer(tuple(zip(*cols)), [-x for x in r])
+        if sol is not None:
+            c, kernel = sol
+            cosets.append(Coset(c[:d], Sublattice(d, [k[:d] for k in kernel])))
+    v = _uncovered(d, cosets)
+    return "covered" if v is None else v
 
 
 def _uniform_2d(G: GroupTable, lf: str, a0, A, rf: str, b0, B) -> bool:

@@ -206,6 +206,11 @@ class SdMap:
     def apply(self, g: SdElement) -> SdElement:
         return SdElement(matvec(self.mats[g.k], g.v), g.k)
 
+    def invert(self) -> "SdMap":
+        out = object.__new__(SdMap)  # inverses of unimodular matrices need no re-check
+        out.p, out.mats = self.p, tuple(map(mat_inv_unimodular, self.mats))
+        return out
+
     def acts_on(self, G) -> bool:
         """Whether G is a Z^n x C_p with this map's p and n."""
         return isinstance(G, SdGroup) and G.p == self.p and G.n == len(self.mats[0])

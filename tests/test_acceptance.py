@@ -15,10 +15,10 @@ from pathlib import Path
 import pytest
 
 import wct
-from wct import acceptance
+from wct import acceptance, maps
 from wct.acceptance import CRITERIA, run_criterion, run_suite
 from wct.conjugacy import CosetUnionClass
-from wct.groups import GROUP_IDS, Element
+from wct.groups import GROUP_IDS, Element, load_group
 from wct.lattice import Coset
 
 
@@ -240,3 +240,41 @@ def test_p4mg_names_first_mismatch(monkeypatch):
     assert res["detail"]["first_mismatch"] == {
         "row": "rho2", "a": [-2, -2], "b": [-5, -5], "part": "rho2",
         "stated": False, "computed": True}
+
+
+def _drop_p6_conjugator(monkeypatch, key, label):
+    """Remove the entry of conjugating part label from p6's G.conjugators(*key)."""
+    G = load_group("p6")
+    entries = G.conjugators(*key)
+    monkeypatch.setitem(G._conjugators, key, tuple(e for e in entries if e[0] != label))
+    assert len(G.conjugators(*key)) == len(entries) - 1
+
+
+def test_consequences_criterion_catches_a_dropped_conjugator(monkeypatch):
+    # the class of a*rho3 loses its conjugates by rho, so the closed form is
+    # no longer symmetric, and asking each class pair both ways round fails
+    # every p6 map, the identity included
+    _drop_p6_conjugator(monkeypatch, ("rho3", "rho3"), "rho")
+    G = load_group("p6")
+    assert not maps.wct_invariants(G, maps.identity_map(G))["ok"]
+    assert not run_criterion(9, "fast")["ok"]
+
+
+def test_conjugacy_criterion_catches_the_dropped_negation(monkeypatch):
+    # without -I the translation classes of p6 stay symmetric, only not
+    # transitive, so the class check of criterion 9 cannot see the drop;
+    # criterion 2's brute sweep does
+    _drop_p6_conjugator(monkeypatch, ("1", "1"), "rho3")
+    assert run_criterion(9, "fast")["ok"]
+    assert acceptance._conj_sweep(("p6", 1))["disagreements"]
+
+
+def test_consequences_read_the_injectivity_pass(monkeypatch):
+    G = load_group("p2")
+    eye, zero = ((1, 0), (0, 1)), (0, 0)
+    swap = maps.CosetwiseAffineMap(G, {"1": ("rho", eye, zero), "rho": ("1", eye, zero)})
+    m = maps.identity_map(G)
+    assert maps.wct_invariants(G, m)["preserves_classes"]
+    assert not maps.wct_invariants(G, swap)["preserves_classes"]
+    monkeypatch.setattr(maps.CosetwiseAffineMap, "invert", lambda self: swap)
+    assert not maps.wct_invariants(G, m)["preserves_classes"]

@@ -17,11 +17,11 @@ from wct.conjugacy import (
     conjugacy_class,
     conjugates_within,
     involution_loci,
+    involution_locus,
     is_conjugate,
     kf,
-    square_affine,
 )
-from wct.groups import GROUP_IDS, Element, all_groups, load_group
+from wct.groups import GROUP_IDS, Element, affine_on_part, all_groups, load_group
 from wct.lattice import Coset, Sublattice, matvec, vadd, vsub
 from wct.semidirect import SdElement, build
 
@@ -107,9 +107,10 @@ def test_translation_classes_are_orbits():
 
 @pytest.mark.parametrize("group", GROUP_IDS + tuple(c[0] for c in SD_CASES))
 def test_class_depends_on_part_and_residue(group):
-    """What maps.forced_consequences keys its class lookups by: a*f off A
-    has the class of (a +- k)*f for each HNF row k of G.slack(f), and each
-    element of a translation class has that class."""
+    """The shape of a class that conjugacy_class and the class check of
+    maps.forced_consequences read off the hooks: a*f off A has the class of
+    (a +- k)*f for each HNF row k of G.slack(f), and each element of a
+    translation class has that class."""
     cases = {label: (p, theta) for label, p, theta in SD_CASES}
     G = build(cases[group][1], cases[group][0]) if group in cases else load_group(group)
     make, one = type(G.identity), G.identity[1]
@@ -151,27 +152,47 @@ def test_class_json_shape():
     assert len(tdata["elements"]) == 4
 
 
-@pytest.mark.parametrize("gid", GROUP_IDS)
-def test_square_affine_matches_mul(gid):
-    G = load_group(gid)
+SD_GROUPS = tuple((p, theta) for _, p, theta in SD_CASES) + \
+    tuple((2, theta) for _, theta in P2_THETAS)
+BOTH_FAMILIES = dict(zip(GROUP_IDS, GROUP_IDS)) | dict(zip(
+    [label for label, _, _ in SD_CASES] + [label for label, _ in P2_THETAS], SD_GROUPS))
+
+
+def _group(key):
+    return load_group(key) if isinstance(key, str) else build(key[1], key[0])
+
+
+@pytest.mark.parametrize("group", BOTH_FAMILIES.values(), ids=BOTH_FAMILIES)
+def test_square_affine_matches_mul(group):
+    """The (h, M, t) that involution_locus reads off G.mul holds at five
+    points of each part, three of them off the origin and the unit steps."""
+    G = _group(group)
+    make, n = type(G.identity), len(G.identity[0])
     for f in G.F:
-        m, c, h = square_affine(G, f)
+        h, m, t = affine_on_part(G, lambda g: G.mul(g, g), f)
         for a in ((0, 0), (1, 0), (0, 1), (3, -2), (-4, 7)):
-            g = G.element(*a, f)
-            assert G.mul(g, g) == G.element(*[x + y for x, y in zip(matvec(m, a), c)], h)
+            g = make(tuple(a[i % 2] for i in range(n)), f)
+            assert G.mul(g, g) == make(vadd(matvec(m, g[0]), t), h), (f, g)
 
 
-@pytest.mark.parametrize("gid", GROUP_IDS)
-def test_involution_loci_vs_scan(gid):
-    G = load_group(gid)
+@pytest.mark.parametrize("group", BOTH_FAMILIES.values(), ids=BOTH_FAMILIES)
+def test_involution_loci_vs_scan(group):
+    G = _group(group)
+    one = G.identity[1]
     loci = involution_loci(G)
-    assert "1" not in loci
+    assert one not in loci
     for g in G.ball(3):
-        if g.f == "1":
+        a, f = g
+        if f == one:
             continue
         is_inv = G.mul(g, g) == G.identity
-        locus = loci[g.f]
-        assert is_inv == (locus is not None and locus.contains(g.a)), g
+        locus = loci[f]
+        assert is_inv == (locus is not None and locus.contains(a)), g
+
+
+def test_involution_locus_rejects_unknown_part():
+    with pytest.raises(ValueError, match="unknown transversal label"):
+        involution_locus(load_group("p4"), "sigma")
 
 
 def test_p4mg_involution_loci_frozen():
@@ -405,10 +426,6 @@ def test_conjugates_within_rejects_negative_outer():
 def _literal_brute(G, g, h, radius):
     """The literal sweep that brute_is_conjugate's Z^n x C_p branch hoists."""
     return any(G.conj(g, c) == h for c in G.ball(radius))
-
-
-SD_GROUPS = tuple((p, theta) for _, p, theta in SD_CASES) + \
-    tuple((2, theta) for _, theta in P2_THETAS)
 
 
 @pytest.mark.parametrize("p,theta", SD_GROUPS)

@@ -6,9 +6,10 @@ its witnesses to the brute conjugation sweep.  Its coverage step
 _uncovered is held to constructed cosets.  Z^2 x C_m built from the
 rotation of p2, p3, p4 and p6 runs the same engine as the wallpaper group
 it relabels (a * rho^k <-> (a, k)); both are held to each other.  An ast
-guard keeps decide and the ball check from sharing more than pair_form and
-the hooks.  decide's flat uniform test for the wallpaper groups is held to
-a Sublattice.contains scan of the same vectors.
+guard keeps decide, its kernel _cover and forced_consequences, which shares
+that kernel, apart from the ball check, beyond pair_form and the hooks.
+decide's flat uniform test for the wallpaper groups is held to a
+Sublattice.contains scan of the same vectors, and SdMap.invert to apply.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from wct import maps
+from wct.acceptance import SD_CASES
 from wct.conjugacy import TranslationClass, brute_is_conjugate, conjugacy_class, is_conjugate
 from wct.groups import GROUP_IDS, Element, element_from_json, load_group
 from wct.lattice import Coset, Sublattice, mat_identity
@@ -32,7 +34,7 @@ from wct.maps import (
     parse_map_expr,
     random_map,
 )
-from wct.semidirect import SdElement, SdMap, build, is_conjugate_sd
+from wct.semidirect import SdElement, SdMap, build, is_conjugate_sd, p2_candidate, phi_for_odd_p
 
 
 def _words(G, rnd, count):
@@ -173,14 +175,31 @@ def _function(name: str) -> ast.FunctionDef | ast.ClassDef:
     return fn
 
 
-@pytest.mark.parametrize("name", ("decide", "_uncovered", "_uniform_2d"))
+@pytest.mark.parametrize("name", ("decide", "_cover", "_uncovered", "_uniform_2d",
+                                  "forced_consequences", "_keeps_classes"))
 def test_decide_reads_no_ball_check(name):
     assert not _names_in(_function(name)) & {"is_wct_on_ball", "_Block", "_plan"}
 
 
 def test_ball_check_reads_no_decide():
     for name in ("is_wct_on_ball", "_Block"):
-        assert not _names_in(_function(name)) & {"decide", "_uniform_2d"}, name
+        assert not _names_in(_function(name)) & {"decide", "_cover", "_uniform_2d"}, name
+
+
+# -- SdMap.invert ---------------------------------------------------------------------
+
+
+def test_sd_map_invert_undoes_apply():
+    """On ball(2), for the twist phi, the p = 2 candidate and a slice map
+    that is unimodular but not diagonal."""
+    cases = [(H, phi_for_odd_p(H)) for H in (build(theta, p) for _, p, theta in SD_CASES)]
+    H = build(((0, 1), (1, 0)), 2)  # the coordinate swap of Z^2
+    cases += [(H, p2_candidate(H)), (H, SdMap(H, [((2, 1), (1, 1)), ((1, 0), (3, 1))]))]
+    for H, m in cases:
+        inverse = m.invert()
+        assert inverse.acts_on(H)
+        for g in H.ball(2):
+            assert inverse.apply(m.apply(g)) == g == m.apply(inverse.apply(g)), (m.mats, g)
 
 
 # -- decide's flat uniform test against a Sublattice.contains scan -------------------
