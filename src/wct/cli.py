@@ -37,6 +37,7 @@ def _cmd_check_presentation(args) -> tuple[int, dict]:
 
 
 def _cmd_classes(args) -> tuple[int, dict]:
+    check_radius(args.radius)
     G = load_group(args.group)
     report = {"schema": SCHEMA, "command": "classes", "group": args.group}
     if args.element is not None:
@@ -127,6 +128,7 @@ def _parse_theta(text: str):
 
 
 def _cmd_semidirect(args) -> tuple[int, dict]:
+    check_radius(args.radius)
     G = semidirect.build(_parse_theta(args.theta), args.p)
     report = {
         "schema": SCHEMA,

@@ -59,7 +59,7 @@ from operator import mul
 from typing import Callable
 
 from .groups import Element, GroupTable, affine_on_part, cells, check_radius
-from .lattice import Coset, Sublattice, solve_integer, vneg
+from .lattice import Coset, Sublattice, matvec, solve_integer, vadd, vneg
 
 
 def kf(G: GroupTable, f: str) -> Sublattice:
@@ -128,17 +128,16 @@ def conjugacy_class(G, g):
     e = G.identity
     make, one = type(e), e[1]
 
-    def offset(m, s):  # M a + s
-        return tuple(sum(map(mul, row, a)) + t for row, t in zip(m, s))
-
     if f == one:
         return TranslationClass(frozenset(
-            make(offset(m, s), one) for _, m, s in G.conjugators(one, one)), G.check_element)
+            make(vadd(matvec(m, a), s), one) for _, m, s in G.conjugators(one, one)),
+            G.check_element)
     parts = []
     for h in G.F:
         if entries := G.conjugators(f, h):
             lat = G.slack(h)
-            parts.append((h, lat, frozenset(lat.reduce(offset(m, s)) for _, m, s in entries)))
+            parts.append((h, lat, frozenset(lat.reduce(vadd(matvec(m, a), s))
+                                            for _, m, s in entries)))
     return CosetUnionClass(tuple(parts), G.check_element)
 
 

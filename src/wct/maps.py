@@ -33,11 +33,12 @@ check for rules built by callers.
 is_wct_on_ball decides ball(radius) x ball(radius) one pair of source parts
 at a time.  There only the translation parts x1, x2 vary, and the residual
 of each conjugator entry that is_conjugate tests splits as
-P(x1) + Q(x2), so each distinct tuple of residues modulo K is decided once
-instead of each element pair (see _Block).  Its verdict, witness and
-pairs_checked are those of a pair-by-pair sweep, and a pass is still
-evidence from a finite ball, not a proof; it is decide's oracle and shares
-only pair_form and the hooks with it.
+P(x1) + Q(x2), so each cell's residues modulo K are computed once per part
+pair and each distinct tuple of them is decided once, instead of each
+element pair (see _Block).  Its verdict, witness and pairs_checked are
+those of a pair-by-pair sweep, and a pass is still evidence from a finite
+ball, not a proof; it is decide's oracle and shares only pair_form and the
+hooks with it.
 """
 
 from __future__ import annotations
@@ -46,12 +47,12 @@ import random
 import re
 from functools import lru_cache, reduce
 from itertools import count, product
-from operator import add, eq, mul
+from operator import eq, mul
 
 from .conjugacy import conjugacy_class, involution_loci, is_conjugate
 from .groups import (Element, GroupTable, affine_on_part, cells, check_radius, load_group,
                      parse_element)
-from .lattice import Coset, Sublattice, Vec, mat_identity, matvec, solve_integer
+from .lattice import Coset, Sublattice, Vec, mat_identity, matvec, solve_integer, vadd, vsub
 
 _I2 = mat_identity(2)
 _Z2: Vec = (0, 0)
@@ -62,7 +63,7 @@ class CosetwiseAffineMap:
     2x2 int matrix of determinant +-1 and t an int pair; the targets f2
     permute the parts.  Entries are stored as tuples."""
 
-    __slots__ = ("gid", "rule", "_key")
+    __slots__ = ("gid", "rule")
 
     def __init__(self, G: GroupTable, rule: dict):
         parts = G.F
@@ -94,7 +95,6 @@ class CosetwiseAffineMap:
             raise ValueError("rule does not permute the translation cosets")
         self.gid = G.gid
         self.rule = checked
-        self._key = (G.gid, tuple((f,) + checked[f] for f in parts))
 
     def acts_on(self, G) -> bool:
         """Whether G is the wallpaper group this map was built for."""
@@ -114,12 +114,14 @@ class CosetwiseAffineMap:
         """A map from a rule already in G.F order with tuple entries, built
         without the checks of __init__: compose and invert only make such
         rules, since products and inverses of unimodular coset permutations
-        are unimodular coset permutations again.  ==, hash, repr and
-        to_json then see the map a validated construction would give."""
+        are unimodular coset permutations again.
+
+        Every rule is stored in G.F order, as __init__ builds it too, so ==
+        and hash read the rule itself and see the map a validated
+        construction would give, as repr and to_json do."""
         out = object.__new__(cls)
         out.gid = gid
         out.rule = rule
-        out._key = (gid, tuple((f,) + entry for f, entry in rule.items()))
         return out
 
     def compose(self, other: "CosetwiseAffineMap") -> "CosetwiseAffineMap":
@@ -150,10 +152,11 @@ class CosetwiseAffineMap:
         return all(self.rule[f] == (f, _I2, _Z2) for f in self.rule)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, CosetwiseAffineMap) and self._key == other._key
+        return (isinstance(other, CosetwiseAffineMap)
+                and (self.gid, self.rule) == (other.gid, other.rule))
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash((self.gid, tuple(self.rule.items())))
 
     def __repr__(self) -> str:
         return f"CosetwiseAffineMap({self.gid}, {self.rule!r})"
@@ -174,12 +177,7 @@ def identity_map(G: GroupTable) -> CosetwiseAffineMap:
 
 def iota(G: GroupTable) -> CosetwiseAffineMap:
     """g |-> g^-1."""
-    rule = {}
-    for f in G.F:
-        finv, c = G.point_inv[f]
-        m = tuple(tuple(-x for x in row) for row in G.act[f])
-        rule[f] = (finv, m, matvec(m, c))
-    return CosetwiseAffineMap(G, rule)
+    return map_from_function(G, G.inv)
 
 
 def map_from_function(G: GroupTable, fn) -> CosetwiseAffineMap:
@@ -320,11 +318,12 @@ def is_wct_on_ball(G: GroupTable, m: CosetwiseAffineMap, radius: int) -> dict:
     parts of g1 = x1*f1 and g2 = x2*f2 fixed, the residual is_conjugate
     tests splits as P(x1) + Q(x2), and a pair holds exactly when Q(x2) and
     -P(x1) agree modulo K for some candidate (see _Block).  Row g1 of
-    ball x ball crosses one block per part f2; its first failing pair is the
-    minimum over those blocks, and the scan stops at the first row that has
-    one.  That pair is re-derived through G.mul and m.apply and re-checked
-    with is_conjugate, by an explicit raise that python -O keeps, before it
-    is reported.
+    ball x ball crosses one block per part f2; a block is built, with the
+    signatures of all its cells, when a row first reaches it.  The row's
+    first failing pair is the minimum over those blocks, and the scan stops
+    at the first row that has one.  That pair is re-derived through G.mul
+    and m.apply and re-checked with is_conjugate, by an explicit raise that
+    python -O keeps, before it is reported.
     """
     _check_map(G, m)
     xs = cells(radius)
@@ -385,13 +384,14 @@ class _Block:
     same canonical representative modulo K.  A cell's signature is the tuple
     of its Q representatives, one per candidate, and a row's key the tuple
     of its -P representatives; the pair fails when they agree in no
-    position.  Signatures are computed lazily in cell order, each distinct
-    one kept with its first cell, so the first failing cell for a key is the
-    first cell of the first distinct signature that fails it.  That answer
-    is memoized per key.  Blocks live for one ball check only.
+    position.  The signatures are computed once, when the block is built:
+    each distinct one is kept with its first cell, in cell order, so the
+    first failing cell for a key is the first cell of the first distinct
+    signature that fails it.  That answer is memoized per key.  Blocks live
+    for one ball check only.
     """
 
-    __slots__ = ("row_terms", "cell_terms", "lattice", "xs", "done", "signatures", "memo")
+    __slots__ = ("row_terms", "lattice", "signatures", "memo")
 
     def __init__(self, G: GroupTable, m: CosetwiseAffineMap, f1: str, f2: str, xs: tuple):
         lf, (c0, c1), A, rf, (d0, d1), B = G.pair_form(m, f1, f2)
@@ -408,11 +408,10 @@ class _Block:
             cell_terms.append((w00 - n00 * y00 - n01 * y10, w01 - n00 * y01 - n01 * y11,
                                w10 - n10 * y00 - n11 * y10, w11 - n10 * y01 - n11 * y11, 0, 0))
         self.row_terms = row_terms
-        self.cell_terms = cell_terms
         self.lattice = G.slack_hnf[rf]
-        self.xs = xs
-        self.done = 0          # cells whose signature has been computed
         self.signatures = {}   # distinct signature -> its first cell
+        for cell, (x, y) in enumerate(xs):
+            self.signatures.setdefault(self._reps(cell_terms, x, y), cell)
         self.memo = {}         # key -> first failing cell, or None
 
     def _reps(self, terms: tuple, x: int, y: int) -> tuple:
@@ -438,25 +437,12 @@ class _Block:
                 out.append((u, v))
         return tuple(out)
 
-    def _distinct(self):
-        """The distinct signatures with their first cells, in cell order,
-        computed only as far as the caller reads."""
-        yield from self.signatures.items()
-        xs = self.xs
-        while self.done < len(xs):
-            cell = self.done
-            self.done += 1
-            sig = self._reps(self.cell_terms, *xs[cell])
-            if sig not in self.signatures:
-                self.signatures[sig] = cell
-                yield sig, cell
-
     def first_failure(self, x: int, y: int):
         """The first cell x2 at which (x*f1, x2*f2) fails, or None."""
         key = self._reps(self.row_terms, x, y)
         memo = self.memo
         if key not in memo:
-            memo[key] = next((cell for sig, cell in self._distinct()
+            memo[key] = next((cell for sig, cell in self.signatures.items()
                               if not any(map(eq, sig, key))), None)
         return memo[key]
 
@@ -497,7 +483,7 @@ def forced_consequences(G, m, radius: int = 2) -> dict:
     zero, one = e
     make, apply, mul, inv = type(e), m.apply, G.mul, G.inv
     steps = [make(a, f) for f in G.F for a in (zero,) + mat_identity(len(zero))]
-    involutions = [make(tuple(map(add, c.offset, k)), f)
+    involutions = [make(vadd(c.offset, k), f)
                    for f, c in involution_loci(G).items() if c is not None
                    for k in (zero,) + c.lattice.rows]
     checks = {
@@ -531,7 +517,7 @@ def _keeps_classes(G, m) -> bool:
             lf, L, t = form[h]
             K = G.slack(h).rows
             for _, N, s in G.conjugators(f, h):
-                a0 = tuple(map(add, matvec(L, s), t))
+                a0 = vadd(matvec(L, s), t)
                 A = tuple(matvec(L, col) for col in (*zip(*N), *K))
                 B = tuple(zip(*M)) + (zero,) * len(K)
                 if not (isinstance(_cover(G, lf, a0, A, rf, b0, B), str)
@@ -587,8 +573,8 @@ def _cover(G, lf, a0, A, rf, b0, B):
     flat, lat = isinstance(G, GroupTable), G.slack(rf)
     if flat and _uniform_2d(G, lf, a0, A, rf, b0, B):
         return "uniform"
-    terms = [(_residual(mat, a0, [y - t for y, t in zip(b0, s)]),
-              [_residual(mat, a, b) for a, b in zip(A, B)])
+    terms = [(vsub(vsub(b0, s), matvec(mat, a0)),
+              [vsub(b, matvec(mat, a)) for a, b in zip(A, B)])
              for _, mat, s in G.conjugators(lf, rf)]
     if not flat and any(lat.contains(r) and all(map(lat.contains, cols)) for r, cols in terms):
         return "uniform"  # SdGroup: n-dimensional, with no slack_hnf
@@ -628,11 +614,6 @@ def _uniform_2d(G: GroupTable, lf: str, a0, A, rf: str, b0, B) -> bool:
         else:
             return True
     return False
-
-
-def _residual(mat, a, b) -> list:
-    """b - mat a."""
-    return [y - sum(map(mul, row, a)) for row, y in zip(mat, b)]
 
 
 def _uncovered(d: int, cosets: list):

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from itertools import product
 from math import lcm
-from operator import mul
 from typing import NamedTuple, Sequence
 
 from .conjugacy import brute_is_conjugate as brute_is_conjugate_sd
@@ -56,11 +55,6 @@ class SdElement(NamedTuple):
 
     def to_json(self) -> dict:
         return {"v": list(self.v), "k": self.k}
-
-
-def _product_columns(x: Mat, y: Mat) -> tuple:
-    """The columns of the matrix product x y."""
-    return tuple(tuple(sum(map(mul, row, col)) for row in x) for col in zip(*y))
 
 
 class SdGroup:
@@ -147,8 +141,8 @@ class SdGroup:
         twist = self.powers[-k1 % self.p]
         lhs, first, second = m.mats[k], m.mats[k1], m.mats[k2]
         zero = self.identity.v
-        A = tuple(zip(*lhs)) + _product_columns(lhs, twist)
-        B = tuple(zip(*first)) + _product_columns(twist, second)
+        A = tuple(zip(*lhs)) + tuple(zip(*matmul(lhs, twist)))
+        B = tuple(zip(*first)) + tuple(zip(*matmul(twist, second)))
         return k, zero, A, k, zero, B
 
     def ball(self, radius: int) -> list[SdElement]:
@@ -185,7 +179,7 @@ class SdMap:
     so the map is a bijection of G that carries A onto A.
     """
 
-    __slots__ = ("p", "mats")
+    __slots__ = ("mats",)
 
     def __init__(self, G: SdGroup, mats: Sequence[Mat]):
         if len(mats) != G.p:
@@ -200,7 +194,6 @@ class SdMap:
                 mat_inv_unimodular(mat)
             except ValueError:
                 raise ValueError(f"matrix on slice {k} is not unimodular") from None
-        self.p = G.p
         self.mats = tuple(tuple(tuple(row) for row in mat) for mat in mats)
 
     def apply(self, g: SdElement) -> SdElement:
@@ -208,12 +201,12 @@ class SdMap:
 
     def invert(self) -> "SdMap":
         out = object.__new__(SdMap)  # inverses of unimodular matrices need no re-check
-        out.p, out.mats = self.p, tuple(map(mat_inv_unimodular, self.mats))
+        out.mats = tuple(map(mat_inv_unimodular, self.mats))
         return out
 
     def acts_on(self, G) -> bool:
         """Whether G is a Z^n x C_p with this map's p and n."""
-        return isinstance(G, SdGroup) and G.p == self.p and G.n == len(self.mats[0])
+        return isinstance(G, SdGroup) and G.p == len(self.mats) and G.n == len(self.mats[0])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SdMap) and self.mats == other.mats

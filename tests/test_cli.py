@@ -283,6 +283,10 @@ def test_semidirect_theta_rejects_booleans(capsys):
 @pytest.mark.parametrize("argv", (
     ("semidirect", "--theta", "[[0,-1],[1,-1]]", "--p", "3", "--radius", "-1"),
     ("classes", "--group", "p2", "--radius", "-1"),
+    # the element and presentation branches do not read the radius
+    ("classes", "--group", "p2", "--element", "x", "--radius", "-1"),
+    ("semidirect", "--theta", "[[0,-1],[1,-1]]", "--p", "3", "--check", "presentation",
+     "--radius", "-1"),
 ))
 def test_negative_radius_is_usage_error(capsys, argv):
     code = main(list(argv))

@@ -93,6 +93,20 @@ def test_map_equality_and_hash():
     assert a == b and hash(a) == hash(b)
     assert a != generator(G, "id")
     assert len({a, b, generator(G, "id")}) == 2
+    # == and hash read the rule, which every construction stores in G.F order
+    rule = {f: b.rule[f] for f in reversed(G.F)}
+    c = CosetwiseAffineMap(G, rule)
+    assert c == b and hash(c) == hash(b)
+    # pm and cm share the part labels "1" and "sigma", and so one rule
+    pm, cm = load_group("pm"), load_group("cm")
+    assert pm.F == cm.F and identity_map(pm).rule == identity_map(cm).rule
+    assert identity_map(pm) != identity_map(cm)
+    # compose and invert build their results without re-validation
+    p4mg = load_group("p4mg")
+    eye = identity_map(p4mg)
+    for m in catalog(p4mg).values():
+        back = m.compose(m.invert())
+        assert back == eye and hash(back) == hash(eye)
 
 
 def test_constructor_rejects_bad_rules():
