@@ -23,7 +23,7 @@ from .conjugacy import (
     kf,
 )
 from .groups import GROUP_IDS, Element, load_group
-from .lattice import Coset, Sublattice, matvec, vadd, vneg
+from .lattice import Coset, Sublattice, matmul, matvec, vadd, vneg
 
 TRIVIAL_GROUPS = (
     "pm", "pg", "cm", "p2", "p2mg", "p2gg", "c2mm",
@@ -126,6 +126,10 @@ def _crit_conjugacy(suite: str, seed: int):
 # -- 3: K_f lattice facts ----------------------------------------------------------
 
 
+def _closed_under_matmul(mats: set) -> bool:
+    return all(matmul(x, y) in mats for x in mats for y in mats)
+
+
 def _crit_klattices(suite: str, seed: int):
     p6 = load_group("p6")
     k2 = kf(p6, "rho2")
@@ -136,6 +140,11 @@ def _crit_klattices(suite: str, seed: int):
         "p6_kf_rho2": k2 == Sublattice(2, [(-2, 1), (1, 1)]),
         "p6_kf_rho3": k3 == Sublattice(2, [(2, 0), (0, 2)]),
         "p6_intersection": k2.intersect(k3) == Sublattice(2, [(2, 2), (2, -4)]),
+        # a translation's class is its orbit under the point group, so the
+        # act matrices that conjugate the identity's part onto itself form a group
+        "translation_conjugators_closed": all(
+            _closed_under_matmul({m for _, m, _ in G.conjugators(G.identity.f, G.identity.f)})
+            for G in map(load_group, GROUP_IDS)),
     }
     return all(checks.values()), checks
 

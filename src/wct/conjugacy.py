@@ -32,13 +32,19 @@ its entries are the act matrices with zero shift and its lattice has rank 0.
 brute_is_conjugate/conjugates_within sweep conjugators from a ball instead
 and exist so the closed forms can be tested against something that cannot
 share their bugs.  For a wallpaper group brute_is_conjugate is the literal
-loop over G.ball and G.conj.  conjugates_within is the same sweep with its
-lookups hoisted (t from groups.cells, and fprod, act, act_inv and point_inv
-once per conjugator part f'); every c = t * f' is still multiplied out on
-its own, c^-1 first and then c^-1 (g c), in flat integer arithmetic.  Given
-outer, it keeps only the conjugates in ball(outer), the ball a caller
-compares on: a bound on coordinates it has just computed says nothing about
-which elements are conjugate, so it shares nothing with the closed forms.
+loop over G.ball and G.conj.  conjugates_within is the same sweep in two
+stages, resting on one group identity: a conjugator c = t * f' of the ball
+is the product of the translation t and the pure part c' = (0, 0) * f', so
+g^c = c'^-1 (t^-1 g t) c' = (g^t)^c'.  Stage 1 multiplies out g^t =
+t^-1 (g t) for each t of groups.cells, from the tables read at
+G.identity.f, and keeps the distinct results; stage 2 multiplies out
+c'^-1 (u c') for each distinct u and each f', with fprod, act, act_inv and
+point_inv read once per f'.  Every product is the one GroupTable.inv and
+.mul compute, in flat integer arithmetic, and the identity holds in any
+group, so the sweep still reads nothing but the product rule.  Given outer,
+it keeps only the conjugates in ball(outer), the ball a caller compares
+on: a bound on coordinates it has just computed says nothing about which
+elements are conjugate, so it shares nothing with the closed forms.
 brute_is_conjugate serves SdGroup with the same kind of hoisted sweep:
 theta^j and theta^(j - k) are read from G.powers once per conjugator power
 j, and each c = (w, j) of the ball is multiplied out as SdGroup.inv and .mul
@@ -176,36 +182,57 @@ def is_conjugate(G: GroupTable, g: Element, h: Element) -> bool:
 def conjugates_within(G: GroupTable, g: Element, radius: int, outer=None) -> set:
     """Brute conjugate set {g^c : c in ball(radius)}; oracle for is_conjugate.
 
-    Each g^c = c^-1 (g c) is multiplied out as GroupTable.inv and .mul do,
-    with the table entries of the part f' of c = t * f' looked up once per f'.
-    With outer set, only the g^c in ball(outer) are built and kept.
+    Each c of the ball is t * f', so g^c = (g^t)^c' with c' = (0, 0) * f'.
+    Stage 1 multiplies out each g^t = t^-1 (g t) as GroupTable.inv and .mul
+    do, reading the tables at G.identity.f, and keeps the distinct
+    translation parts (every g^t lies in one part).  Stage 2 multiplies out
+    c'^-1 (u c') for each distinct u and each f', with the table entries of
+    f' looked up once.  With outer set, only the final g^c in ball(outer)
+    are built and kept.
     """
     box = cells(radius)
     G.check_element(g)
     check_radius(outer or 0)  # an empty keep-set would make every comparison vacuous
     lo = None if outer is None else -outer
     (gx, gy), gf = g
+    one = G.identity.f
+    # stage 1, c = t * one.  g c = (g.a + act_inv(g.f) t + e) * l1
     (a00, a01), (a10, a11) = G.act_inv[gf]
+    (e0, e1), l1 = G.fprod[gf, one]
+    # c^-1 = (-act(one) (t + k)) * fpp
+    fpp, (k0, k1) = G.point_inv[one]
+    (n00, n01), (n10, n11) = G.act[one]
+    # g^t = c^-1 (g c) = (c^-1.a + act_inv(fpp) (g c).a + d) * uf
+    (p00, p01), (p10, p11) = G.act_inv[fpp]
+    (d0, d1), uf = G.fprod[fpp, l1]
+    moved = set()
+    keep = moved.add
+    for tx, ty in box:
+        ux = gx + a00 * tx + a01 * ty + e0
+        uy = gy + a10 * tx + a11 * ty + e1
+        vx = tx + k0
+        vy = ty + k1
+        keep((p00 * ux + p01 * uy + d0 - n00 * vx - n01 * vy,
+              p10 * ux + p11 * uy + d1 - n10 * vx - n11 * vy))
     out = set()
     add = out.add
     new = tuple.__new__  # builds the Element without NamedTuple's Python-level __new__
     for fp in G.F:
-        # g c = (g.a + act_inv(g.f) t + e) * l1
-        (e0, e1), l1 = G.fprod[gf, fp]
-        # c^-1 = (-act(f') (t + k)) * f''
+        # stage 2, c = (0, 0) * f'.  u c = (u.a + e) * l1
+        (e0, e1), l1 = G.fprod[uf, fp]
+        # c^-1 = (-act(f') k) * fpp
         fpp, (k0, k1) = G.point_inv[fp]
         (n00, n01), (n10, n11) = G.act[fp]
-        # c^-1 (g c) = (c^-1.a + act_inv(f'') (g c).a + d) * l2
+        # u^c = c^-1 (u c) = (c^-1.a + act_inv(fpp) (u c).a + d) * l2
         (p00, p01), (p10, p11) = G.act_inv[fpp]
         (d0, d1), l2 = G.fprod[fpp, l1]
-        for tx, ty in box:
-            ux = gx + a00 * tx + a01 * ty + e0
-            uy = gy + a10 * tx + a11 * ty + e1
-            vx = tx + k0
-            vy = ty + k1
-            x = p00 * ux + p01 * uy + d0 - n00 * vx - n01 * vy
+        # the terms of (u^c).a that do not read u
+        x0 = p00 * e0 + p01 * e1 + d0 - n00 * k0 - n01 * k1
+        y0 = p10 * e0 + p11 * e1 + d1 - n10 * k0 - n11 * k1
+        for ux, uy in moved:
+            x = p00 * ux + p01 * uy + x0
             if outer is None or lo <= x <= outer:
-                y = p10 * ux + p11 * uy + d1 - n10 * vx - n11 * vy
+                y = p10 * ux + p11 * uy + y0
                 if outer is None or lo <= y <= outer:
                     add(new(Element, ((x, y), l2)))
     return out

@@ -269,6 +269,16 @@ def test_conjugacy_criterion_catches_the_dropped_negation(monkeypatch):
     assert acceptance._conj_sweep(("p6", 1))["disagreements"]
 
 
+@pytest.mark.parametrize("label", ("rho3", "1"))
+def test_lattice_criterion_catches_a_dropped_translation_conjugator(monkeypatch, label):
+    # without -I, or without the identity, the act matrices that conjugate
+    # p6's translations no longer form a group: criterion 3 fails on its own
+    _drop_p6_conjugator(monkeypatch, ("1", "1"), label)
+    res = run_criterion(3, "fast")
+    assert not res["ok"]
+    assert res["detail"]["translation_conjugators_closed"] is False
+
+
 def test_consequences_read_the_injectivity_pass(monkeypatch):
     G = load_group("p2")
     eye, zero = ((1, 0), (0, 1)), (0, 0)

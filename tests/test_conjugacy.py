@@ -415,6 +415,15 @@ def test_conjugates_within_matches_literal_sweep(gid):
                 emptied += not got
             assert got == literal, (g, radius)  # outer = 100 keeps the whole sweep
     assert emptied  # the far corner (7, -7) at radius 0 lies outside ball(2): the cut acts
+    # radius 8, the conjugator radius of criterion 2 and the brute-oracle
+    # benchmark, at the origin and the far corner of every part
+    ball = G.ball(8)
+    for f in G.F:
+        for g in (G.element(0, 0, f), G.element(7, -7, f)):
+            literal = {G.conj(g, c) for c in ball}
+            assert conjugates_within(G, g, 8) == literal, (g, 8)
+            kept = {h for h in literal if max(map(abs, h.a)) <= 2}
+            assert conjugates_within(G, g, 8, 2) == kept, (g, 8, 2)
 
 
 def test_conjugates_within_rejects_negative_outer():
