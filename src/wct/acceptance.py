@@ -206,18 +206,36 @@ def _p4mg_rows(G):
 
 
 def _crit_p4mg(suite: str, seed: int):
+    """The stated p4mg table against conjugacy_class, and the involution roster.
+
+    Each (row, sample a, part) is compared per residue class where it can
+    be: when every stated coset of the part has the lattice K_part that the
+    computed class uses there, both sides are sets of residues modulo
+    K_part, and equal sets agree on all of Z^2 (an absent part on both sides
+    counts as equal).  Any other part, such as the rho2 row's, whose stated
+    U is coarser than K_rho2 = 2Z^2, is scanned point by point over the
+    window, which also names the first mismatch in (row, a, part, b) order.
+    """
     G = load_group("p4mg")
     samples = [(i, j) for i in range(-2, 3) for j in range(-2, 3)]
     window = [(i, j) for i in range(-5, 6) for j in range(-5, 6)]
     first_mismatch = None
     discrepancies = []
+    by_residue = by_window = 0
 
     for f, row in _p4mg_rows(G).items():
         for a in samples:
             pieces = row(a)
             cls = conjugacy_class(G, Element(a, f))
+            computed = {h: (lat, offsets) for h, lat, offsets in cls.parts}
             for fp in G.F:
                 cosets = [c for pf, c in pieces if pf == fp]
+                lat, offsets = computed.get(fp, (None, frozenset()))
+                if (all(c.lattice == lat for c in cosets)
+                        and {c.offset for c in cosets} == offsets):
+                    by_residue += 1
+                    continue
+                by_window += 1
                 for b in window:
                     stated = bool(cosets) and any(c.contains(b) for c in cosets)
                     if stated != cls.contains((b, fp)) and first_mismatch is None:
@@ -264,6 +282,8 @@ def _crit_p4mg(suite: str, seed: int):
         "translation_samples": len(samples),
         "nontranslation_rows_match": first_mismatch is None,
         "first_mismatch": first_mismatch,
+        "parts_by_residue": by_residue,
+        "parts_by_window": by_window,
         "involutions_match": involutions_ok,
         "discrepancies": discrepancies,
     }
@@ -273,13 +293,47 @@ def _crit_p4mg(suite: str, seed: int):
 # -- 5: the nontrivial map catalog --------------------------------------------------
 
 
+_UNIT_STEPS = (((1, 0), (0, 0)), ((0, 1), (0, 0)), ((0, 0), (1, 0)), ((0, 0), (0, 1)))
+
+
+def _pair_form_agreement(G, m) -> tuple:
+    """(probed, agreeing): G.pair_form against m(g1 g2) and m(g1) m(g2)
+    multiplied out through G.mul and m.apply, on every pair of parts at
+    (x1, x2) = the origin and the four unit steps.  Both sides are affine
+    in (x1, x2), so these points pin them."""
+    o = (0, 0)
+    image = {g: m.apply(g) for f in G.F for g in (Element(o, f), Element((1, 0), f),
+                                                  Element((0, 1), f))}
+    probed = agreeing = 0
+    for f1 in G.F:
+        for f2 in G.F:
+            lf, a0, A, rf, b0, B = G.pair_form(m, f1, f2)
+            points = [((o, o), a0, b0)] + [
+                (x, vadd(a0, ca), vadd(b0, cb))
+                for x, ca, cb in zip(_UNIT_STEPS, A, B, strict=True)]
+            for (x1, x2), lhs, rhs in points:
+                g1, g2 = Element(x1, f1), Element(x2, f2)
+                probed += 1
+                agreeing += (m.apply(G.mul(g1, g2)) == (lhs, lf)
+                             and G.mul(image[g1], image[g2]) == (rhs, rf))
+    return probed, agreeing
+
+
 def _crit_catalog(suite: str, seed: int):
+    """Each catalog map is proven by decide and checked on a ball, and the
+    pair form that decide and the ball check both read is held to G.mul and
+    m.apply: pair_form_points counts the probe points where it agrees, and
+    every probed point must."""
     radius = 3 if suite == "fast" else 4
     entries = []
+    probed = agreeing = 0
     for gid, names in maps.NONTRIVIAL_CATALOG.items():
         G = load_group(gid)
         for name in names:
             m = maps.generator(G, name)
+            points, good = _pair_form_agreement(G, m)
+            probed += points
+            agreeing += good
             rep = maps.is_wct_on_ball(G, m, radius)
             # the certificate is exact from radius 1 on, so radius 2 settles it
             cert = maps.nontriviality_certificate(G, m, 2)
@@ -289,9 +343,11 @@ def _crit_catalog(suite: str, seed: int):
                 "proven": maps.decide(G, m)["ok"],
                 "certificate_radius": 2 if cert else None,
             })
-    ok = all(e["wct_ok"] and e["proven"] and e["certificate_radius"] is not None
-             for e in entries)
-    return ok, {"maps": len(entries), "radius": radius, "entries": entries}
+    ok = agreeing == probed and all(
+        e["wct_ok"] and e["proven"] and e["certificate_radius"] is not None
+        for e in entries)
+    return ok, {"maps": len(entries), "radius": radius,
+                "pair_form_points": agreeing, "entries": entries}
 
 
 # -- 6: candidates that must fail ---------------------------------------------------

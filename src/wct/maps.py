@@ -26,8 +26,8 @@ forced_consequences.  Every verdict first asks m.acts_on(G) and raises
 ValueError for a map of another group, which would otherwise be judged
 through the part labels the two groups share.
 
-compose and invert build their results without re-validation (see
-CosetwiseAffineMap._trusted); CosetwiseAffineMap(G, rule) keeps every
+compose, invert and random_map build their results without re-validation
+(see CosetwiseAffineMap._trusted); CosetwiseAffineMap(G, rule) keeps every
 check for rules built by callers.
 
 is_wct_on_ball decides ball(radius) x ball(radius) one pair of source parts
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import random
 import re
+from collections import deque
 from functools import lru_cache, reduce
 from itertools import count, product
 from operator import eq, mul
@@ -114,7 +115,9 @@ class CosetwiseAffineMap:
         """A map from a rule already in G.F order with tuple entries, built
         without the checks of __init__: compose and invert only make such
         rules, since products and inverses of unimodular coset permutations
-        are unimodular coset permutations again.
+        are unimodular coset permutations again, and random_map draws its
+        targets as a shuffle of G.F and its matrices from the unimodular
+        pool.
 
         Every rule is stored in G.F order, as __init__ builds it too, so ==
         and hash read the rule itself and see the map a validated
@@ -1029,39 +1032,47 @@ _WORD_LENGTH = 4  # the longest word normality_check searches
 
 def normality_check(G: GroupTable) -> dict:
     """Conjugate each non-trivial generator by each W0 generator and find the
-    result among short words in the non-trivial generators."""
+    result among short words in the non-trivial generators.
+
+    The words are searched breadth first, up to _WORD_LENGTH symbols, and
+    the search stops once every conjugate has a word.  A word keeps the
+    first name recorded for it, so the names are those of the full search;
+    a conjugate that is never found leaves the search to run in full."""
     if G.gid not in W0_GENERATORS:
         raise ValueError(f"no normality data for {G.gid}")
     cat = _catalog(G.gid)
     ngens = {name: cat[name] for name in NONTRIVIAL_CATALOG[G.gid]}
     symbols = list(ngens.items()) + [
         (f"inv({name})", m.invert()) for name, m in ngens.items()]
+    conjugates = {(n_name, w_name): n.conjugate_by(cat[w_name])
+                  for n_name, n in ngens.items() for w_name in W0_GENERATORS[G.gid]}
 
+    # breadth first: the queue holds the words in the order they were named
     words = {identity_map(G): ("id", 0)}
-    frontier = [identity_map(G)]
-    for length in range(1, _WORD_LENGTH + 1):
-        nxt = []
-        for base in frontier:
-            for sym_name, sym in symbols:
-                w = base.compose(sym)
-                if w not in words:
-                    base_name = words[base][0]
-                    name = sym_name if base_name == "id" else f"{base_name}*{sym_name}"
-                    words[w] = (name, length)
-                    nxt.append(w)
-        frontier = nxt
+    queue = deque(words)
+    missing = set(conjugates.values()) - set(words)
+    while missing and queue:
+        base = queue.popleft()
+        base_name, length = words[base]
+        if length == _WORD_LENGTH:
+            break
+        for sym_name, sym in symbols:
+            w = base.compose(sym)
+            if w not in words:
+                name = sym_name if base_name == "id" else f"{base_name}*{sym_name}"
+                words[w] = (name, length + 1)
+                queue.append(w)
+                missing.discard(w)
 
     pairs = []
-    for n_name, n in ngens.items():
-        for w_name in W0_GENERATORS[G.gid]:
-            conj = n.conjugate_by(cat[w_name])
-            hit = words.get(conj)
-            pairs.append({
-                "generator": n_name,
-                "by": w_name,
-                "found": hit is not None,
-                "word": hit[0] if hit else None,
-            })
+    for (n_name, w_name), conj in conjugates.items():
+        hit = words.get(conj)
+        pairs.append({
+            "generator": n_name,
+            "by": w_name,
+            "found": hit is not None,
+            "word": hit[0] if hit else None,
+        })
     return {
         "group": G.gid,
         "word_length": _WORD_LENGTH,
@@ -1086,7 +1097,12 @@ def _unimodular_pool() -> tuple:
 
 
 def random_map(G: GroupTable, rnd: random.Random) -> CosetwiseAffineMap:
-    """A random coset permutation with random small affine rules per coset."""
+    """A random coset permutation with random small affine rules per coset.
+
+    The rule is built in G.F order from tuples: a shuffle of G.F for the
+    targets and a draw from the unimodular pool for each matrix, so it is
+    trusted without the checks of __init__.  The draws, and so the map of a
+    given seed, are those of the validated construction."""
     targets = list(G.F)
     rnd.shuffle(targets)
     pool = _unimodular_pool()
@@ -1096,4 +1112,4 @@ def random_map(G: GroupTable, rnd: random.Random) -> CosetwiseAffineMap:
         t = (rnd.randint(-_SHIFT_BOUND, _SHIFT_BOUND),
              rnd.randint(-_SHIFT_BOUND, _SHIFT_BOUND))
         rule[f] = (f2, m, t)
-    return CosetwiseAffineMap(G, rule)
+    return CosetwiseAffineMap._trusted(G.gid, rule)

@@ -17,9 +17,9 @@ import pytest
 import wct
 from wct import acceptance, maps
 from wct.acceptance import CRITERIA, run_criterion, run_suite
-from wct.conjugacy import CosetUnionClass
-from wct.groups import GROUP_IDS, Element, load_group
-from wct.lattice import Coset
+from wct.conjugacy import CosetUnionClass, conjugacy_class
+from wct.groups import GROUP_IDS, Element, GroupTable, load_group
+from wct.lattice import Coset, vadd
 
 
 def _check_conjugacy(detail):
@@ -32,6 +32,9 @@ def _check_conjugacy(detail):
 def _check_p4mg(detail):
     assert detail["nontranslation_rows_match"]
     assert detail["first_mismatch"] is None
+    # 7 rows x 25 samples x 8 parts; only the rho2 row's rho2 part, whose
+    # stated U is coarser than K_rho2 = 2Z^2, needs the window
+    assert (detail["parts_by_residue"], detail["parts_by_window"]) == (1375, 25)
     assert detail["involutions_match"]
     # the stated table needs exactly one repair, on the translation row
     assert [d["row"] for d in detail["discrepancies"]] == ["translations"]
@@ -40,6 +43,7 @@ def _check_p4mg(detail):
 
 def _check_catalog(detail):
     assert detail["maps"] == 14
+    assert detail["pair_form_points"] == 1685  # 5 points on each of 337 part pairs
     assert all(e["certificate_radius"] <= 3 for e in detail["entries"])
     assert all(e["proven"] for e in detail["entries"])
 
@@ -100,6 +104,18 @@ def test_criterion(number, name):
         extra(res["detail"])
 
 
+FAST_REPORT = Path(__file__).parent / "data" / "acceptance_fast.json"
+
+
+def _pinned(report: dict) -> dict:
+    """The report without what depends on the host: the worker count and
+    each criterion's seconds and within_budget."""
+    out = {k: v for k, v in report.items() if k != "workers"}
+    out["criteria"] = [{k: v for k, v in r.items() if k not in ("seconds", "within_budget")}
+                       for r in report["criteria"]]
+    return out
+
+
 def test_fast_suite_report_shape():
     seen = []
     report = run_suite("fast", seed=0, progress=seen.append)
@@ -108,7 +124,9 @@ def test_fast_suite_report_shape():
     assert [r["criterion"] for r in report["criteria"]] == list(range(1, 11))
     assert len(seen) == 10
     assert report["workers"] >= 1
-    json.dumps(report)  # the whole report must be JSON-serializable
+    # the whole report is JSON, and apart from the host-dependent keys it is
+    # the committed one, written as json.dumps(_pinned(report), indent=1)
+    assert json.loads(json.dumps(_pinned(report))) == json.loads(FAST_REPORT.read_text())
 
 
 def test_unknown_suite_rejected():
@@ -240,6 +258,71 @@ def test_p4mg_names_first_mismatch(monkeypatch):
     assert res["detail"]["first_mismatch"] == {
         "row": "rho2", "a": [-2, -2], "b": [-5, -5], "part": "rho2",
         "stated": False, "computed": True}
+
+
+def _window_first_mismatch(G, rows):
+    """Criterion 4's row check as a scan of every part of every row over the
+    window, point by point; the first mismatch in (row, a, part, b) order."""
+    samples = [(i, j) for i in range(-2, 3) for j in range(-2, 3)]
+    window = [(i, j) for i in range(-5, 6) for j in range(-5, 6)]
+    for f, row in rows.items():
+        for a in samples:
+            pieces = row(a)
+            cls = conjugacy_class(G, Element(a, f))
+            for fp in G.F:
+                cosets = [c for pf, c in pieces if pf == fp]
+                for b in window:
+                    stated = any(c.contains(b) for c in cosets)
+                    if stated != cls.contains((b, fp)):
+                        return {"row": f, "a": list(a), "b": list(b), "part": fp,
+                                "stated": stated, "computed": not stated}
+    return None
+
+
+def test_p4mg_residue_mismatch_matches_the_window_scan(monkeypatch):
+    rows = acceptance._p4mg_rows
+
+    def moved_rho(G):
+        # the second coset of the rho row moves by x, from a + x to a + 2x:
+        # its lattice is still U = K_rho3, so only the residues differ
+        out = rows(G)
+        out["rho"] = lambda a: [("rho", Coset(a, acceptance._U)),
+                                ("rho3", Coset(vadd(a, (2, 0)), acceptance._U))]
+        return out
+
+    monkeypatch.setattr(acceptance, "_p4mg_rows", moved_rho)
+    G = load_group("p4mg")
+    expected = _window_first_mismatch(G, moved_rho(G))
+    assert expected is not None and expected["row"] == "rho"
+    res = run_criterion(4, "fast")
+    assert not res["ok"]
+    assert res["detail"]["nontranslation_rows_match"] is False
+    assert res["detail"]["first_mismatch"] == expected
+    # the moved part of each rho sample joins the rho2 part in the window
+    assert (res["detail"]["parts_by_residue"], res["detail"]["parts_by_window"]) == (1350, 50)
+
+
+def test_catalog_criterion_checks_the_pair_form(monkeypatch):
+    # a pair form that drops the column of A read by x1's first coordinate.
+    # decide and the ball check read the pair form too, so both are stood in
+    # by passes: the criterion's own check of the form is left to see it.
+    # The catalogs are built first, since building them reads the form.
+    for gid in maps.NONTRIVIAL_CATALOG:
+        maps.catalog(load_group(gid))
+    real = GroupTable.pair_form
+
+    def dropped(self, m, f1, f2):
+        lf, a0, A, rf, b0, B = real(self, m, f1, f2)
+        return lf, a0, ((0, 0),) + A[1:], rf, b0, B
+
+    monkeypatch.setattr(GroupTable, "pair_form", dropped)
+    monkeypatch.setattr(acceptance.maps, "decide", lambda G, m: {"ok": True})
+    monkeypatch.setattr(acceptance.maps, "is_wct_on_ball",
+                        lambda G, m, radius: {"ok": True, "pairs_checked": 0})
+    res = run_criterion(5, "fast")
+    assert not res["ok"]
+    assert all(e["wct_ok"] and e["proven"] for e in res["detail"]["entries"])
+    assert res["detail"]["pair_form_points"] < 1685
 
 
 def _drop_p6_conjugator(monkeypatch, key, label):

@@ -12,6 +12,7 @@ import pytest
 from law_reference import probe_failure
 
 import wct
+from wct import maps
 from wct.acceptance import P2_THETAS, SD_CASES, TRIVIAL_GROUPS
 from wct.conjugacy import conjugacy_class, is_conjugate
 from wct.groups import GROUP_IDS, Element, GroupTable, load_group, parse_element
@@ -564,12 +565,79 @@ def test_normality_of_patch_subgroup(gid):
     assert all(p["found"] for p in rep["pairs"])
 
 
+def _full_search_normality(G):
+    """normality_check with every word of up to 4 symbols named first, layer
+    by layer, before any conjugate is looked up."""
+    cat = maps._catalog(G.gid)
+    ngens = {name: cat[name] for name in NONTRIVIAL_CATALOG[G.gid]}
+    symbols = list(ngens.items()) + [
+        (f"inv({name})", m.invert()) for name, m in ngens.items()]
+    words = {identity_map(G): ("id", 0)}
+    frontier = [identity_map(G)]
+    for length in range(1, 5):
+        nxt = []
+        for base in frontier:
+            for sym_name, sym in symbols:
+                w = base.compose(sym)
+                if w not in words:
+                    base_name = words[base][0]
+                    name = sym_name if base_name == "id" else f"{base_name}*{sym_name}"
+                    words[w] = (name, length)
+                    nxt.append(w)
+        frontier = nxt
+    pairs = []
+    for n_name, n in ngens.items():
+        for w_name in W0_GENERATORS[G.gid]:
+            hit = words.get(n.conjugate_by(cat[w_name]))
+            pairs.append({"generator": n_name, "by": w_name, "found": hit is not None,
+                          "word": hit[0] if hit else None})
+    return {"group": G.gid, "word_length": 4, "pairs": pairs,
+            "ok": all(p["found"] for p in pairs)}
+
+
+@pytest.mark.parametrize("gid", ("p4", "p6"))
+def test_normality_names_match_full_search(gid):
+    G = load_group(gid)
+    assert normality_check(G) == _full_search_normality(G)
+
+
+def test_normality_reports_a_conjugate_outside_the_words(monkeypatch):
+    # conjugating by the inner map of x^9 moves a patch nine steps: no word
+    # of four symbols reaches it, so the search runs in full and fails
+    G = load_group("p4")
+    real = maps._catalog
+
+    def with_far(gid):
+        return {**real(gid), "far": inner_map(G, G.element(9, 0))} if gid == "p4" else real(gid)
+
+    monkeypatch.setattr(maps, "_catalog", with_far)
+    monkeypatch.setitem(W0_GENERATORS, "p4", W0_GENERATORS["p4"] + ("far",))
+    rep = normality_check(G)
+    assert rep == _full_search_normality(G)
+    assert not rep["ok"]
+    assert not all(p["found"] for p in rep["pairs"] if p["by"] == "far")
+    assert all(p["found"] for p in rep["pairs"] if p["by"] != "far")
+
+
 def test_normality_unsupported_group():
     with pytest.raises(ValueError, match="no normality data"):
         normality_check(load_group("p3"))
 
 
 # -- random candidates -------------------------------------------------------------
+
+
+def _validated_random_map(G, rnd):
+    """random_map's draws, built through the checks of CosetwiseAffineMap."""
+    targets = list(G.F)
+    rnd.shuffle(targets)
+    pool = maps._unimodular_pool()
+    rule = {}
+    for f, f2 in zip(G.F, targets):
+        m = rnd.choice(pool)
+        t = (rnd.randint(-2, 2), rnd.randint(-2, 2))
+        rule[f] = (f2, m, t)
+    return CosetwiseAffineMap(G, rule)
 
 
 @pytest.mark.parametrize("gid", GROUP_IDS)
@@ -579,6 +647,15 @@ def test_random_map_is_valid_and_seeded(gid):
     b = random_map(G, random.Random(42))
     assert a == b
     assert a.compose(a.invert()).is_identity()
+    # the trusted rule is the one validation would store, drawn from the
+    # same stream, so every seed gives the map it gave before
+    for seed in range(50):
+        rnd, ref_rnd = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            m = random_map(G, rnd)
+            ref = _validated_random_map(G, ref_rnd)
+            assert m == CosetwiseAffineMap(G, m.rule) == ref
+            assert list(m.rule) == list(G.F) and hash(m) == hash(ref)
 
 
 def test_w0_generator_names_resolve():
