@@ -143,7 +143,7 @@ def _crit_klattices(suite: str, seed: int):
         # a translation's class is its orbit under the point group, so the
         # act matrices that conjugate the identity's part onto itself form a group
         "translation_conjugators_closed": all(
-            _closed_under_matmul({m for _, m, _ in G.conjugators(G.identity.f, G.identity.f)})
+            _closed_under_matmul({m for _, m, _ in G.conjugators[G.identity.f, G.identity.f]})
             for G in map(load_group, GROUP_IDS)),
     }
     return all(checks.values()), checks
@@ -457,30 +457,20 @@ def _crit_axioms(suite: str, seed: int):
 
 
 def _search_group(job):
-    """Screen random candidates, escalating survivors to maps.decide.
+    """Refute random candidates that move e, settling the rest with maps.decide.
 
-    A screen pair that fails the class condition refutes the map, so the
-    screen never discards a map decide would keep; every counted WCT map is
-    proven over the whole group.
+    Every WCT map m fixes e: with g1 = m^-1(e) and g2 = e, the condition
+    m(g1 g2) ~ m(g1) m(g2) reads e ~ m(e), and the class of e is {e}.  So a
+    candidate with m(e) != e is refuted exactly, and every counted WCT map
+    is proven over the whole group; screen_survivors counts those fixing e.
     """
     gid, count, seed = job
     G = load_group(gid)
     rnd = random.Random(f"{seed}:{gid}")
-    screen = [
-        (Element((1, 0), "1"), G.ball(1)[-1]),
-        (G.ball(1)[-1], Element((0, 1), "1")),
-        (Element((1, -1), G.F[1]), Element((0, 1), G.F[-1])),
-        (Element((2, 0), G.F[-1]), Element((1, 1), G.F[1])),
-        (Element((0, 1), G.F[len(G.F) // 2]), Element((-1, 0), G.F[1])),
-        (Element((1, 1), "1"), Element((1, 0), G.F[len(G.F) // 2])),
-    ]
     survivors = wct_maps = hits = 0
     for _ in range(count):
         m = maps.random_map(G, rnd)
-        if not all(
-            is_conjugate(G, m.apply(G.mul(g1, g2)),
-                         G.mul(m.apply(g1), m.apply(g2)))
-            for g1, g2 in screen):
+        if m.apply(G.identity) != G.identity:
             continue
         survivors += 1
         if not maps.decide(G, m)["ok"]:

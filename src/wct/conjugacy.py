@@ -10,9 +10,9 @@ a * h is one G.check_element call, one reduction and one set lookup.  All
 of it is exact integer math.
 
 groups.conjugation_hooks states that closed form once for both families,
-as two hooks it builds from a group's product rule: G.conjugators(f, h)
+as two dicts it builds from a group's product rule: G.conjugators[f, h]
 lists (f', act(f'), s) for the first f' of each distinct coset map that
-carries part f onto part h, and G.slack(h) is K_h.  A GroupTable also
+carries part f onto part h, and G.slack[h] is K_h.  A GroupTable also
 keeps K_h's HNF rows as three ints, G.slack_hnf[h], which is_conjugate,
 maps._Block and maps.decide read; an SdGroup's parts G.F are its
 k-slices.  conjugacy_class reads the hooks for both families
@@ -23,7 +23,7 @@ G.mul with groups.affine_on_part and solves it for e.
 
 is_conjugate decides membership without building a class.  For the part
 pair (g.f, h.f) it unpacks each entry (f', act(f'), s) of
-G.conjugators(g.f, h.f) in place and tests h.a - act(f') g.a - s against
+G.conjugators[g.f, h.f] in place and tests h.a - act(f') g.a - s against
 K = K_{h.f}, encoded by the HNF rows (p, q) and (0, r) of G.slack_hnf[h.f]:
 a few integer divisions, after one chained type test that sends a non-int
 coordinate to check_element.  The translation case is the pair ("1", "1"):
@@ -72,7 +72,7 @@ def kf(G: GroupTable, f: str) -> Sublattice:
     """K_f = im(act(f) - I), the translation slack of the class of a*f."""
     if f not in G.F:
         raise ValueError(f"unknown transversal label {f!r} for {G.gid}")
-    return G.slack(f)
+    return G.slack[f]
 
 
 # -- class descriptors --------------------------------------------------------
@@ -136,12 +136,12 @@ def conjugacy_class(G, g):
 
     if f == one:
         return TranslationClass(frozenset(
-            make(vadd(matvec(m, a), s), one) for _, m, s in G.conjugators(one, one)),
+            make(vadd(matvec(m, a), s), one) for _, m, s in G.conjugators[one, one]),
             G.check_element)
     parts = []
     for h in G.F:
-        if entries := G.conjugators(f, h):
-            lat = G.slack(h)
+        if entries := G.conjugators[f, h]:
+            lat = G.slack[h]
             parts.append((h, lat, frozenset(lat.reduce(vadd(matvec(m, a), s))
                                             for _, m, s in entries)))
     return CosetUnionClass(tuple(parts), G.check_element)
@@ -154,7 +154,7 @@ def is_conjugate(G: GroupTable, g: Element, h: Element) -> bool:
     is not an int.
     """
     try:
-        cands = G.conjugators(g.f, h.f)
+        cands = G.conjugators[g.f, h.f]
     except KeyError:
         G.check_element(g)
         G.check_element(h)

@@ -166,7 +166,7 @@ def _label(k: int, e: int, refl: str | None) -> str:
 
 def conjugation_hooks(G, act) -> tuple[dict, dict]:
     """The closed form of conjugacy, stated once for both families: the
-    hooks (slack, conjugators) of a group G whose product rule is built.
+    dicts (slack, conjugators) of a group G whose product rule is built.
 
     G.identity is (zero, one) and G.F the parts; act[f] is the matrix of
     a |-> f^-1 a f.  Conjugating a*f by t*f' moves a within a + K_f, K_f =
@@ -278,12 +278,14 @@ class GroupTable:
             gens["g"] = Element(_ZERO, "gamma")
         self.generators = gens
 
-        self._slack, self._conjugators = conjugation_hooks(self, self.act)
+        # slack[h] = K_h; the conjugates of a*f in part h are the cosets
+        # act(f') a + s + K_h over (f', act(f'), s) in conjugators[f, h]
+        self.slack, self.conjugators = conjugation_hooks(self, self.act)
         # slack_hnf[h] = (p, q, r): K_h's HNF rows (p, q) and (0, r), p = 0 or
         # r = 0 for an absent row; the 2-D kernels of is_conjugate,
         # maps._Block and maps.decide's uniform test read it
         self.slack_hnf = {}
-        for f, lat in self._slack.items():
+        for f, lat in self.slack.items():
             p = q = r = 0
             for row in lat.rows:
                 if row[0]:
@@ -327,17 +329,6 @@ class GroupTable:
         if f not in self._part_of:
             raise ValueError(f"unknown transversal label {f!r} for {self.gid}")
         return Element(int_coords((i, j), "translation part"), f)
-
-    def conjugators(self, f: str, h: str) -> tuple:
-        """(f', act(f'), s) for the first conjugating part f' of each coset
-        map that carries part f onto part h (see conjugation_hooks): the
-        conjugates of a*f in part h are the union of the cosets
-        act(f') a + s + slack(h), in G.F order of f'."""
-        return self._conjugators[f, h]
-
-    def slack(self, h: str) -> Sublattice:
-        """K_h = im(act(h) - I), the lattice a class spreads over in part h."""
-        return self._slack[h]
 
     def pair_form(self, m, f1: str, f2: str) -> tuple:
         """(lf, a0, A, rf, b0, B): both sides of the WCT condition on the

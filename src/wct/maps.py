@@ -14,7 +14,7 @@ tables are read the same way, rightmost factor first.
 homomorphism_failure, antihomomorphism_failure, nontriviality_certificate,
 forced_consequences and decide serve wct.semidirect too: they use only
 G.mul, G.inv, G.identity, m.apply, m.invert, m.acts_on, the two conjugation
-hooks G.conjugators and G.slack, which hold each family's closed form of
+dicts G.conjugators and G.slack, which hold each family's closed form of
 conjugacy, and G.pair_form, which reads both sides of the WCT condition on
 one pair of parts off the tables and the map's rule as affine functions of
 the two translation parts.  decide, the three law checks and the ball
@@ -375,7 +375,7 @@ class _Block:
       rhs = m(g1) m(g2) = b0 + B1 x1 + B2 x2       in part rf,
 
     with A = [A1 | A2] and B = [B1 | B2].  As in is_conjugate, the entries
-    (f', N, s) of G.conjugators(lf, rf), one per distinct map on the cosets
+    (f', N, s) of G.conjugators[lf, rf], one per distinct map on the cosets
     of K, are the candidates and G.slack_hnf[rf] gives the HNF rows (p, q),
     (0, r) of K.  The pair holds exactly when rhs - N lhs - s lies in K for
     some candidate, and that residual splits as P(x1) + Q(x2) with
@@ -404,7 +404,7 @@ class _Block:
         # candidates share N and s modulo K, and A1 is unimodular, so no
         # two row terms agree modulo K.
         row_terms, cell_terms = [], []
-        for _, ((n00, n01), (n10, n11)), (s0, s1) in G.conjugators(lf, rf):
+        for _, ((n00, n01), (n10, n11)), (s0, s1) in G.conjugators[lf, rf]:
             row_terms.append((n00 * x00 + n01 * x10 - u00, n00 * x01 + n01 * x11 - u01,
                               n10 * x00 + n11 * x10 - u10, n10 * x01 + n11 * x11 - u11,
                               n00 * c0 + n01 * c1 + s0 - d0, n10 * c0 + n11 * c1 + s1 - d1))
@@ -507,7 +507,7 @@ def _keeps_classes(G, m) -> bool:
     """Whether m(g') ~ m(g) for every g' ~ g in G.
 
     The conjugates of a*f in part h are the (N a + s + k)*h for the entries
-    (_, N, s) of G.conjugators(f, h) and k = u K_h's HNF rows.  With m's
+    (_, N, s) of G.conjugators[f, h] and k = u K_h's HNF rows.  With m's
     rules (lf, L, t) on h and (rf, M, b0) on f, and v = (a, u), the images
     are (L s + t + A v)*lf, A = [L N | L K_h rows], and (b0 + B v)*rf,
     B = [M | 0]: one pair for _cover, asked both ways round.
@@ -518,8 +518,8 @@ def _keeps_classes(G, m) -> bool:
         rf, M, b0 = form[f]
         for h in G.F:
             lf, L, t = form[h]
-            K = G.slack(h).rows
-            for _, N, s in G.conjugators(f, h):
+            K = G.slack[h].rows
+            for _, N, s in G.conjugators[f, h]:
                 a0 = vadd(matvec(L, s), t)
                 A = tuple(matvec(L, col) for col in (*zip(*N), *K))
                 B = tuple(zip(*M)) + (zero,) * len(K)
@@ -565,20 +565,20 @@ def _cover(G, lf, a0, A, rf, b0, B):
     """Whether (b0 + B v)*rf is conjugate to (a0 + A v)*lf for all v in Z^d,
     d = len(A): "uniform", "covered", or a v for which it is not.
 
-    A conjugator (label, N, s) of G.conjugators(lf, rf) serves v when r + R v
-    lies in K = G.slack(rf), for r = b0 - N a0 - s and R = B - N A.  The
+    A conjugator (label, N, s) of G.conjugators[lf, rf] serves v when r + R v
+    lies in K = G.slack[rf], for r = b0 - N a0 - s and R = B - N A.  The
     answer is "uniform" when one serves every v: r and R's columns lie in K,
     tested on the ints G.slack_hnf[rf] for a wallpaper group (_uniform_2d).
     Else one solve_integer call on [R | -K rows] per conjugator gives the v
     it serves as a coset c + S of Z^d, or none; "covered" means they cover
     Z^d, and else a point they miss is returned (see _uncovered).
     """
-    flat, lat = isinstance(G, GroupTable), G.slack(rf)
+    flat, lat = isinstance(G, GroupTable), G.slack[rf]
     if flat and _uniform_2d(G, lf, a0, A, rf, b0, B):
         return "uniform"
     terms = [(vsub(vsub(b0, s), matvec(mat, a0)),
               [vsub(b, matvec(mat, a)) for a, b in zip(A, B)])
-             for _, mat, s in G.conjugators(lf, rf)]
+             for _, mat, s in G.conjugators[lf, rf]]
     if not flat and any(lat.contains(r) and all(map(lat.contains, cols)) for r, cols in terms):
         return "uniform"  # SdGroup: n-dimensional, with no slack_hnf
     d, cosets = len(A), []
@@ -595,14 +595,14 @@ def _cover(G, lf, a0, A, rf, b0, B):
 def _uniform_2d(G: GroupTable, lf: str, a0, A, rf: str, b0, B) -> bool:
     """decide's uniform test on a wallpaper group's pair_form, in flat ints.
 
-    True when some (f', N, s) of G.conjugators(lf, rf) has b0 - N a0 - s and
-    every column B_j - N A_j in K = G.slack(rf), tested as is_conjugate does
+    True when some (f', N, s) of G.conjugators[lf, rf] has b0 - N a0 - s and
+    every column B_j - N A_j in K = G.slack[rf], tested as is_conjugate does
     on K's HNF rows (p, q) and (0, r) from G.slack_hnf[rf]; each candidate
     stops at its first vector outside K.
     """
     p, q, r = G.slack_hnf[rf]
     (b0x, b0y), cols = b0, tuple(zip(A, B))
-    for _, ((n00, n01), (n10, n11)), (s0, s1) in G.conjugators(lf, rf):
+    for _, ((n00, n01), (n10, n11)), (s0, s1) in G.conjugators[lf, rf]:
         for (ax, ay), (bx, by) in ((a0, (b0x - s0, b0y - s1)), *cols):
             x = bx - n00 * ax - n01 * ay
             y = by - n10 * ax - n11 * ay

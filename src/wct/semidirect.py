@@ -6,9 +6,9 @@ relation r^-1 v r = theta(v).  That pins the product to
 translation moves v within v + im(theta^k - I), and conjugating by r^j
 applies theta^j, so the class of (v, k) is the union over j of the cosets
 (theta^j v + im(theta^k - I), k).  groups.conjugation_hooks builds the two
-hooks GroupTable also has, conjugators(k, h) and slack(h), from that rule,
-with the slices F = (0, ..., p - 1) as the parts and act(j) = theta^j; a
-third, pair_form(m, k1, k2), gives both sides of the WCT condition on a
+dicts GroupTable also has, conjugators[k, h] and slack[h], from that rule,
+with the slices F = (0, ..., p - 1) as the parts and act(j) = theta^j; the
+method pair_form(m, k1, k2) gives both sides of the WCT condition on a
 slice pair as linear functions of the translation parts.  Everything else
 is shared with the wallpaper groups, and the sd_ names bind to it:
 class_sd is conjugacy_class, sd_invariants is maps.forced_consequences,
@@ -34,7 +34,6 @@ from .conjugacy import conjugacy_class as class_sd
 from .groups import check_radius, conjugation_hooks, int_coords
 from .lattice import (
     Mat,
-    Sublattice,
     Vec,
     mat_identity,
     mat_inv_unimodular,
@@ -60,7 +59,7 @@ class SdElement(NamedTuple):
 class SdGroup:
     """Z^n x C_p for an integer matrix theta of order exactly p >= 2."""
 
-    __slots__ = ("n", "p", "F", "identity", "theta", "powers", "_conjugators", "_slack")
+    __slots__ = ("n", "p", "F", "identity", "theta", "powers", "conjugators", "slack")
 
     def __init__(self, theta: Sequence[Sequence[int]], p: int):
         th: Mat = tuple(int_coords(row, "theta row") for row in theta)
@@ -85,7 +84,9 @@ class SdGroup:
         self.identity = SdElement((0,) * n, 0)
         self.theta = th
         self.powers = tuple(powers)
-        self._slack, self._conjugators = conjugation_hooks(self, self.powers)
+        # slack[h] = im(theta^h - I); conjugators[f, h] lists (j, theta^j, 0)
+        # for the first j of each coset map (see groups.conjugation_hooks)
+        self.slack, self.conjugators = conjugation_hooks(self, self.powers)
         # the relations r^-1 e_j r = theta(e_j), by an explicit raise that
         # python -O keeps: wct semidirect --check presentation relies on it
         for j in range(n):
@@ -118,17 +119,6 @@ class SdGroup:
                 or type(k) is not int or not 0 <= k < self.p):
             raise ValueError(f"element {g} does not belong to {self!r}")
         return g
-
-    def conjugators(self, f: int, h: int) -> tuple:
-        """(j, theta^j, 0) for the first j of each map on the cosets of
-        slack(f), on slice f alone (see groups.conjugation_hooks): the
-        conjugates of (v, f) in slice h are the union of the cosets
-        M v + s + slack(h)."""
-        return self._conjugators[f, h]
-
-    def slack(self, h: int) -> Sublattice:
-        """im(theta^h - I): the zero lattice on slice 0."""
-        return self._slack[h]
 
     def pair_form(self, m: "SdMap", k1: int, k2: int) -> tuple:
         """(k, 0, A, k, 0, B) with k = k1 + k2 mod p: both sides of the WCT

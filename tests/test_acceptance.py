@@ -74,6 +74,9 @@ def _check_axioms(detail):
 def _check_search(detail):
     assert detail["total_candidates"] == 120000
     assert all(r["nontrivial_hits"] == 0 for r in detail["reports"])
+    # at seed 0 only p2's sample holds WCT maps, all of them trivial
+    assert {r["group"]: r["wct_maps"] for r in detail["reports"]} == {
+        gid: 5 if gid == "p2" else 0 for gid in acceptance.TRIVIAL_GROUPS}
 
 
 EXTRA_CHECKS = {
@@ -326,11 +329,11 @@ def test_catalog_criterion_checks_the_pair_form(monkeypatch):
 
 
 def _drop_p6_conjugator(monkeypatch, key, label):
-    """Remove the entry of conjugating part label from p6's G.conjugators(*key)."""
+    """Remove the entry of conjugating part label from p6's G.conjugators[key]."""
     G = load_group("p6")
-    entries = G.conjugators(*key)
-    monkeypatch.setitem(G._conjugators, key, tuple(e for e in entries if e[0] != label))
-    assert len(G.conjugators(*key)) == len(entries) - 1
+    entries = G.conjugators[key]
+    monkeypatch.setitem(G.conjugators, key, tuple(e for e in entries if e[0] != label))
+    assert len(G.conjugators[key]) == len(entries) - 1
 
 
 def test_consequences_criterion_catches_a_dropped_conjugator(monkeypatch):

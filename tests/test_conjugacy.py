@@ -109,7 +109,7 @@ def test_translation_classes_are_orbits():
 def test_class_depends_on_part_and_residue(group):
     """The shape of a class that conjugacy_class and the class check of
     maps.forced_consequences read off the hooks: a*f off A has the class of
-    (a +- k)*f for each HNF row k of G.slack(f), and each element of a
+    (a +- k)*f for each HNF row k of G.slack[f], and each element of a
     translation class has that class."""
     cases = {label: (p, theta) for label, p, theta in SD_CASES}
     G = build(cases[group][1], cases[group][0]) if group in cases else load_group(group)
@@ -121,7 +121,7 @@ def test_class_depends_on_part_and_residue(group):
             assert isinstance(cls, TranslationClass)
             assert all(conjugacy_class(G, x) == cls for x in cls.elements), g
             continue
-        for k in G.slack(f).rows:
+        for k in G.slack[f].rows:
             for moved in (vadd(a, k), vsub(a, k)):
                 assert conjugacy_class(G, make(moved, f)) == cls, (g, k)
 
@@ -229,12 +229,12 @@ def test_coset_union_piece_counts():
 
 def _reference_pieces(G, g):
     """Reference ((h, Coset), ...) of a non-translation's class, built Coset
-    by Coset: one per distinct M a + s of G.conjugators(g.f, h) over
-    G.slack(h), sorted by offset within part h, in G.F order."""
+    by Coset: one per distinct M a + s of G.conjugators[g.f, h] over
+    G.slack[h], sorted by offset within part h, in G.F order."""
     a, f = g
     pieces = []
     for h in G.F:
-        cosets = {Coset(vadd(matvec(m, a), s), G.slack(h)) for _, m, s in G.conjugators(f, h)}
+        cosets = {Coset(vadd(matvec(m, a), s), G.slack[h]) for _, m, s in G.conjugators[f, h]}
         pieces += [(h, c) for c in sorted(cosets, key=lambda c: c.offset)]
     return tuple(pieces)
 

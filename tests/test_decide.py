@@ -206,14 +206,14 @@ def test_sd_map_invert_undoes_apply():
 
 
 def _contains_scan(G, lf, a0, A, rf, b0, B):
-    """The index of the first conjugator (f', N, s) of G.conjugators(lf, rf)
-    that puts b0 - N a0 - s and every B_j - N A_j in G.slack(rf), or None."""
-    lat = G.slack(rf)
+    """The index of the first conjugator (f', N, s) of G.conjugators[lf, rf]
+    that puts b0 - N a0 - s and every B_j - N A_j in G.slack[rf], or None."""
+    lat = G.slack[rf]
 
     def residual(N, a, b):
         return [y - sum(n * x for n, x in zip(row, a)) for row, y in zip(N, b)]
 
-    for i, (_, N, s) in enumerate(G.conjugators(lf, rf)):
+    for i, (_, N, s) in enumerate(G.conjugators[lf, rf]):
         terms = [(a0, [y - t for y, t in zip(b0, s)]), *zip(A, B)]
         if all(lat.contains(residual(N, a, b)) for a, b in terms):
             return i

@@ -138,25 +138,25 @@ def _coset_map_key(lat, m, s):
 def test_conjugation_hooks(gid):
     # conjugating a*f by a pure part f' lands on act(f') a + s in part h,
     # where (s, h) is the conjugate of the pure part f; the moves of a under
-    # conjugation by x and y span slack(f); conjugators(f, h) keeps, in G.F
-    # order, the first f' of each coset map of slack(h) and no other
+    # conjugation by x and y span slack[f]; conjugators[f, h] keeps, in G.F
+    # order, the first f' of each coset map of slack[h] and no other
     G = load_group(gid)
     a = (3, -2)
     for f in G.F:
         moves = [vsub(G.conj(Element(a, f), Element(t, "1")).a, a) for t in ((1, 0), (0, 1))]
-        assert G.slack(f) == Sublattice(2, moves)
+        assert G.slack[f] == Sublattice(2, moves)
         first = {}  # (h, key) -> (f', act(f'), s) of the first f' with that key
         for fp in G.F:
             s, h = G.conj(Element((0, 0), f), Element((0, 0), fp))
             m = G.act[fp]
             assert G.conj(Element(a, f), Element((0, 0), fp)) == \
                 Element(vadd(matvec(m, a), s), h)
-            first.setdefault((h, _coset_map_key(G.slack(h), m, s)), (fp, m, s))
+            first.setdefault((h, _coset_map_key(G.slack[h], m, s)), (fp, m, s))
         for h in G.F:
-            entries = G.conjugators(f, h)
+            entries = G.conjugators[f, h]
             labels = [fp for fp, _, _ in entries]
             assert labels == sorted(labels, key=G.F.index)
-            keys = [_coset_map_key(G.slack(h), m, s) for _, m, s in entries]
+            keys = [_coset_map_key(G.slack[h], m, s) for _, m, s in entries]
             assert len(set(keys)) == len(keys)
             assert list(entries) == [e for (k, _), e in first.items() if k == h]
 

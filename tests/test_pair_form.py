@@ -45,8 +45,8 @@ def _reference_certificate(G, m) -> dict:
         (_, f), (_, h) = images[0]
         found = None
         if all(lhs[1] == f and rhs[1] == h for lhs, rhs in images):
-            lat = G.slack(h)
-            for label, mat, s in G.conjugators(f, h):
+            lat = G.slack[h]
+            for label, mat, s in G.conjugators[f, h]:
                 if all(lat.contains([y - x - t for x, y, t in zip(matvec(mat, a), b, s)])
                        for (a, _), (b, _) in images):
                     found = label

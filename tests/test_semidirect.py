@@ -185,16 +185,16 @@ def test_conjugation_hooks(theta, p):
     G = build(theta, p)
     zero = (0,) * G.n
     v = tuple(range(1, G.n + 1))
-    assert G.conjugators(0, 0) == tuple((j, G.powers[j], zero) for j in range(p))
+    assert G.conjugators[0, 0] == tuple((j, G.powers[j], zero) for j in range(p))
     assert [G.conj(SdElement(v, 0), G.element(None, j)).v for j in range(p)] == \
-        [matvec(m, v) for _, m, _ in G.conjugators(0, 0)]
-    assert G.slack(0) == Sublattice.zero(G.n)
+        [matvec(m, v) for _, m, _ in G.conjugators[0, 0]]
+    assert G.slack[0] == Sublattice.zero(G.n)
     for k in range(1, p):
-        assert G.conjugators(k, k) == ((0, mat_identity(G.n), zero),)
+        assert G.conjugators[k, k] == ((0, mat_identity(G.n), zero),)
         moves = [vsub(G.conj(SdElement(v, k), SdElement(e, 0)).v, v) for e in mat_identity(G.n)]
-        assert G.slack(k) == Sublattice(G.n, moves)
+        assert G.slack[k] == Sublattice(G.n, moves)
     for k in range(p):
-        assert all(G.conjugators(k, h) == () for h in range(p) if h != k)
+        assert all(G.conjugators[k, h] == () for h in range(p) if h != k)
 
 
 # -- derived subgroup -----------------------------------------------------------
@@ -202,9 +202,9 @@ def test_conjugation_hooks(theta, p):
 
 def test_derived_lattice_frozen():
     # for p = 2 the commutator subgroup is slack(1) = im(theta - I)
-    assert build([[-1, 0], [0, -1]], 2).slack(1) == Sublattice(2, [(2, 0), (0, 2)])
-    assert build([[0, 1], [1, 0]], 2).slack(1) == Sublattice(2, [(1, -1)])
-    assert build([[-1]], 2).slack(1) == Sublattice(1, [(2,)])
+    assert build([[-1, 0], [0, -1]], 2).slack[1] == Sublattice(2, [(2, 0), (0, 2)])
+    assert build([[0, 1], [1, 0]], 2).slack[1] == Sublattice(2, [(1, -1)])
+    assert build([[-1]], 2).slack[1] == Sublattice(1, [(2,)])
 
 
 @pytest.mark.parametrize("theta", P2_SAMPLES[:4])
@@ -216,7 +216,7 @@ def test_derived_lattice_matches_commutators(theta):
             c = G.mul(G.inv(G.mul(h, g)), G.mul(g, h))  # (g, h) = g^-1 h^-1 g h
             assert c.k == 0  # C_p is abelian, so commutators are translations
             gens.append(c.v)
-    assert Sublattice(G.n, gens) == G.slack(1)
+    assert Sublattice(G.n, gens) == G.slack[1]
 
 
 # -- conjugacy -------------------------------------------------------------------
