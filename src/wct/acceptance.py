@@ -516,7 +516,14 @@ def run_criterion(number: int, suite: str = "full", seed: int = 0) -> dict:
     else:
         raise ValueError(f"no criterion {number}")
     start = time.perf_counter()
-    ok, detail = fn(suite, seed)
+    try:
+        ok, detail = fn(suite, seed)
+    except Exception as exc:  # a fault fails its own criterion; the others still run
+        # imported here: it adds about 3 ms to `import wct`, and a healthy run never needs it
+        import traceback
+
+        ok, detail = False, {"fault": f"{type(exc).__name__}: {exc}",
+                             "traceback": traceback.format_exc()}
     elapsed = time.perf_counter() - start
     within = budget is None or elapsed < budget
     return {

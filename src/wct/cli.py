@@ -7,7 +7,8 @@ negative radii), 3 on an internal fault, reported as "error: ..." on
 stderr.  When the reader closes stdout early (`wct ... | head`), the
 output stops without a traceback and the exit status is still the verdict's.
 The acceptance battery reports per-criterion progress on stderr so the
-stdout document stays a single parseable object.
+stdout document stays a single parseable object; a criterion that faulted
+fails with its fault in the report, and the battery then exits 3.
 """
 
 from __future__ import annotations
@@ -166,8 +167,14 @@ def _cmd_acceptance(args) -> tuple[int, dict]:
         verdict = "pass" if res["ok"] else "FAIL"
         print(f"criterion {res['criterion']:>2} {res['name']}: "
               f"{verdict} ({res['seconds']}s)", file=sys.stderr, flush=True)
+        if "fault" in res["detail"]:
+            print(f"error: internal fault in criterion {res['criterion']}: "
+                  f"{res['detail']['fault']}\n{res['detail']['traceback']}",
+                  end="", file=sys.stderr, flush=True)
 
     report = acceptance.run_suite(args.suite, args.seed, progress=progress)
+    if any("fault" in r["detail"] for r in report["criteria"]):
+        return 3, report
     return (0 if report["ok"] else 1), report
 
 

@@ -45,11 +45,12 @@ group, so the sweep still reads nothing but the product rule.  Given outer,
 it keeps only the conjugates in ball(outer), the ball a caller compares
 on: a bound on coordinates it has just computed says nothing about which
 elements are conjugate, so it shares nothing with the closed forms.
-brute_is_conjugate serves SdGroup with the same kind of hoisted sweep:
-theta^j and theta^(j - k) are read from G.powers once per conjugator power
-j, and each c = (w, j) of the ball is multiplied out as SdGroup.inv and .mul
-would, c^-1 g first and then (c^-1 g) c, with flat dot products.  Both
-kernels read only the multiplication data (the tables that
+brute_is_conjugate serves SdGroup with the same identity: a conjugator
+c = (w, j) of the ball is t * c' with t = (w, 0) and c' = (0, j), so g^c = h
+exactly when g^t = c' h c'^-1.  It multiplies out the p targets c' h c'^-1
+once, then g^t = t^-1 (g t) for each w of the box, both as SdGroup.inv and
+.mul give them, with flat dot products, and stops at the first g^t that is
+a target.  Both kernels read only the multiplication data (the tables that
 check_presentation validates, or G.p and G.powers); they must never read
 conjugation_hooks, conjugators, slack, slack_hnf, kf, a class descriptor or
 a closed-form test, nor use that g^c is affine in the conjugator's
@@ -187,8 +188,9 @@ def conjugates_within(G: GroupTable, g: Element, radius: int, outer=None) -> set
     do, reading the tables at G.identity.f, and keeps the distinct
     translation parts (every g^t lies in one part).  Stage 2 multiplies out
     c'^-1 (u c') for each distinct u and each f', with the table entries of
-    f' looked up once.  With outer set, only the final g^c in ball(outer)
-    are built and kept.
+    f' looked up once, and keeps the distinct translation parts per result
+    part; each Element is built once, at the end.  With outer set, only the
+    g^c in ball(outer) are kept.
     """
     box = cells(radius)
     G.check_element(g)
@@ -214,9 +216,7 @@ def conjugates_within(G: GroupTable, g: Element, radius: int, outer=None) -> set
         vy = ty + k1
         keep((p00 * ux + p01 * uy + d0 - n00 * vx - n01 * vy,
               p10 * ux + p11 * uy + d1 - n10 * vx - n11 * vy))
-    out = set()
-    add = out.add
-    new = tuple.__new__  # builds the Element without NamedTuple's Python-level __new__
+    parts = {}  # part l2 -> the distinct translation parts of its conjugates
     for fp in G.F:
         # stage 2, c = (0, 0) * f'.  u c = (u.a + e) * l1
         (e0, e1), l1 = G.fprod[uf, fp]
@@ -229,23 +229,28 @@ def conjugates_within(G: GroupTable, g: Element, radius: int, outer=None) -> set
         # the terms of (u^c).a that do not read u
         x0 = p00 * e0 + p01 * e1 + d0 - n00 * k0 - n01 * k1
         y0 = p10 * e0 + p11 * e1 + d1 - n10 * k0 - n11 * k1
+        add = parts.setdefault(l2, set()).add
         for ux, uy in moved:
             x = p00 * ux + p01 * uy + x0
             if outer is None or lo <= x <= outer:
                 y = p10 * ux + p11 * uy + y0
                 if outer is None or lo <= y <= outer:
-                    add(new(Element, ((x, y), l2)))
-    return out
+                    add((x, y))
+    new = tuple.__new__  # builds the Element without NamedTuple's Python-level __new__
+    return {new(Element, (a, l2)) for l2, found in parts.items() for a in found}
 
 
 def brute_is_conjugate(G, g, h, radius: int) -> bool:
     """Brute search of ball(radius) for a conjugator; serves SdGroup too.
 
     A wallpaper group runs the literal loop over G.ball and G.conj.  For
-    Z^n x C_p each conjugator c = (w, j) is multiplied out on its own, as
-    SdGroup.inv and .mul do, with theta^j and theta^(j - k) read once per
-    power j: c^-1 = (-theta^j w, -j), then c^-1 g = (c^-1.v + theta^j v,
-    k - j), then (c^-1 g) c = ((c^-1 g).v + theta^(j - k) w, k).
+    Z^n x C_p each conjugator of the ball is c = t * c' with t = (w, 0) and
+    c' = (0, j), as (w, 0)(0, j) = (w, j), so g^c = (g^t)^c' and g^c = h
+    exactly when g^t = c' h c'^-1.  Stage 1 multiplies out the p targets
+    c' h c'^-1 = (theta^-j hv, hk) as SdGroup.mul and .inv give them; stage
+    2 multiplies out g^t = t^-1 (g t) = (v - w + theta^-k w, k) for each w
+    of the box and stops at the first one that is a target.  Every g^t lies
+    in g's slice k, so an h in another slice meets no target.
     """
     G.check_element(g)
     G.check_element(h)
@@ -253,17 +258,14 @@ def brute_is_conjugate(G, g, h, radius: int) -> bool:
         return any(G.conj(g, c) == h for c in G.ball(radius))
     check_radius(radius)
     (v, k), (hv, hk), p, powers = g, h, G.p, G.powers
-    box = tuple(product(range(-radius, radius + 1), repeat=len(v)))
-    for j in range(p):
-        if ((k - j) % p + j) % p != hk:  # the C_p part of c^-1 g c
-            continue
-        a, b = powers[j], powers[(j - k) % p]
-        av = [sum(map(mul, row, v)) for row in a]
-        for w in box:
-            left = [x - sum(map(mul, row, w)) for x, row in zip(av, a)]  # (c^-1 g).v
-            if tuple(x + sum(map(mul, row, w)) for x, row in zip(left, b)) == hv:
-                return True
-    return False
+    if hk != k:
+        return False
+    # c' h = (theta^-j hv, j + hk), and c'^-1 = (0, -j) adds theta^-(j + hk) 0 = 0
+    targets = {tuple(sum(map(mul, row, hv)) for row in powers[-j % p]) for j in range(p)}
+    # t^-1 = (-w, 0), t^-1 g = (v - w, k), (t^-1 g) t = (v - w + theta^-k w, k)
+    b = powers[-k % p]
+    return any(tuple(x - y + sum(map(mul, row, w)) for x, y, row in zip(v, w, b)) in targets
+               for w in product(range(-radius, radius + 1), repeat=len(v)))
 
 
 # -- involutions ----------------------------------------------------------------

@@ -373,7 +373,8 @@ class GroupTable:
     def ball(self, radius: int) -> list[Element]:
         """All a*f with max-norm(a) <= radius, ordered as cells(radius), then
         by part in G.F order."""
-        return [Element(v, f) for v in cells(radius) for f in self.F]
+        new = tuple.__new__  # builds the Element without NamedTuple's Python-level __new__
+        return [new(Element, (v, f)) for v in cells(radius) for f in self.F]
 
     def word(self, tokens: str) -> Element:
         """Evaluate a word over x, y, r, s, g (capital letter = inverse)."""

@@ -653,7 +653,12 @@ def wct_certificate_symbolic(G, m) -> dict:
 
 
 def _aut(G: GroupTable, **imgs: str) -> CosetwiseAffineMap:
-    return automorphism(G, {k: parse_element(G, v) for k, v in imgs.items()})
+    """A catalog automorphism.  Its images are built-in data, so a rejection
+    is a fault of the program: AssertionError, as decide raises, not ValueError."""
+    try:
+        return automorphism(G, {k: parse_element(G, v) for k, v in imgs.items()})
+    except ValueError as exc:
+        raise AssertionError(f"catalog automorphism of {G.gid}: {exc}") from exc
 
 
 @lru_cache(maxsize=None)
@@ -1084,7 +1089,9 @@ def normality_check(G: GroupTable) -> dict:
 # -- randomized candidates for the triviality evidence ------------------------------
 
 
-_SHIFT_BOUND = 2  # random_map's shift coordinates, like its matrix entries, lie in [-2, 2]
+# random_map's shift coordinates, in [-2, 2] like its matrix entries; a choice
+# draws one _randbelow(5), as randint(-2, 2) does, so the stream is the same
+_SHIFTS = (-2, -1, 0, 1, 2)
 
 
 @lru_cache(maxsize=1)
@@ -1109,7 +1116,6 @@ def random_map(G: GroupTable, rnd: random.Random) -> CosetwiseAffineMap:
     rule = {}
     for f, f2 in zip(G.F, targets):
         m = rnd.choice(pool)
-        t = (rnd.randint(-_SHIFT_BOUND, _SHIFT_BOUND),
-             rnd.randint(-_SHIFT_BOUND, _SHIFT_BOUND))
+        t = (rnd.choice(_SHIFTS), rnd.choice(_SHIFTS))
         rule[f] = (f2, m, t)
     return CosetwiseAffineMap._trusted(G.gid, rule)

@@ -14,7 +14,8 @@ import pytest
 
 import wct
 from wct.cli import main
-from wct.groups import Element, element_from_json, load_group
+from wct import maps
+from wct.groups import Element, GroupTable, element_from_json, load_group
 from wct.lattice import Sublattice
 from wct.maps import CosetwiseAffineMap
 from wct.conjugacy import kf, is_conjugate
@@ -158,6 +159,45 @@ def test_verify_map_ball_disagreement_is_internal_fault(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err.startswith("error: internal fault: AssertionError: decide proves")
+
+
+def test_wrong_pair_form_is_internal_fault(capsys, monkeypatch):
+    # a pair form that drops A's first column: the catalog's homomorphism
+    # check and the self-checks of decide and the ball check all read it.
+    # Each is a fault of the program: verify-map exits 3, and so does the
+    # battery, after every criterion has reported
+    real = GroupTable.pair_form
+
+    def zeroed(self, m, f1, f2):
+        lf, a0, A, rf, b0, B = real(self, m, f1, f2)
+        return lf, a0, ((0, 0),) + A[1:], rf, b0, B
+
+    monkeypatch.setattr(GroupTable, "pair_form", zeroed)
+    monkeypatch.setenv("WCT_THREADS", "1")  # serial, so the patch holds in every sweep
+    maps._catalog.cache_clear()  # the catalog is built, and checked, afresh
+    try:
+        code = main(["verify-map", "--group", "p2mm", "--map", "tau", "--radius", "1"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith(
+            "error: internal fault: AssertionError: catalog automorphism of p2mm")
+        code = main(["acceptance", "--suite", "fast"])
+        captured = capsys.readouterr()
+    finally:
+        maps._catalog.cache_clear()
+    assert code == 3
+    report = json.loads(captured.out)
+    faulted = [r["criterion"] for r in report["criteria"] if "fault" in r["detail"]]
+    assert faulted == [5, 6, 7, 9, 10]
+    verdicts = [line.split(": ")[1].split()[0] for line in captured.err.splitlines()
+                if line.startswith("criterion ")]
+    assert verdicts == ["FAIL" if n in faulted else "pass" for n in range(1, 11)]
+    for r in report["criteria"]:
+        assert r["ok"] is (r["criterion"] not in faulted)
+        if r["criterion"] in faulted:
+            assert r["detail"]["fault"].startswith("AssertionError: ")
+            assert f"error: internal fault in criterion {r['criterion']}: " \
+                f"{r['detail']['fault']}" in captured.err
 
 
 @pytest.mark.parametrize("argv", (

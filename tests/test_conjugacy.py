@@ -421,9 +421,13 @@ def test_conjugates_within_matches_literal_sweep(gid):
     for f in G.F:
         for g in (G.element(0, 0, f), G.element(7, -7, f)):
             literal = {G.conj(g, c) for c in ball}
-            assert conjugates_within(G, g, 8) == literal, (g, 8)
+            got = conjugates_within(G, g, 8)
+            assert got == literal, (g, 8)
             kept = {h for h in literal if max(map(abs, h.a)) <= 2}
-            assert conjugates_within(G, g, 8, 2) == kept, (g, 8, 2)
+            got_kept = conjugates_within(G, g, 8, 2)
+            assert got_kept == kept, (g, 8, 2)
+            # a plain tuple would pass ==, but callers read h.a and h.f
+            assert all(type(h) is Element for h in got | got_kept)
 
 
 def test_conjugates_within_rejects_negative_outer():
@@ -439,17 +443,25 @@ def _literal_brute(G, g, h, radius):
 
 @pytest.mark.parametrize("p,theta", SD_GROUPS)
 def test_sd_brute_is_conjugate_matches_literal_sweep(p, theta):
-    """Every g of ball(1) against every h of ball(1) plus conjugates of g,
-    at radii 0, 1 and 2.  On Z^3 x C_3 and Z^4 x C_5 (81 and 405 elements
-    in ball(1)) g and h are seeded samples of ball(1), since the literal
-    sweep of one pair costs up to |ball(2)| = 375 and 3125 conjugations."""
+    """Every g of ball(1) against every h of ball(1), conjugates of g by
+    ball(2) and those conjugates moved one slice on, at radii 0, 1 and 2:
+    these cover the radii of the benchmark's sweeps, 1 on Z^3 x C_3 and 2
+    on Z^4 x C_5.  On those two groups (81 and 405 elements in ball(1)) g
+    and h are seeded samples of ball(1), since the literal sweep of one
+    pair costs up to |ball(2)| = 375 and 3125 conjugations."""
     H = build(theta, p)
     ball = H.ball(1)
     rnd = random.Random(f"sd-brute:{p}:{theta}")
     small = len(ball) <= 27
     for g in ball if small else rnd.sample(ball, 6 if H.n == 3 else 2):
         hs = ball if small else rnd.sample(ball, 27 if H.n == 3 else 12)
-        hs = hs + [H.conj(g, c) for c in rnd.sample(H.ball(2), 6)]
+        conj = [H.conj(g, c) for c in rnd.sample(H.ball(2), 6)]
+        # the same translation parts in slice h.k + 1 != g.k: conjugation
+        # keeps the slice, so no conjugator reaches them
+        moved = [H.element(h.v, h.k + 1) for h in conj]
+        assert all(brute_is_conjugate(H, g, h, 2) for h in conj), g
+        assert not any(brute_is_conjugate(H, g, h, 2) for h in moved), g
+        hs = hs + conj + moved
         for radius in (0, 1, 2):
             for h in hs:
                 assert brute_is_conjugate(H, g, h, radius) == \

@@ -128,6 +128,19 @@ def test_ball_shape():
     assert norms == sorted(norms)
 
 
+@pytest.mark.parametrize("gid", GROUP_IDS)
+def test_ball_is_the_listed_elements(gid):
+    """ball(r) in its stated order (by max-norm, then lexicographically,
+    then by part in G.F order) and made of Elements, not plain tuples."""
+    G = load_group(gid)
+    for r in (0, 1, 3):
+        square = sorted(((i, j) for i in range(-r, r + 1) for j in range(-r, r + 1)),
+                        key=lambda v: (max(map(abs, v)), v))
+        ball = G.ball(r)
+        assert ball == [Element(v, f) for v in square for f in G.F]
+        assert all(type(g) is Element for g in ball)
+
+
 def _coset_map_key(lat, m, s):
     """The columns of m and s modulo lat: what a conjugator does to the
     cosets of lat."""
