@@ -408,7 +408,7 @@ def _crit_relations(suite: str, seed: int):
         })
         ok = ok and rep["ok"]
     normality = []
-    for gid in ("p4", "p6"):
+    for gid in maps.W0_GENERATORS:
         rep = maps.normality_check(load_group(gid))
         normality.append({"group": gid, "pairs": len(rep["pairs"]), "ok": rep["ok"]})
         ok = ok and rep["ok"]

@@ -71,6 +71,10 @@ def _cmd_involutions(args) -> tuple[int, dict]:
     }
 
 
+def _certificate_json(cert):
+    return None if cert is None else {k: [g.to_json() for g in pair] for k, pair in cert.items()}
+
+
 def _cmd_verify_map(args) -> tuple[int, dict]:
     check_radius(args.certificate_radius)
     G = load_group(args.group)
@@ -91,10 +95,7 @@ def _cmd_verify_map(args) -> tuple[int, dict]:
         "methods": exact["methods"],
         "ball": ball,
         "nontrivial": cert is not None,
-        "certificate": None if cert is None else {
-            "hom_witness": [g.to_json() for g in cert["hom_witness"]],
-            "antihom_witness": [g.to_json() for g in cert["antihom_witness"]],
-        },
+        "certificate": _certificate_json(cert),
     }
     return (0 if exact["ok"] else 1), report
 
@@ -109,7 +110,7 @@ def _cmd_wgroup_relations(args) -> tuple[int, dict]:
         "relations": rep,
     }
     ok = rep["ok"]
-    if args.group in ("p4", "p6"):
+    if args.group in maps.W0_GENERATORS:
         norm = maps.normality_check(G)
         report["normality"] = norm
         ok = ok and norm["ok"]
@@ -148,9 +149,7 @@ def _cmd_semidirect(args) -> tuple[int, dict]:
     report["map"] = m.to_json()
     report["verify"] = rep
     report["nontrivial"] = cert is not None
-    report["certificate"] = None if cert is None else {
-        k: [g.to_json() for g in pair] for k, pair in cert.items()
-    }
+    report["certificate"] = _certificate_json(cert)
     if args.check == "phi":
         ok = rep["ok"] and cert is not None
     else:
@@ -220,7 +219,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wgroup-relations", parents=[common],
                        help="relation suite for the group of all WCT maps")
-    p.add_argument("--group", required=True, choices=("p3", "p4", "p6", "p2mm"))
+    p.add_argument("--group", required=True,
+                   choices=tuple(g for g in GROUP_IDS if g in maps.NONTRIVIAL_CATALOG))
     p.set_defaults(fn=_cmd_wgroup_relations)
 
     p = sub.add_parser("semidirect", parents=[common],

@@ -222,10 +222,6 @@ class GroupTable:
         rot_pows = [mat_identity(2)]
         for _ in range(1, spec.d):
             rot_pows.append(matmul(rot_pows[-1], rot))
-        rot_inv = mat_inv_unimodular(rot)
-        rot_inv_pows = [mat_identity(2)]
-        for _ in range(1, spec.d):
-            rot_inv_pows.append(matmul(rot_inv_pows[-1], rot_inv))
 
         parts: list[tuple[int, int]] = [(k, 0) for k in range(spec.d)]
         if spec.refl is not None:
@@ -241,6 +237,7 @@ class GroupTable:
                 m = matmul(spec.mirror, m)
             self.act[lbl] = m
         self.act_inv: dict[str, Mat] = {lbl: mat_inv_unimodular(m) for lbl, m in self.act.items()}
+        rot_inv_pows = [self.act_inv[_label(k, 0, spec.refl)] for k in range(spec.d)]
 
         # translation picked up when gamma crosses rho^m:  gamma rho^m = tau[m] rho^-m gamma
         t1 = matvec(rot, vadd(spec.rel_rg, vneg(spec.beta1)))

@@ -203,8 +203,9 @@ def inner_map(G: GroupTable, g: Element) -> CosetwiseAffineMap:
 def coset_conjugation(G: GroupTable, parts, u: Element) -> CosetwiseAffineMap:
     """Conjugate the listed cosets by u, fix everything else pointwise.
 
-    This is the shape of all the non-trivial tau/mu generators; whether a
-    given (parts, u) choice actually lands in W(G) is is_wct_on_ball's job.
+    This is the shape of all the non-trivial tau/mu generators, whose p4 and
+    p6 families are the rows of _PATCHES; whether a given (parts, u) choice
+    actually lands in W(G) is is_wct_on_ball's job.
     """
     G.check_element(u)
     chosen = set(parts)
@@ -661,18 +662,29 @@ def _aut(G: GroupTable, **imgs: str) -> CosetwiseAffineMap:
         raise AssertionError(f"catalog automorphism of {G.gid}: {exc}") from exc
 
 
+# The tau and mu patch families of p4 and p6: per group, rows (family, parts,
+# ((suffix, u), ...)), and family_suffix conjugates the listed parts by the
+# element u and fixes the rest.  In p6 the even-coset patch carries u in
+# {x^2, y^2, rho^3} and the A rho^3 patch carries u in {xy, xy^-2, rho^2};
+# swapping the sets gives maps that already fail the class condition at
+# radius 2 (the K lattices K_{rho^3} = 2Z^2 and K_{rho^2} = <xy, xy^-2> sort
+# the shifts out).
+_PATCHES = {
+    "p4": (("tau", ("rho2",), (("x", "x"), ("y", "y"), ("rho2", "rho2"))),
+           ("mu", ("rho", "rho3"), (("x", "x"), ("y", "y"), ("rho", "rho")))),
+    "p6": (("tau", ("1", "rho2", "rho4"), (("x2", "x^2"), ("y2", "y^2"), ("rho3", "rho3"))),
+           ("mu", ("1", "rho3"), (("xy", "x y"), ("xyinv2", "x y^-2"), ("rho2", "rho2")))),
+}
+
+_INNER_NAMES = {"x": "I_x", "y": "I_y", "r": "I_rho", "s": "I_sigma", "g": "I_gamma"}
+
+
 @lru_cache(maxsize=None)
 def _catalog(gid: str) -> dict:
     G = load_group(gid)
     cat: dict[str, CosetwiseAffineMap] = {"id": identity_map(G), "iota": iota(G)}
-    cat["I_x"] = inner_map(G, G.element(1, 0))
-    cat["I_y"] = inner_map(G, G.element(0, 1))
-    if "r" in G.generators:
-        cat["I_rho"] = inner_map(G, G.generators["r"])
-    if "s" in G.generators:
-        cat["I_sigma"] = inner_map(G, G.generators["s"])
-    if "g" in G.generators:
-        cat["I_gamma"] = inner_map(G, G.generators["g"])
+    for key, g in G.generators.items():
+        cat[_INNER_NAMES[key]] = inner_map(G, g)
 
     if gid in ("p3", "p4", "p6"):
         cat["psi_x"] = _aut(G, x="x", y="y", r="x rho")
@@ -681,28 +693,8 @@ def _catalog(gid: str) -> dict:
         cat["tau"] = coset_conjugation(G, ("rho", "rho2"), G.element(0, 0, "rho"))
     elif gid == "p4":
         cat["psi_1"] = _aut(G, x="x", y="y^-1", r="rho3")
-        for name, u in (("x", G.element(1, 0)), ("y", G.element(0, 1)),
-                        ("rho2", G.element(0, 0, "rho2"))):
-            cat[f"tau_{name}"] = coset_conjugation(G, ("rho2",), u)
-        for name, u in (("x", G.element(1, 0)), ("y", G.element(0, 1)),
-                        ("rho", G.element(0, 0, "rho"))):
-            cat[f"mu_{name}"] = coset_conjugation(G, ("rho", "rho3"), u)
-        # a tempting candidate that is not a WCT map: conjugate the
-        # half-turn coset by a quarter turn (kept for negative tests)
-        cat["conj_rho_on_rho2"] = coset_conjugation(G, ("rho2",), G.element(0, 0, "rho"))
     elif gid == "p6":
         cat["psi"] = _aut(G, x="y", y="x", r="rho5")
-        # the even-coset patch carries h in {x^2, y^2, rho^3} and the A rho^3
-        # patch carries h in {xy, xy^-2, rho^2}; swapping the sets gives maps
-        # that already fail the class condition at radius 2 (the K lattices
-        # K_{rho^3} = 2Z^2 and K_{rho^2} = <xy, xy^-2> sort the shifts out)
-        even = ("1", "rho2", "rho4")
-        for name, u in (("x2", G.element(2, 0)), ("y2", G.element(0, 2)),
-                        ("rho3", G.element(0, 0, "rho3"))):
-            cat[f"tau_{name}"] = coset_conjugation(G, even, u)
-        for name, u in (("xy", G.element(1, 1)), ("xyinv2", G.element(1, -2)),
-                        ("rho2", G.element(0, 0, "rho2"))):
-            cat[f"mu_{name}"] = coset_conjugation(G, ("1", "rho3"), u)
     elif gid == "p2mm":
         cat["tau"] = coset_conjugation(G, ("rho", "sigma"), G.element(0, 0, "sigma"))
         cat["tau_rs"] = coset_conjugation(
@@ -712,9 +704,7 @@ def _catalog(gid: str) -> dict:
         # x-power on the sigma image would break sigma^2 = e.
         cat["psi_10"] = _aut(G, x="x", y="y", r="x rho", s="sigma")
         cat["psi_01"] = _aut(G, x="x", y="y", r="y rho", s="y sigma")
-    elif gid == "cm":
-        cat["psi"] = _aut(G, x="x^-1", y="y^-1", s="sigma")
-    elif gid == "pm":
+    elif gid in ("cm", "pm"):
         cat["psi"] = _aut(G, x="x^-1", y="y^-1", s="sigma")
     elif gid == "pg":
         cat["psi_y"] = _aut(G, x="x", y="y", g="y gamma")
@@ -740,6 +730,13 @@ def _catalog(gid: str) -> dict:
         cat["psi_2"] = _aut(G, x="x^-1", y="y^-1", r="y^-1 rho", g="x^-1 gamma")
     elif gid == "p4mm":
         cat["psi_1"] = _aut(G, x="x", y="y", r="y rho", s="y sigma")
+    for family, parts, targets in _PATCHES.get(gid, ()):
+        for suffix, text in targets:
+            cat[f"{family}_{suffix}"] = coset_conjugation(G, parts, parse_element(G, text))
+    if gid == "p4":
+        # a tempting candidate that is not a WCT map: conjugate the
+        # half-turn coset by a quarter turn (kept for negative tests)
+        cat["conj_rho_on_rho2"] = coset_conjugation(G, ("rho2",), G.element(0, 0, "rho"))
     return cat
 
 
@@ -758,8 +755,8 @@ def generator(G: GroupTable, name: str) -> CosetwiseAffineMap:
 NONTRIVIAL_CATALOG = {
     "p2mm": ("tau",),
     "p3": ("tau",),
-    "p4": ("tau_x", "tau_y", "tau_rho2", "mu_x", "mu_y", "mu_rho"),
-    "p6": ("tau_x2", "tau_y2", "tau_rho3", "mu_xy", "mu_xyinv2", "mu_rho2"),
+    **{gid: tuple(f"{family}_{suffix}" for family, _, targets in rows for suffix, _ in targets)
+       for gid, rows in _PATCHES.items()},
 }
 
 
@@ -834,36 +831,53 @@ def _conj_expr(m: str, n: str) -> str:
     return f"inv({n})*{m}*{n}"
 
 
-def _tau_rhs(G: GroupTable, parts, mu: CosetwiseAffineMap, u: Element):
-    """tau_{mu^-1(u)} (or mu_-flavoured), built directly from the definition."""
-    return coset_conjugation(G, parts, mu.invert().apply(u))
-
-
 def wgroup_relations(G: GroupTable) -> dict:
     """Verify the presentation relations of W(G) for p3, p4, p6, p2mm.
 
     Each relation is an exact map equality.  Printed relations that fail get a
     "resolved" entry: the corrected right side that does hold, with a note; the
     suite passes when every relation holds as printed or has a holding
-    resolution.
+    resolution.  The p4 and p6 relations among the tau and mu families, and
+    their transport by the W0 maps, read the families off _PATCHES.
     """
-    if G.gid not in ("p3", "p4", "p6", "p2mm"):
+    if G.gid not in NONTRIVIAL_CATALOG:
         raise ValueError(f"no relation suite for {G.gid}")
     cat = _catalog(G.gid)
     ev = lambda expr: parse_map_expr(G, expr)
     records = []
 
-    def check(name: str, lhs, rhs, source: str = "printed", resolution=None):
-        lhs_map = ev(lhs) if isinstance(lhs, str) else lhs
+    def check(name: str, lhs: str, rhs, source: str = "printed", resolution=None):
+        """lhs == rhs, for an expression lhs and an expression or map rhs."""
+        lhs_map = ev(lhs)
         rhs_map = ev(rhs) if isinstance(rhs, str) else rhs
         rec = {"relation": name, "holds": lhs_map == rhs_map, "source": source}
         if not rec["holds"] and resolution is not None:
             res_expr, note = resolution
-            res_map = ev(res_expr) if isinstance(res_expr, str) else res_expr
-            rec["resolved"] = res_expr if isinstance(res_expr, str) else "computed"
-            rec["resolved_holds"] = lhs_map == res_map
+            rec["resolved"] = res_expr
+            rec["resolved_holds"] = lhs_map == ev(res_expr)
             rec["note"] = note
         records.append(rec)
+
+    def patches_commute():
+        """Each tau commutes with each mu."""
+        (tau, _, taus), (mu, _, mus) = _PATCHES[G.gid]
+        for t in (f"{tau}_{suffix}" for suffix, _ in taus):
+            for s in (f"{mu}_{suffix}" for suffix, _ in mus):
+                check(f"{t} {s} = {s} {t}", f"{t}*{s}", f"{s}*{t}", source="derived")
+
+    def patches_transported(conjugators, off_a: bool, source: str):
+        """(family_u)^n = family_{n^-1(u)}, the right side built from the
+        definition, for each n of conjugators and each patch map whose u lies
+        in A, or off it too when off_a is set."""
+        patches = [(family, parts, suffix, parse_element(G, text))
+                   for family, parts, targets in _PATCHES[G.gid] for suffix, text in targets]
+        for n in conjugators:
+            n_inv = cat[n].invert()
+            for family, parts, suffix, u in patches:
+                if off_a or u.f == "1":
+                    check(f"({family}_{suffix})^{n} = {family}_{n}^-1({suffix})",
+                          _conj_expr(f"{family}_{suffix}", n),
+                          coset_conjugation(G, parts, n_inv.apply(u)), source=source)
 
     iota_central_against: tuple[str, ...]
 
@@ -910,26 +924,11 @@ def wgroup_relations(G: GroupTable) -> dict:
         check("mu_rho^4 = id", "mu_rho*mu_rho*mu_rho*mu_rho", "id")
         check("mu_x^mu_rho = mu_y^-1", _conj_expr("mu_x", "mu_rho"), "inv(mu_y)")
         check("mu_y^mu_rho = mu_x", _conj_expr("mu_y", "mu_rho"), "mu_x")
-        for t in ("tau_x", "tau_y", "tau_rho2"):
-            for s in ("mu_x", "mu_y", "mu_rho"):
-                check(f"{t} {s} = {s} {t}", f"{t}*{s}", f"{s}*{t}",
-                      source="derived")
+        patches_commute()
         check("psi_1^2 = id", "psi_1*psi_1", "id")
         check("I_rho^4 = id", "I_rho*I_rho*I_rho*I_rho", "id")
-        tau_targets = (("x", G.element(1, 0)), ("y", G.element(0, 1)),
-                       ("rho2", G.element(0, 0, "rho2")))
-        mu_targets = (("x", G.element(1, 0)), ("y", G.element(0, 1)),
-                      ("rho", G.element(0, 0, "rho")))
-        for mu_name in ("I_rho", "psi_1", "psi_x", "psi_y", "I_x", "I_y"):
-            mu = cat[mu_name]
-            for uname, u in tau_targets:
-                check(f"(tau_{uname})^{mu_name} = tau_{mu_name}^-1({uname})",
-                      ev(_conj_expr(f"tau_{uname}", mu_name)),
-                      _tau_rhs(G, ("rho2",), mu, u))
-            for uname, u in mu_targets:
-                check(f"(mu_{uname})^{mu_name} = mu_{mu_name}^-1({uname})",
-                      ev(_conj_expr(f"mu_{uname}", mu_name)),
-                      _tau_rhs(G, ("rho", "rho3"), mu, u))
+        patches_transported(("I_rho", "psi_1", "psi_x", "psi_y", "I_x", "I_y"),
+                            off_a=True, source="printed")
         iota_central_against = ("tau_x", "tau_rho2", "mu_rho", "psi_x", "psi_1", "I_rho")
 
     elif G.gid == "p6":
@@ -949,10 +948,7 @@ def wgroup_relations(G: GroupTable) -> dict:
         check("mu_xyinv2^mu_rho2 = mu_xy^-1 mu_xyinv2^-1",
               _conj_expr("mu_xyinv2", "mu_rho2"),
               "inv(mu_xy)*inv(mu_xyinv2)", source="derived")
-        for t in ("tau_x2", "tau_y2", "tau_rho3"):
-            for s in ("mu_xy", "mu_xyinv2", "mu_rho2"):
-                check(f"{t} {s} = {s} {t}", f"{t}*{s}", f"{s}*{t}",
-                      source="derived")
+        patches_commute()
         check("psi^2 = id", "psi*psi", "id", source="derived")
         check("I_rho^6 = id", "*".join(["I_rho"] * 6), "id", source="derived")
         check("tau_rho3^I_rho = tau_rho3", _conj_expr("tau_rho3", "I_rho"),
@@ -963,20 +959,7 @@ def wgroup_relations(G: GroupTable) -> dict:
               "tau_rho3", source="derived")
         check("mu_rho2^psi = mu_rho2^2", _conj_expr("mu_rho2", "psi"),
               "mu_rho2*mu_rho2", source="derived")
-        even = ("1", "rho2", "rho4")
-        odd = ("1", "rho3")
-        tau_targets = (("x2", G.element(2, 0)), ("y2", G.element(0, 2)))
-        mu_targets = (("xy", G.element(1, 1)), ("xyinv2", G.element(1, -2)))
-        for mu_name in ("I_rho", "psi", "I_x", "I_y"):
-            mu = cat[mu_name]
-            for uname, u in tau_targets:
-                check(f"(tau_{uname})^{mu_name} = tau_{mu_name}^-1({uname})",
-                      ev(_conj_expr(f"tau_{uname}", mu_name)),
-                      _tau_rhs(G, even, mu, u), source="derived")
-            for uname, u in mu_targets:
-                check(f"(mu_{uname})^{mu_name} = mu_{mu_name}^-1({uname})",
-                      ev(_conj_expr(f"mu_{uname}", mu_name)),
-                      _tau_rhs(G, odd, mu, u), source="derived")
+        patches_transported(("I_rho", "psi", "I_x", "I_y"), off_a=False, source="derived")
         iota_central_against = ("tau_x2", "tau_rho3", "mu_xy", "mu_rho2", "psi", "I_rho")
 
     else:  # p2mm

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import subprocess
@@ -43,6 +44,7 @@ from wct.maps import (
 from wct.semidirect import SdMap, build, identity_sd_map, p2_candidate, phi_for_odd_p
 
 _SAMPLES = ((0, 0, None), (1, 0, None), (-2, 3, None))
+DATA = Path(__file__).parent / "data"
 
 
 def _sample_elements(G, n=12, seed=7):
@@ -257,6 +259,14 @@ def test_catalog_entries_are_valid(gid):
             assert not hom and not anti
         else:
             assert hom or anti
+
+
+def test_catalog_names_are_pinned():
+    # perfbench seeds its ball-check jobs from the order of each catalog and
+    # of NONTRIVIAL_CATALOG, so both are compared as text, order included
+    got = {"catalog": {gid: list(catalog(load_group(gid))) for gid in GROUP_IDS},
+           "nontrivial": NONTRIVIAL_CATALOG}
+    assert json.dumps(got, indent=1) + "\n" == (DATA / "catalog_names.json").read_text()
 
 
 def test_generator_unknown_name():
@@ -555,6 +565,15 @@ def test_relation_suite_p2mm():
 def test_relation_suite_unsupported_group():
     with pytest.raises(ValueError, match="no relation suite"):
         wgroup_relations(load_group("pm"))
+
+
+def test_relation_suites_are_pinned():
+    # every record, order, note and word of the four relation suites and the
+    # two normality checks, as text
+    got = {"relations": {gid: wgroup_relations(load_group(gid))
+                         for gid in ("p3", "p4", "p6", "p2mm")},
+           "normality": {gid: normality_check(load_group(gid)) for gid in ("p4", "p6")}}
+    assert json.dumps(got, indent=1) + "\n" == (DATA / "wgroup_relations.json").read_text()
 
 
 @pytest.mark.parametrize("gid", ("p4", "p6"))
