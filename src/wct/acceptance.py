@@ -23,7 +23,7 @@ from .conjugacy import (
     kf,
 )
 from .groups import GROUP_IDS, Element, load_group
-from .lattice import Coset, Sublattice, matmul, matvec, vadd, vneg
+from .lattice import Coset, Sublattice, matmul, matvec, vadd, vsub
 
 TRIVIAL_GROUPS = (
     "pm", "pg", "cm", "p2", "p2mg", "p2gg", "c2mm",
@@ -151,118 +151,104 @@ def _crit_klattices(suite: str, seed: int):
 
 # -- 4: the p4mg class table and involution roster ---------------------------------
 
-# Stated class table for p4mg, one row per transversal part.  Sublattices:
-# U = <xy, x^2>, X = <x^2>, Y = <y^2>, V = <xy>, W = <xy^-1>.  The stated
-# translation row repeats its first term; the row the group satisfies has
-# the swapped pair y^(+-i) x^(+-j) as second term, and the brute oracle
-# arbitrates below.
+# Stated class table for p4mg, one row per transversal part f: each piece
+# (h, P, c, L) is the coset P a + c + L of part h that the class of a*f meets.
+# Sublattices: U = <xy, x^2>, X = <x^2>, Y = <y^2>, V = <xy>, W = <xy^-1>;
+# R and R3 are the quarter turns act(rho) and act(rho3).  The stated
+# translation row repeats its first term, x^(+-i) y^(+-j); the row the group
+# satisfies has the swapped pair y^(+-i) x^(+-j) as second term, and the
+# brute oracle arbitrates below.
 _U = Sublattice(2, [(1, 1), (2, 0)])
 _X = Sublattice(2, [(2, 0)])
 _Y = Sublattice(2, [(0, 2)])
 _V = Sublattice(2, [(1, 1)])
 _W = Sublattice(2, [(1, -1)])
+_O = (0, 0)
+_I, _NEG = ((1, 0), (0, 1)), ((-1, 0), (0, -1))
+_R, _R3 = ((0, -1), (1, 0)), ((0, 1), (-1, 0))
+
+_P4MG_ROWS = {
+    "rho": [("rho", _I, _O, _U), ("rho3", _I, (1, 0), _U)],
+    "rho2": [("rho2", _I, _O, _U)],
+    "rho3": [("rho3", _I, _O, _U), ("rho", _I, (1, 0), _U)],
+    "gamma": [("gamma", _I, _O, _Y), ("gamma", _NEG, (-1, 1), _Y),
+              ("rho2gamma", _R, (1, 0), _X), ("rho2gamma", _R3, (0, -1), _X)],
+    "rhogamma": [("rhogamma", _I, _O, _V), ("rhogamma", _NEG, _O, _V),
+                 ("rho3gamma", _R, (0, -1), _W), ("rho3gamma", _R3, (-1, 0), _W)],
+    "rho2gamma": [("rho2gamma", _I, _O, _X), ("rho2gamma", _NEG, (1, -1), _X),
+                  ("gamma", _R3, (0, 1), _Y), ("gamma", _R, (-1, 0), _Y)],
+    "rho3gamma": [("rho3gamma", _I, _O, _W), ("rho3gamma", _NEG, (-1, -1), _W),
+                  ("rhogamma", _R3, (1, 0), _V), ("rhogamma", _R, (-1, 0), _V)],
+}
+_DIAGONAL = [((si, 0), (0, sj)) for si in (1, -1) for sj in (1, -1)]
+_LITERAL = [("1", P, _O, Sublattice.zero(2)) for P in _DIAGONAL]
+_RESOLVED = _LITERAL + [("1", P[::-1], _O, Sublattice.zero(2)) for P in _DIAGONAL]
 
 
-def _p4mg_rows(G):
-    rho = G.act["rho"]
-    rho3 = G.act["rho3"]
-    x = (1, 0)
+def _row_mismatch(G, f: str, pieces: list):
+    """Where the stated class of a*f, given as pieces (h, P, c, L), and
+    conjugacy_class differ, over all a and b in Z^2: a first_mismatch dict,
+    or None when they agree.
 
-    def a_r(a):
-        return matvec(rho, a)
-
-    def a_r3(a):
-        return matvec(rho3, a)
-
-    return {
-        "rho": lambda a: [("rho", Coset(a, _U)), ("rho3", Coset(vadd(a, x), _U))],
-        "rho2": lambda a: [("rho2", Coset(a, _U))],
-        "rho3": lambda a: [("rho3", Coset(a, _U)), ("rho", Coset(vadd(a, x), _U))],
-        "gamma": lambda a: [
-            ("gamma", Coset(a, _Y)),
-            ("gamma", Coset(vadd(vneg(a), (-1, 1)), _Y)),
-            ("rho2gamma", Coset(vadd(a_r(a), (1, 0)), _X)),
-            ("rho2gamma", Coset(vadd(a_r3(a), (0, -1)), _X)),
-        ],
-        "rhogamma": lambda a: [
-            ("rhogamma", Coset(a, _V)),
-            ("rhogamma", Coset(vneg(a), _V)),
-            ("rho3gamma", Coset(vadd((0, -1), a_r(a)), _W)),
-            ("rho3gamma", Coset(vadd((-1, 0), a_r(vneg(a))), _W)),
-        ],
-        "rho2gamma": lambda a: [
-            ("rho2gamma", Coset(a, _X)),
-            ("rho2gamma", Coset(vadd(vneg(a), (1, -1)), _X)),
-            ("gamma", Coset(vadd(a_r3(a), (0, 1)), _Y)),
-            ("gamma", Coset(vadd(a_r(a), (-1, 0)), _Y)),
-        ],
-        "rho3gamma": lambda a: [
-            ("rho3gamma", Coset(a, _W)),
-            ("rho3gamma", Coset(vadd((-1, -1), vneg(a)), _W)),
-            ("rhogamma", Coset(vadd(x, a_r3(a)), _V)),
-            ("rhogamma", Coset(vadd(vneg(x), a_r(a)), _V)),
-        ],
-    }
+    Per part h in G.F order, each stated piece must lie in the union of the
+    closed-form cosets N a + s + K_h, for the entries (_, N, s) of
+    G.conjugators[f, h], and then each of those in the union of the stated
+    pieces.  The points of a coset Q a + d + M are d + [Q | M's rows] v for
+    v = (a, u) in Z^(2 + rank M), and such a point lies in Q' a + d' + M'
+    exactly when (d - d') + [Q - Q' | M's rows] v lies in M', so
+    maps.uncovered_point decides each inclusion and names a v outside it.
+    That miss is re-checked against conjugacy_class and the stated cosets by
+    an explicit raise that python -O keeps.
+    """
+    for h in G.F:
+        stated = [(P, c, L) for part, P, c, L in pieces if part == h]
+        closed = [(N, s, G.slack[h]) for _, N, s in G.conjugators[f, h]]
+        for inner, outer in ((stated, closed), (closed, stated)):
+            for P, c, L in inner:
+                v = maps.uncovered_point(2 + L.rank, [
+                    (vsub(c, s), [*map(vsub, zip(*P), zip(*N)), *L.rows], K)
+                    for N, s, K in outer])
+                if v is None:
+                    continue
+                a, b = v[:2], vadd(c, matvec(tuple(zip(*zip(*P), *L.rows)), v))
+                said = any(Coset(vadd(matvec(Q, a), d), M).contains(b) for Q, d, M in stated)
+                computed = conjugacy_class(G, Element(a, f)).contains((b, h))
+                if said == computed:
+                    raise AssertionError(
+                        f"p4mg row {f}: the cosets of part {h} disagree at a = {a}, "
+                        f"b = {b}, but both sides say {said}")
+                return {"row": f, "a": list(a), "b": list(b), "part": h,
+                        "stated": said, "computed": computed}
+    return None
 
 
 def _crit_p4mg(suite: str, seed: int):
-    """The stated p4mg table against conjugacy_class, and the involution roster.
+    """The stated p4mg table against conjugacy_class over all of Z^2, one
+    exact _row_mismatch per row, and the involution roster.
 
-    Each (row, sample a, part) is compared per residue class where it can
-    be: when every stated coset of the part has the lattice K_part that the
-    computed class uses there, both sides are sets of residues modulo
-    K_part, and equal sets agree on all of Z^2 (an absent part on both sides
-    counts as equal).  Any other part, such as the rho2 row's, whose stated
-    U is coarser than K_rho2 = 2Z^2, is scanned point by point over the
-    window, which also names the first mismatch in (row, a, part, b) order.
+    The translation row as stated misses the swapped pair: its mismatch is
+    literal_witness.  The resolved row must match, and the brute conjugate
+    sweep at radius 3 must give its orbit at each sample a, an oracle that
+    shares nothing with conjugacy_class.
     """
     G = load_group("p4mg")
     samples = [(i, j) for i in range(-2, 3) for j in range(-2, 3)]
-    window = [(i, j) for i in range(-5, 6) for j in range(-5, 6)]
-    first_mismatch = None
+    first_mismatch = next(filter(None, (_row_mismatch(G, f, pieces)
+                                        for f, pieces in _P4MG_ROWS.items())), None)
+
     discrepancies = []
-    by_residue = by_window = 0
-
-    for f, row in _p4mg_rows(G).items():
-        for a in samples:
-            pieces = row(a)
-            cls = conjugacy_class(G, Element(a, f))
-            computed = {h: (lat, offsets) for h, lat, offsets in cls.parts}
-            for fp in G.F:
-                cosets = [c for pf, c in pieces if pf == fp]
-                lat, offsets = computed.get(fp, (None, frozenset()))
-                if (all(c.lattice == lat for c in cosets)
-                        and {c.offset for c in cosets} == offsets):
-                    by_residue += 1
-                    continue
-                by_window += 1
-                for b in window:
-                    stated = bool(cosets) and any(c.contains(b) for c in cosets)
-                    if stated != cls.contains((b, fp)) and first_mismatch is None:
-                        first_mismatch = {"row": f, "a": list(a), "b": list(b), "part": fp,
-                                          "stated": stated, "computed": not stated}
-
-    # translation row: the literal reading x^(+-i) y^(+-j) alone
-    literal_misses = 0
-    resolved_ok = True
-    for i, j in samples:
-        literal = {(si * i, sj * j) for si in (1, -1) for sj in (1, -1)}
-        swapped = {(sj * j, si * i) for si in (1, -1) for sj in (1, -1)}
-        computed = {e.a for e in conjugacy_class(G, Element((i, j), "1")).elements}
-        brute = {e.a for e in conjugates_within(G, Element((i, j), "1"), 3)
-                 if e.f == "1"}
-        if literal != computed:
-            literal_misses += 1
-        if literal | swapped != computed or brute != computed:
-            resolved_ok = False
-    if literal_misses:
+    literal_witness = _row_mismatch(G, "1", _LITERAL)
+    if literal_witness is not None:
+        resolved_ok = _row_mismatch(G, "1", _RESOLVED) is None and all(
+            {e.a for e in conjugates_within(G, Element(a, "1"), 3) if e.f == "1"}
+            == {matvec(P, a) for _, P, _, _ in _RESOLVED} for a in samples)
         discrepancies.append({
             "row": "translations",
             "stated": "x^(+-i) y^(+-j) listed twice",
             "resolved": "second term is the swapped pair y^(+-i) x^(+-j)",
             "oracle": "brute conjugate sweep at radius 3 matches the resolved "
                       "orbit for every sample",
-            "samples_affected": literal_misses,
+            "literal_witness": literal_witness,
             "resolution_holds": resolved_ok,
         })
 
@@ -282,8 +268,6 @@ def _crit_p4mg(suite: str, seed: int):
         "translation_samples": len(samples),
         "nontranslation_rows_match": first_mismatch is None,
         "first_mismatch": first_mismatch,
-        "parts_by_residue": by_residue,
-        "parts_by_window": by_window,
         "involutions_match": involutions_ok,
         "discrepancies": discrepancies,
     }
@@ -380,7 +364,7 @@ def _crit_failures(suite: str, seed: int):
             "theta": label,
             "exact_antihomomorphism":
                 maps.antihomomorphism_failure(H, cand) is None,
-            "class_condition_holds": semidirect.verify_sd(H, cand, 2)["ok"],
+            "class_condition_holds": maps.decide(H, cand)["ok"],
             "no_nontriviality_certificate":
                 maps.nontriviality_certificate(H, cand, 3) is None,
         })
@@ -397,7 +381,7 @@ def _crit_failures(suite: str, seed: int):
 def _crit_relations(suite: str, seed: int):
     suites = []
     ok = True
-    for gid in ("p3", "p4", "p6"):
+    for gid in maps.NONTRIVIAL_CATALOG:
         rep = maps.wgroup_relations(load_group(gid))
         resolved = [r["relation"] for r in rep["relations"] if "resolved" in r]
         suites.append({
@@ -423,7 +407,7 @@ def _crit_semidirect(suite: str, seed: int):
     for label, p, theta in SD_CASES:
         G = semidirect.build(theta, p)
         phi = semidirect.phi_for_odd_p(G)
-        rep = semidirect.verify_sd(G, phi, 3)
+        rep = maps.decide(G, phi)
         cert = maps.nontriviality_certificate(G, phi, 2)
         entries.append({
             "case": label, "n": G.n, "p": p,
@@ -443,11 +427,11 @@ def _crit_axioms(suite: str, seed: int):
     for gid, names in maps.NONTRIVIAL_CATALOG.items():
         G = load_group(gid)
         for name in names:
-            rep = maps.wct_invariants(G, maps.generator(G, name), 2)
+            rep = maps.forced_consequences(G, maps.generator(G, name))
             entries.append({"map": f"{gid}:{name}", "ok": rep["ok"]})
     for label, p, theta in SD_CASES:
         G = semidirect.build(theta, p)
-        rep = semidirect.sd_invariants(G, semidirect.phi_for_odd_p(G), 2)
+        rep = maps.forced_consequences(G, semidirect.phi_for_odd_p(G))
         entries.append({"map": f"semidirect p={p} n={G.n}", "ok": rep["ok"]})
     ok = all(e["ok"] for e in entries)
     return ok, {"maps": len(entries), "entries": entries}

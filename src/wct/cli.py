@@ -144,7 +144,7 @@ def _cmd_semidirect(args) -> tuple[int, dict]:
         return 0, report
     m = (semidirect.phi_for_odd_p(G) if args.check == "phi"
          else semidirect.p2_candidate(G))
-    rep = semidirect.verify_sd(G, m, args.radius)
+    rep = {**maps.decide(G, m), "radius": args.radius}
     cert = maps.nontriviality_certificate(G, m, 2)
     report["map"] = m.to_json()
     report["verify"] = rep

@@ -433,9 +433,11 @@ def parse_element(table: GroupTable, text: str) -> Element:
     """Parse a compact element like 'x^2 y^-1 rhogamma', 'gamma', or '1'.
 
     Tokens may be separated by whitespace or '*'; at most one transversal label,
-    in trailing position.
+    in trailing position.  Text with no tokens is rejected: e is written '1'.
     """
     toks = [t for t in re.split(r"[\s*]+", text.strip()) if t]
+    if not toks:
+        raise ValueError(f"element {text!r} has no tokens; write '1' for the identity")
     vec = [0, 0]
     f = "1"
     for pos, tok in enumerate(toks):

@@ -21,10 +21,11 @@ the two translation parts.  decide, the three law checks and the ball
 check's _Block read that form, so the product rule of each family is
 derived in one place; the law checks read nothing else of G or m.  decide
 and forced_consequences, both exact over the whole group, share the kernel
-_cover.  wct_invariants and semidirect.sd_invariants are bindings of
-forced_consequences.  Every verdict first asks m.acts_on(G) and raises
-ValueError for a map of another group, which would otherwise be judged
-through the part labels the two groups share.
+_cover, whose tail uncovered_point also decides acceptance criterion 4's
+coset inclusions.  wct_invariants and semidirect.sd_invariants are
+bindings of forced_consequences, kept for perfbench.  Every verdict first
+asks m.acts_on(G) and raises ValueError for a map of another group, which
+would otherwise be judged through the part labels the two groups share.
 
 compose, invert and random_map build their results without re-validation
 (see CosetwiseAffineMap._trusted); CosetwiseAffineMap(G, rule) keeps every
@@ -53,7 +54,7 @@ from operator import eq, mul
 from .conjugacy import conjugacy_class, involution_loci, is_conjugate
 from .groups import (Element, GroupTable, affine_on_part, cells, check_radius, load_group,
                      parse_element)
-from .lattice import Coset, Sublattice, Vec, mat_identity, matvec, solve_integer, vadd, vsub
+from .lattice import Coset, Sublattice, Vec, mat_identity, matvec, solve_integer, vadd, vneg, vsub
 
 _I2 = mat_identity(2)
 _Z2: Vec = (0, 0)
@@ -501,7 +502,7 @@ def forced_consequences(G, m, radius: int = 2) -> dict:
     return checks
 
 
-wct_invariants = forced_consequences  # the name acceptance and perfbench call
+wct_invariants = forced_consequences  # the name perfbench calls
 
 
 def _keeps_classes(G, m) -> bool:
@@ -570,27 +571,38 @@ def _cover(G, lf, a0, A, rf, b0, B):
     lies in K = G.slack[rf], for r = b0 - N a0 - s and R = B - N A.  The
     answer is "uniform" when one serves every v: r and R's columns lie in K,
     tested on the ints G.slack_hnf[rf] for a wallpaper group (_uniform_2d).
-    Else one solve_integer call on [R | -K rows] per conjugator gives the v
-    it serves as a coset c + S of Z^d, or none; "covered" means they cover
-    Z^d, and else a point they miss is returned (see _uncovered).
+    Else uncovered_point, given one term (r, R's columns, K) per conjugator,
+    returns a v that none serves, or None, and then the answer is "covered".
     """
     flat, lat = isinstance(G, GroupTable), G.slack[rf]
     if flat and _uniform_2d(G, lf, a0, A, rf, b0, B):
         return "uniform"
     terms = [(vsub(vsub(b0, s), matvec(mat, a0)),
-              [vsub(b, matvec(mat, a)) for a, b in zip(A, B)])
+              [vsub(b, matvec(mat, a)) for a, b in zip(A, B)], lat)
              for _, mat, s in G.conjugators[lf, rf]]
-    if not flat and any(lat.contains(r) and all(map(lat.contains, cols)) for r, cols in terms):
+    if not flat and any(lat.contains(r) and all(map(lat.contains, cols)) for r, cols, _ in terms):
         return "uniform"  # SdGroup: n-dimensional, with no slack_hnf
-    d, cosets = len(A), []
-    for r, cols in terms:
-        cols = cols + [[-x for x in row] for row in lat.rows]
-        sol = solve_integer(tuple(zip(*cols)), [-x for x in r])
+    v = uncovered_point(len(A), terms)
+    return "covered" if v is None else v
+
+
+def uncovered_point(d: int, terms):
+    """A v in Z^d with r + R v in none of the lattices, or None when there is
+    none; terms are (r, R's columns, lattice), all vectors of one Z^n.
+
+    One solve_integer call on [R | -lattice rows] per term gives the v for
+    which r + R v lies in the term's lattice as a coset c + S of Z^d, or
+    none; _uncovered decides whether those cosets cover Z^d.  _cover asks it
+    about conjugators, and acceptance criterion 4 about stated class cosets.
+    """
+    cosets = []
+    for r, cols, lat in terms:
+        cols = [*cols, *map(vneg, lat.rows)]
+        sol = solve_integer(tuple(zip(*cols)), vneg(r))
         if sol is not None:
             c, kernel = sol
             cosets.append(Coset(c[:d], Sublattice(d, [k[:d] for k in kernel])))
-    v = _uncovered(d, cosets)
-    return "covered" if v is None else v
+    return _uncovered(d, cosets)
 
 
 def _uniform_2d(G: GroupTable, lf: str, a0, A, rf: str, b0, B) -> bool:

@@ -13,7 +13,8 @@ slice pair as linear functions of the translation parts.  Everything else
 is shared with the wallpaper groups, and the sd_ names bind to it:
 class_sd is conjugacy_class, sd_invariants is maps.forced_consequences,
 brute_is_conjugate_sd is conjugacy.brute_is_conjugate, and verify_sd
-reports maps.decide.
+reports maps.decide.  The package itself calls the defining names; these
+bindings and verify_sd stay only for perfbench, which still calls them.
 
 The two maps of interest twist one part by theta and fix the rest.
 phi_for_odd_p twists A, for any order p: for an odd prime p it is a

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from wct import acceptance, maps
 from wct.acceptance import CRITERIA, run_criterion, run_suite
 from wct.conjugacy import CosetUnionClass, conjugacy_class
 from wct.groups import GROUP_IDS, Element, GroupTable, load_group
-from wct.lattice import Coset, vadd
+from wct.lattice import Coset, matvec, vadd, vneg
 
 
 def _check_conjugacy(detail):
@@ -32,9 +33,6 @@ def _check_conjugacy(detail):
 def _check_p4mg(detail):
     assert detail["nontranslation_rows_match"]
     assert detail["first_mismatch"] is None
-    # 7 rows x 25 samples x 8 parts; only the rho2 row's rho2 part, whose
-    # stated U is coarser than K_rho2 = 2Z^2, needs the window
-    assert (detail["parts_by_residue"], detail["parts_by_window"]) == (1375, 25)
     assert detail["involutions_match"]
     # the stated table needs exactly one repair, on the translation row
     assert [d["row"] for d in detail["discrepancies"]] == ["translations"]
@@ -56,6 +54,8 @@ def _check_failures(detail):
 
 def _check_relations(detail):
     resolved = {s["group"]: s["resolved"] for s in detail["suites"]}
+    assert list(resolved) == list(maps.NONTRIVIAL_CATALOG)
+    assert resolved["p2mm"] == []
     assert resolved["p3"] == ["psi_x^I_rho = I_y^-1"]
     assert resolved["p4"] == ["tau_rho2^psi_y = tau_rho2 tau_x tau_y^-1"]
     assert resolved["p6"] == []
@@ -243,34 +243,66 @@ def test_conjugacy_criterion_catches_a_dropped_residue(monkeypatch):
         "closed_form": False, "brute": True}
 
 
-def test_p4mg_names_first_mismatch(monkeypatch):
-    rows = acceptance._p4mg_rows
+def _stated_cosets(pieces, a):
+    """A row of the stated table at a, as (part, Coset) pairs."""
+    return [(h, Coset(vadd(matvec(P, a), c), L)) for h, P, c, L in pieces]
 
-    def wrong_rho2(G):
-        # the stated rho2 row with X = <x^2> in place of U = <xy, x^2>
-        out = rows(G)
-        out["rho2"] = lambda a: [("rho2", Coset(a, acceptance._X))]
-        return out
 
-    monkeypatch.setattr(acceptance, "_p4mg_rows", wrong_rho2)
-    res = run_criterion(4, "fast")
-    assert not res["ok"]
-    assert res["detail"]["nontranslation_rows_match"] is False
-    # first sample a = x^-2 y^-2, first window point b = x^-5 y^-5:
-    # b - a = (-3, -3) lies in U but not in X
-    assert res["detail"]["first_mismatch"] == {
-        "row": "rho2", "a": [-2, -2], "b": [-5, -5], "part": "rho2",
-        "stated": False, "computed": True}
+def _rows_as_functions(G):
+    """The stated table written out per row as a function of a, giving
+    (part, Coset) pairs: the reference the data table is held to."""
+    U, X, Y, V, W = (acceptance._U, acceptance._X, acceptance._Y, acceptance._V,
+                     acceptance._W)
+    x = (1, 0)
+
+    def r(a):
+        return matvec(G.act["rho"], a)
+
+    def r3(a):
+        return matvec(G.act["rho3"], a)
+
+    return {
+        "rho": lambda a: [("rho", Coset(a, U)), ("rho3", Coset(vadd(a, x), U))],
+        "rho2": lambda a: [("rho2", Coset(a, U))],
+        "rho3": lambda a: [("rho3", Coset(a, U)), ("rho", Coset(vadd(a, x), U))],
+        "gamma": lambda a: [
+            ("gamma", Coset(a, Y)), ("gamma", Coset(vadd(vneg(a), (-1, 1)), Y)),
+            ("rho2gamma", Coset(vadd(r(a), (1, 0)), X)),
+            ("rho2gamma", Coset(vadd(r3(a), (0, -1)), X))],
+        "rhogamma": lambda a: [
+            ("rhogamma", Coset(a, V)), ("rhogamma", Coset(vneg(a), V)),
+            ("rho3gamma", Coset(vadd((0, -1), r(a)), W)),
+            ("rho3gamma", Coset(vadd((-1, 0), r(vneg(a))), W))],
+        "rho2gamma": lambda a: [
+            ("rho2gamma", Coset(a, X)), ("rho2gamma", Coset(vadd(vneg(a), (1, -1)), X)),
+            ("gamma", Coset(vadd(r3(a), (0, 1)), Y)),
+            ("gamma", Coset(vadd(r(a), (-1, 0)), Y))],
+        "rho3gamma": lambda a: [
+            ("rho3gamma", Coset(a, W)), ("rho3gamma", Coset(vadd((-1, -1), vneg(a)), W)),
+            ("rhogamma", Coset(vadd(x, r3(a)), V)),
+            ("rhogamma", Coset(vadd(vneg(x), r(a)), V))],
+    }
+
+
+def test_p4mg_table_matches_the_rows_as_functions():
+    G = load_group("p4mg")
+    reference = _rows_as_functions(G)
+    assert list(reference) == list(acceptance._P4MG_ROWS)
+    assert (acceptance._R, acceptance._R3) == (G.act["rho"], G.act["rho3"])
+    for f, pieces in acceptance._P4MG_ROWS.items():
+        for a in product(range(-5, 6), repeat=2):
+            assert _stated_cosets(pieces, a) == reference[f](a), (f, a)
 
 
 def _window_first_mismatch(G, rows):
-    """Criterion 4's row check as a scan of every part of every row over the
-    window, point by point; the first mismatch in (row, a, part, b) order."""
+    """Criterion 4's row check as a scan of every part of every row over a
+    window, point by point, at sampled a; the first mismatch in
+    (row, a, part, b) order."""
     samples = [(i, j) for i in range(-2, 3) for j in range(-2, 3)]
     window = [(i, j) for i in range(-5, 6) for j in range(-5, 6)]
     for f, row in rows.items():
         for a in samples:
-            pieces = row(a)
+            pieces = _stated_cosets(row, a)
             cls = conjugacy_class(G, Element(a, f))
             for fp in G.F:
                 cosets = [c for pf, c in pieces if pf == fp]
@@ -282,27 +314,106 @@ def _window_first_mismatch(G, rows):
     return None
 
 
-def test_p4mg_residue_mismatch_matches_the_window_scan(monkeypatch):
-    rows = acceptance._p4mg_rows
+def _assert_witness(G, rows, miss):
+    """miss is a real disagreement between the stated row and the class."""
+    a, b, f, h = tuple(miss["a"]), tuple(miss["b"]), miss["row"], miss["part"]
+    stated = any(c.contains(b) for part, c in _stated_cosets(rows[f], a) if part == h)
+    assert (stated, miss["computed"]) == (miss["stated"], not stated)
+    assert conjugacy_class(G, Element(a, f)).contains((b, h)) == miss["computed"]
 
-    def moved_rho(G):
-        # the second coset of the rho row moves by x, from a + x to a + 2x:
-        # its lattice is still U = K_rho3, so only the residues differ
-        out = rows(G)
-        out["rho"] = lambda a: [("rho", Coset(a, acceptance._U)),
-                                ("rho3", Coset(vadd(a, (2, 0)), acceptance._U))]
-        return out
 
-    monkeypatch.setattr(acceptance, "_p4mg_rows", moved_rho)
+def _wrong_rho2_lattice(rows):
+    # X = <x^2> in place of U = <xy, x^2>
+    rows["rho2"] = [("rho2", acceptance._I, acceptance._O, acceptance._X)]
+
+
+def _moved_rho_coset(rows):
+    # the second coset of the rho row moves by x, from a + x to a + 2x
+    rows["rho"] = [rows["rho"][0], ("rho3", acceptance._I, (2, 0), acceptance._U)]
+
+
+def _dropped_piece(rows):
+    del rows["gamma"][3]
+
+
+def _extra_part(rows):
+    rows["rho2"] = rows["rho2"] + [("rho", acceptance._I, acceptance._O, acceptance._U)]
+
+
+def _swapped_rotations(rows):
+    # the rho2gamma row with its two quarter turns exchanged
+    rows["rho2gamma"] = [(h, {acceptance._R: acceptance._R3, acceptance._R3: acceptance._R}
+                          .get(P, P), c, L) for h, P, c, L in rows["rho2gamma"]]
+
+
+def _mutated_mismatch(monkeypatch, mutate):
+    """Criterion 4's first_mismatch on the stated table changed by mutate,
+    checked to be real and to sit at the row and part the window scan
+    flags first."""
+    rows = {f: list(pieces) for f, pieces in acceptance._P4MG_ROWS.items()}
+    mutate(rows)
+    monkeypatch.setattr(acceptance, "_P4MG_ROWS", rows)
     G = load_group("p4mg")
-    expected = _window_first_mismatch(G, moved_rho(G))
-    assert expected is not None and expected["row"] == "rho"
     res = run_criterion(4, "fast")
     assert not res["ok"]
     assert res["detail"]["nontranslation_rows_match"] is False
-    assert res["detail"]["first_mismatch"] == expected
-    # the moved part of each rho sample joins the rho2 part in the window
-    assert (res["detail"]["parts_by_residue"], res["detail"]["parts_by_window"]) == (1350, 50)
+    miss = res["detail"]["first_mismatch"]
+    _assert_witness(G, rows, miss)
+    window = _window_first_mismatch(G, rows)
+    assert (miss["row"], miss["part"]) == (window["row"], window["part"])
+    return miss
+
+
+@pytest.mark.parametrize("mutate,row,part", [
+    (_wrong_rho2_lattice, "rho2", "rho2"),
+    (_dropped_piece, "gamma", "rho2gamma"),
+    (_extra_part, "rho2", "rho"),
+    (_swapped_rotations, "rho2gamma", "gamma"),
+], ids=["wrong-lattice", "dropped-piece", "extra-part", "swapped-rotations"])
+def test_p4mg_mutation_names_a_rechecked_mismatch(monkeypatch, mutate, row, part):
+    miss = _mutated_mismatch(monkeypatch, mutate)
+    assert (miss["row"], miss["part"]) == (row, part)
+
+
+def test_p4mg_residue_mismatch_matches_the_window_scan(monkeypatch):
+    # the moved coset keeps its lattice U = K_rho3, so only its residue differs
+    miss = _mutated_mismatch(monkeypatch, _moved_rho_coset)
+    assert (miss["row"], miss["part"]) == ("rho", "rho3")
+
+
+def test_p4mg_names_first_mismatch(monkeypatch):
+    rows = dict(acceptance._P4MG_ROWS)
+    _wrong_rho2_lattice(rows)
+    monkeypatch.setattr(acceptance, "_P4MG_ROWS", rows)
+    res = run_criterion(4, "fast")
+    # b - a = (-2, -2) lies in U but not in X
+    assert res["detail"]["first_mismatch"] == {
+        "row": "rho2", "a": [-1, -1], "b": [-3, -3], "part": "rho2",
+        "stated": False, "computed": True}
+
+
+def test_p4mg_literal_translation_row_has_a_witness(monkeypatch):
+    G = load_group("p4mg")
+    res = run_criterion(4, "fast")
+    (d,) = res["detail"]["discrepancies"]
+    miss = d["literal_witness"]
+    assert miss == {"row": "1", "a": [-1, 0], "b": [0, -1], "part": "1",
+                    "stated": False, "computed": True}
+    _assert_witness(G, {"1": acceptance._LITERAL}, miss)
+    assert d["resolution_holds"]
+    # a resolution that still lacks one swapped term does not hold
+    monkeypatch.setattr(acceptance, "_RESOLVED", acceptance._RESOLVED[:-1])
+    res = run_criterion(4, "fast")
+    assert not res["ok"]
+    assert res["detail"]["discrepancies"][0]["resolution_holds"] is False
+
+
+def test_p4mg_recheck_catches_a_false_miss(monkeypatch):
+    # a cover helper that reports a miss at the origin of every inclusion
+    monkeypatch.setattr(acceptance.maps, "uncovered_point", lambda d, terms: (0,) * d)
+    res = run_criterion(4, "fast")
+    assert not res["ok"]
+    assert res["detail"]["fault"].startswith("AssertionError: p4mg row rho")
 
 
 def test_catalog_criterion_checks_the_pair_form(monkeypatch):

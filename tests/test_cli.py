@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -333,6 +334,42 @@ def test_negative_radius_is_usage_error(capsys, argv):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "radius must be non-negative" in captured.err
+
+
+@pytest.mark.parametrize("argv", (
+    ("classes", "--group", "p6", "--element", ""),
+    ("classes", "--group", "p6", "--element", " * "),
+    ("verify-map", "--group", "p4", "--map", "inner()"),
+))
+def test_element_without_tokens_is_usage_error(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "has no tokens" in captured.err
+
+
+def _readme_cli_lines():
+    """The wct lines of the README's CLI block, as (argv, whether the
+    comment says it exits 1)."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    out = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        prog, *argv = shlex.split(command)
+        assert prog == "wct", line
+        out.append((argv, "exits 1" in comment))
+    return out
+
+
+def test_readme_cli_examples_exit_as_documented(capsys):
+    # the battery has its own tests
+    lines = [(argv, fails) for argv, fails in _readme_cli_lines() if argv[0] != "acceptance"]
+    assert len(lines) == 11
+    for argv, fails in lines:
+        code = main(argv)
+        capsys.readouterr()
+        assert code == (1 if fails else 0), argv
 
 
 def test_internal_fault_exits_three(capsys, monkeypatch):
