@@ -34,12 +34,14 @@ check for rules built by callers.
 is_wct_on_ball decides ball(radius) x ball(radius) one pair of source parts
 at a time.  There only the translation parts x1, x2 vary, and the residual
 of each conjugator entry that is_conjugate tests splits as
-P(x1) + Q(x2), so each cell's residues modulo K are computed once per part
-pair and each distinct tuple of them is decided once, instead of each
-element pair (see _Block).  Its verdict, witness and pairs_checked are
-those of a pair-by-pair sweep, and a pass is still evidence from a finite
-ball, not a proof; it is decide's oracle and shares only pair_form and the
-hooks with it.
+P(x1) + Q(x2).  A part pair is uniform when one entry's P + Q lies in K
+for every cell, which its constant and coefficient columns show; such a
+pair is settled by that one test, whatever the radius.  For the others each
+cell's residues modulo K are computed once per part pair and each distinct
+tuple of them is decided once, instead of each element pair (see _Block).
+Its verdict, witness and pairs_checked are those of a pair-by-pair sweep,
+and a pass is still evidence from a finite ball, not a proof; it is
+decide's oracle and shares only pair_form and the hooks with it.
 """
 
 from __future__ import annotations
@@ -323,27 +325,32 @@ def is_wct_on_ball(G: GroupTable, m: CosetwiseAffineMap, radius: int) -> dict:
     parts of g1 = x1*f1 and g2 = x2*f2 fixed, the residual is_conjugate
     tests splits as P(x1) + Q(x2), and a pair holds exactly when Q(x2) and
     -P(x1) agree modulo K for some candidate (see _Block).  Row g1 of
-    ball x ball crosses one block per part f2; a block is built, with the
-    signatures of all its cells, when a row first reaches it.  The row's
-    first failing pair is the minimum over those blocks, and the scan stops
-    at the first row that has one.  That pair is re-derived through G.mul
-    and m.apply and re-checked with is_conjugate, by an explicit raise that
-    python -O keeps, before it is reported.
+    ball x ball crosses one block per part f2, and f1's first row builds
+    those blocks.  A uniform block holds on all its cells and is not
+    visited again; the others carry the signatures of all their cells.  So
+    when every part pair is uniform the check costs the blocks' candidate
+    tests alone, at any radius.  The row's first failing pair is the
+    minimum over its blocks, and the scan stops at the first row that has
+    one.  That pair is re-derived through G.mul and m.apply and re-checked
+    with is_conjugate, by an explicit raise that python -O keeps, before it
+    is reported.
     """
     _check_map(G, m)
     xs = cells(radius)
     parts = G.F
     width = len(parts)
     size = len(xs) * width
-    blocks = [[None] * width for _ in parts]
+    live = [[] for _ in parts]  # per part f1: (j2, block) for its blocks that are not uniform
     for c1, (x1, y1) in enumerate(xs):
         for j1, f1 in enumerate(parts):
-            row = blocks[j1]
+            if c1:
+                row = live[j1]
+            else:  # f1's first row builds its blocks, up to where its scan stops
+                row = ((j2, _Block(G, m, f1, f2, xs)) for j2, f2 in enumerate(parts))
             best = size
-            for j2, f2 in enumerate(parts):
-                block = row[j2]
-                if block is None:
-                    block = row[j2] = _Block(G, m, f1, f2, xs)
+            for j2, block in row:
+                if c1 == 0 and not block.uniform:
+                    live[j1].append((j2, block))
                 c2 = block.first_failure(x1, y1)
                 if c2 is not None:
                     best = min(best, c2 * width + j2)
@@ -364,6 +371,8 @@ def is_wct_on_ball(G: GroupTable, m: CosetwiseAffineMap, radius: int) -> dict:
                     "radius": radius,
                     "pairs_checked": (c1 * width + j1) * size + best + 1,
                 }
+        if not any(live):
+            break  # every part pair is uniform: no later row can fail
     return {"ok": True, "witness": None, "radius": radius, "pairs_checked": size ** 2}
 
 
@@ -386,34 +395,62 @@ class _Block:
       Q = (B2 - N A2) x2.
 
     So it holds exactly when, for some candidate, Q(x2) and -P(x1) have the
-    same canonical representative modulo K.  A cell's signature is the tuple
-    of its Q representatives, one per candidate, and a row's key the tuple
-    of its -P representatives; the pair fails when they agree in no
-    position.  The signatures are computed once, when the block is built:
-    each distinct one is kept with its first cell, in cell order, so the
-    first failing cell for a key is the first cell of the first distinct
-    signature that fails it.  That answer is memoized per key.  Blocks live
-    for one ball check only.
+    same canonical representative modulo K.
+
+    The block is uniform when one candidate N serves every (x1, x2): N
+    serves (x1, x2) when P(x1) + Q(x2) lies in K, and that holds for all
+    cells when P + Q's constant b0 - N a0 - s and its four columns, those
+    of B1 - N A1 and B2 - N A2, lie in K.  Each candidate is tested as soon
+    as its terms are built, on K's HNF rows as is_conjugate tests, and the
+    test stops at the first vector outside K.  A uniform block builds no
+    signatures or memo, and first_failure returns None.  This is the
+    criterion decide applies to a part pair ("uniform"), coded separately
+    here, and the tests' _reference_ball_check stays its cell-by-cell
+    oracle.
+
+    Otherwise a cell's signature is the tuple of its Q representatives, one
+    per candidate, and a row's key the tuple of its -P representatives; the
+    pair fails when they agree in no position.  The signatures are computed
+    once, when the block is built: each distinct one is kept with its first
+    cell, in cell order, so the first failing cell for a key is the first
+    cell of the first distinct signature that fails it.  That answer is
+    memoized per key.  Blocks live for one ball check only.
     """
 
-    __slots__ = ("row_terms", "lattice", "signatures", "memo")
+    __slots__ = ("uniform", "row_terms", "lattice", "signatures", "memo")
 
     def __init__(self, G: GroupTable, m: CosetwiseAffineMap, f1: str, f2: str, xs: tuple):
         lf, (c0, c1), A, rf, (d0, d1), B = G.pair_form(m, f1, f2)
         (x00, x10), (x01, x11), (y00, y10), (y01, y11) = A  # A1, A2
         (u00, u10), (u01, u11), (w00, w10), (w01, w11) = B  # B1, B2
+        self.lattice = p, q, r = G.slack_hnf[rf]
         # -P and Q per candidate N = ((n00, n01), (n10, n11)).  No two
         # candidates share N and s modulo K, and A1 is unimodular, so no
         # two row terms agree modulo K.
         row_terms, cell_terms = [], []
         for _, ((n00, n01), (n10, n11)), (s0, s1) in G.conjugators[lf, rf]:
-            row_terms.append((n00 * x00 + n01 * x10 - u00, n00 * x01 + n01 * x11 - u01,
-                              n10 * x00 + n11 * x10 - u10, n10 * x01 + n11 * x11 - u11,
-                              n00 * c0 + n01 * c1 + s0 - d0, n10 * c0 + n11 * c1 + s1 - d1))
-            cell_terms.append((w00 - n00 * y00 - n01 * y10, w01 - n00 * y01 - n01 * y11,
-                               w10 - n10 * y00 - n11 * y10, w11 - n10 * y01 - n11 * y11, 0, 0))
+            t00, t01 = n00 * x00 + n01 * x10 - u00, n00 * x01 + n01 * x11 - u01
+            t10, t11 = n10 * x00 + n11 * x10 - u10, n10 * x01 + n11 * x11 - u11
+            k0, k1 = n00 * c0 + n01 * c1 + s0 - d0, n10 * c0 + n11 * c1 + s1 - d1
+            v00, v01 = w00 - n00 * y00 - n01 * y10, w01 - n00 * y01 - n01 * y11
+            v10, v11 = w10 - n10 * y00 - n11 * y10, w11 - n10 * y01 - n11 * y11
+            # K = -K, so -P's terms test as P's; stop at the first vector outside K
+            for x, y in ((k0, k1), (t00, t10), (t01, t11), (v00, v10), (v01, v11)):
+                if p:
+                    if x % p:
+                        break
+                    y -= x // p * q
+                elif x:
+                    break
+                if y % r if r else y:
+                    break
+            else:
+                self.uniform = True  # N serves every cell
+                return
+            row_terms.append((t00, t01, t10, t11, k0, k1))
+            cell_terms.append((v00, v01, v10, v11, 0, 0))
+        self.uniform = False
         self.row_terms = row_terms
-        self.lattice = G.slack_hnf[rf]
         self.signatures = {}   # distinct signature -> its first cell
         for cell, (x, y) in enumerate(xs):
             self.signatures.setdefault(self._reps(cell_terms, x, y), cell)
@@ -444,6 +481,8 @@ class _Block:
 
     def first_failure(self, x: int, y: int):
         """The first cell x2 at which (x*f1, x2*f2) fails, or None."""
+        if self.uniform:
+            return None
         key = self._reps(self.row_terms, x, y)
         memo = self.memo
         if key not in memo:

@@ -69,6 +69,7 @@ def _check_semidirect(detail):
 
 def _check_axioms(detail):
     assert detail["maps"] == 17  # 14 wallpaper maps + 3 semidirect cases
+    assert all(e["proven"] for e in detail["entries"])
 
 
 def _check_search(detail):

@@ -16,7 +16,7 @@ import wct
 from wct import maps
 from wct.acceptance import P2_THETAS, SD_CASES, TRIVIAL_GROUPS
 from wct.conjugacy import conjugacy_class, is_conjugate
-from wct.groups import GROUP_IDS, Element, GroupTable, load_group, parse_element
+from wct.groups import GROUP_IDS, Element, GroupTable, cells, load_group, parse_element
 from wct.maps import (
     CosetwiseAffineMap,
     NONTRIVIAL_CATALOG,
@@ -772,6 +772,53 @@ def test_ball_check_matches_reference_past_row_0(gid):
             late += 1
             res = is_wct_on_ball(G, m, 2)
             assert (res["ok"], res["witness"], res["pairs_checked"]) == (ok, witness, pairs), m
+
+
+def _uniform_blocks(G, m):
+    """How many part pairs of m are uniform, after asserting that _Block
+    reports each as decide labels it: _cover's flat test, _uniform_2d."""
+    uniform = 0
+    for f1 in G.F:
+        for f2 in G.F:
+            label = maps._uniform_2d(G, *G.pair_form(m, f1, f2))
+            assert maps._Block(G, m, f1, f2, cells(1)).uniform is label, (m, f1, f2)
+            uniform += label
+    return uniform
+
+
+@pytest.mark.parametrize("gid", GROUP_IDS)
+def test_block_uniform_is_decides_label(gid):
+    G = load_group(gid)
+    pairs = len(G.F) ** 2
+    cat = catalog(G)
+    for name, m in cat.items():  # all part pairs are uniform but some of the one failing map's
+        assert (_uniform_blocks(G, m) < pairs) == (name == "conj_rho_on_rho2"), name
+    rnd = random.Random(f"block-words:{gid}")
+    names = sorted(cat)
+    for _ in range(6):
+        expr = " * ".join(f"inv({rnd.choice(names)})" if rnd.random() < 0.3
+                          else rnd.choice(names) for _ in range(3))
+        _uniform_blocks(G, parse_map_expr(G, expr))
+    if gid in TRIVIAL_GROUPS:
+        rnd = random.Random(f"block-uniform:{gid}")
+        uniform = sum(_uniform_blocks(G, random_map(G, rnd)) for _ in range(100))
+        assert 0 < uniform < 100 * pairs  # both sides of the test are exercised
+
+
+@pytest.mark.parametrize("radius", (3, 8))
+def test_ball_check_of_uniform_maps_enumerates_no_cell(monkeypatch, radius):
+    """Every part pair of every NONTRIVIAL_CATALOG map is uniform, so the
+    ball check computes no representative at any radius."""
+    calls = []
+    reps = maps._Block._reps
+    monkeypatch.setattr(maps._Block, "_reps",
+                        lambda self, *args: calls.append(args) or reps(self, *args))
+    for gid, names in NONTRIVIAL_CATALOG.items():
+        G = load_group(gid)
+        for name in names:
+            res = is_wct_on_ball(G, generator(G, name), radius)
+            assert res["ok"] and res["pairs_checked"] == len(G.ball(radius)) ** 2, (gid, name)
+    assert calls == []
 
 
 def test_witness_recheck_survives_python_O():
