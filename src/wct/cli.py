@@ -122,6 +122,8 @@ def _parse_theta(text: str):
         theta = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"--theta is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError("--theta is nested too deeply to parse") from None
     if (not isinstance(theta, list)
             or not all(isinstance(row, list) for row in theta)
             or not all(type(x) is int for row in theta for x in row)):
@@ -211,7 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="weak Cayley table check for a map expression")
     p.add_argument("--group", required=True, choices=GROUP_IDS)
     p.add_argument("--map", required=True,
-                   help="expression over catalog names, e.g. 'tau * inv(psi_x)'")
+                   help="expression over catalog names, e.g. 'tau * inv(psi_x)' or 'tau^psi_x'")
     p.add_argument("--radius", type=int, default=4)
     p.add_argument("--certificate-radius", type=int, default=3,
                    help="validated; the nontrivial verdict is exact at any radius")

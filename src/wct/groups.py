@@ -400,12 +400,15 @@ class GroupTable:
 
 
 def check_radius(radius: int) -> None:
-    """Reject a negative radius: its ball is empty, so any sweep over it is vacuous."""
+    """Reject a radius that is not exactly an int (True and 2.0 included) or
+    is negative: a negative ball is empty, so any sweep over it is vacuous."""
+    if type(radius) is not int:
+        raise ValueError(f"radius must be an int, got {radius!r}")
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True and 1.0 must not hit the entry of 1
 def cells(radius: int) -> tuple:
     """The translation parts a with max-norm(a) <= radius, as flat int pairs
     ordered by norm, then lexicographically: the cell order of every ball."""

@@ -7,9 +7,9 @@ shape is closed under composition and inverse, so weak Cayley table identities
 become decidable equalities of finitely much integer data: no ball arguments
 are needed to compare two maps.
 
-Conventions, fixed once: composition m1 * m2 applies m2 first, and m ** n
-(spelled conjugate_by) is inv(n) * m * n.  Product words from the relation
-tables are read the same way, rightmost factor first.
+Conventions, fixed once: composition m1 * m2 applies m2 first, and m^n
+(conjugate_by) is inv(n) * m * n.  parse_map_expr reads the paper's notation
+by them, and wgroup_relations evaluates each relation from its printed text.
 
 homomorphism_failure, antihomomorphism_failure, nontriviality_certificate,
 forced_consequences and decide serve wct.semidirect too: they use only
@@ -813,99 +813,126 @@ NONTRIVIAL_CATALOG = {
 
 # -- map expressions --------------------------------------------------------------
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# one token per match: an inner(...) call with its element text, a name, an
+# int, or any other non-blank character
+_TOKEN_RE = re.compile(r"\s*(inner\s*\([^)]*\)|[A-Za-z_][A-Za-z0-9_]*|-?[0-9]+|\S)")
 
 
 def parse_map_expr(G: GroupTable, text: str) -> CosetwiseAffineMap:
-    """Evaluate an expression like "tau * inv(psi_x) * inner(x^-1 y rho)".
+    """Evaluate an expression like "tau_rho2^psi_x inv(tau_x) * inner(x^-1 y rho)".
 
-    '*' composes (right factor applied first); names come from the catalog.
+    The grammar, with '^' binding tightest and products read left to right:
+
+      expr   := factor ('*'? factor)*
+      factor := atom ('^' (int | name))*
+      atom   := name | 'inv' '(' expr ')' | 'inner' '(' element ')' | '(' expr ')'
+
+    Names come from the catalog, and juxtaposition composes as '*' does,
+    right factor applied first.  m^k composes m k times, inv(m) -k times
+    for a negative k, and gives id for k = 0; m^n for a catalog name n is
+    inv(n)*m*n, as conjugate_by.  element is parse_element's text, up to
+    the first ')'.  Nesting deeper than the interpreter's recursion limit
+    allows is a ValueError, as every other malformed text is.
     """
+    toks = _TOKEN_RE.findall(text) + [""]  # "" ends the input
     pos = 0
-    text = text.strip()
 
-    def skip_ws():
+    def factor() -> CosetwiseAffineMap:
         nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
-    def parse_atom() -> CosetwiseAffineMap:
-        nonlocal pos
-        skip_ws()
-        m = _NAME_RE.match(text, pos)
-        if not m:
-            raise ValueError(f"expected a map name at position {pos} in {text!r}")
-        name = m.group(0)
-        pos = m.end()
-        skip_ws()
-        if name in ("inv", "inner"):
-            if pos >= len(text) or text[pos] != "(":
-                raise ValueError(f"{name} needs parentheses in {text!r}")
-            pos += 1
-            if name == "inv":
-                inner_expr = parse_expr()
-                skip_ws()
-                if pos >= len(text) or text[pos] != ")":
-                    raise ValueError(f"unbalanced parentheses in {text!r}")
-                pos += 1
-                return inner_expr.invert()
-            close = text.find(")", pos)
-            if close < 0:
+        tok = toks[pos]
+        pos += 1
+        if tok == "(" or tok == "inv" and toks[pos] == "(":
+            pos += tok == "inv"
+            out = expr()
+            if toks[pos] != ")":
                 raise ValueError(f"unbalanced parentheses in {text!r}")
-            elem = parse_element(G, text[pos:close])
-            pos = close + 1
-            return inner_map(G, elem)
-        return generator(G, name)
-
-    def parse_expr() -> CosetwiseAffineMap:
-        nonlocal pos
-        out = parse_atom()
-        while True:
-            skip_ws()
-            if pos < len(text) and text[pos] == "*":
-                pos += 1
-                out = out.compose(parse_atom())
+            pos += 1
+            out = out.invert() if tok == "inv" else out
+        elif tok in ("inv", "inner"):
+            raise ValueError(f"{tok} needs its (...) in {text!r}")
+        elif tok.isidentifier():
+            out = generator(G, tok)
+        elif tok.startswith("inner"):
+            out = inner_map(G, parse_element(G, tok[tok.index("(") + 1:-1]))
+        else:
+            raise ValueError(f"expected a map name, not {tok or 'the end'!r}, in {text!r}")
+        while toks[pos] == "^":
+            k = toks[pos + 1]
+            pos += 2
+            if k.lstrip("-").isdecimal():
+                out = _power(G, out, int(k))
+            elif k.isidentifier():
+                out = out.conjugate_by(generator(G, k))
             else:
-                return out
+                raise ValueError(f"expected an int or a map name after '^' in {text!r}")
+        return out
 
-    out = parse_expr()
-    skip_ws()
-    if pos != len(text):
-        raise ValueError(f"trailing input at position {pos} in {text!r}")
+    def expr() -> CosetwiseAffineMap:
+        nonlocal pos
+        out = factor()
+        while toks[pos] not in (")", ""):
+            pos += toks[pos] == "*"
+            out = out.compose(factor())
+        return out
+
+    try:
+        out = expr()
+    except RecursionError:
+        raise ValueError(f"map expression nested too deeply ({len(text)} characters)") from None
+    if toks[pos]:
+        raise ValueError(f"unbalanced parentheses in {text!r}")
+    return out
+
+
+def _power(G: GroupTable, m: CosetwiseAffineMap, k: int) -> CosetwiseAffineMap:
+    """m composed k times, inv(m) -k times for a negative k, by squaring: no
+    more compositions than the word m*m*...*m takes."""
+    if k < 0:
+        m, k = m.invert(), -k
+    if k == 0:
+        return identity_map(G)
+    out = m
+    for bit in bin(k)[3:]:  # k's binary digits after the leading 1
+        out = out.compose(out)
+        if bit == "1":
+            out = out.compose(m)
     return out
 
 
 # -- relation suites for the non-trivial W(G) -------------------------------------
 
 
-def _conj_expr(m: str, n: str) -> str:
-    return f"inv({n})*{m}*{n}"
-
-
 def wgroup_relations(G: GroupTable) -> dict:
     """Verify the presentation relations of W(G) for p3, p4, p6, p2mm.
 
-    Each relation is an exact map equality.  Printed relations that fail get a
-    "resolved" entry: the corrected right side that does hold, with a note; the
-    suite passes when every relation holds as printed or has a holding
-    resolution.  The p4 and p6 relations among the tau and mu families, and
-    their transport by the W0 maps, read the families off _PATCHES.
+    Each relation is an exact map equality, stated once, as the text the
+    record prints: its two sides, split at " = ", are parse_map_expr
+    expressions in the paper's notation.  Only a right side that is not an
+    expression is passed as a map: the transport rows build theirs with
+    coset_conjugation, and one p2mm row carries a gloss.  Printed relations
+    that fail get a "resolved" entry: the corrected right side that does
+    hold, with a note; the suite passes when every relation holds as
+    printed or has a holding resolution.  The p4 and p6 relations among the
+    tau and mu families, and their transport by the W0 maps, read the
+    families off _PATCHES.
     """
     if G.gid not in NONTRIVIAL_CATALOG:
         raise ValueError(f"no relation suite for {G.gid}")
     cat = _catalog(G.gid)
-    ev = lambda expr: parse_map_expr(G, expr)
     records = []
 
-    def check(name: str, lhs: str, rhs, source: str = "printed", resolution=None):
-        """lhs == rhs, for an expression lhs and an expression or map rhs."""
-        lhs_map = ev(lhs)
-        rhs_map = ev(rhs) if isinstance(rhs, str) else rhs
-        rec = {"relation": name, "holds": lhs_map == rhs_map, "source": source}
+    def check(relation: str, source: str = "printed", resolution=None, rhs=None):
+        """The two sides of relation are equal; rhs, when given, is the map
+        its right side names."""
+        left, right = relation.split(" = ")
+        lhs = parse_map_expr(G, left)
+        if rhs is None:
+            rhs = parse_map_expr(G, right)
+        rec = {"relation": relation, "holds": lhs == rhs, "source": source}
         if not rec["holds"] and resolution is not None:
             res_expr, note = resolution
             rec["resolved"] = res_expr
-            rec["resolved_holds"] = lhs_map == ev(res_expr)
+            rec["resolved_holds"] = lhs == parse_map_expr(G, res_expr)
             rec["note"] = note
         records.append(rec)
 
@@ -914,7 +941,7 @@ def wgroup_relations(G: GroupTable) -> dict:
         (tau, _, taus), (mu, _, mus) = _PATCHES[G.gid]
         for t in (f"{tau}_{suffix}" for suffix, _ in taus):
             for s in (f"{mu}_{suffix}" for suffix, _ in mus):
-                check(f"{t} {s} = {s} {t}", f"{t}*{s}", f"{s}*{t}", source="derived")
+                check(f"{t} {s} = {s} {t}", source="derived")
 
     def patches_transported(conjugators, off_a: bool, source: str):
         """(family_u)^n = family_{n^-1(u)}, the right side built from the
@@ -926,44 +953,35 @@ def wgroup_relations(G: GroupTable) -> dict:
             n_inv = cat[n].invert()
             for family, parts, suffix, u in patches:
                 if off_a or u.f == "1":
-                    check(f"({family}_{suffix})^{n} = {family}_{n}^-1({suffix})",
-                          _conj_expr(f"{family}_{suffix}", n),
-                          coset_conjugation(G, parts, n_inv.apply(u)), source=source)
+                    check(f"({family}_{suffix})^{n} = {family}_{n}^-1({suffix})", source=source,
+                          rhs=coset_conjugation(G, parts, n_inv.apply(u)))
 
     iota_central_against: tuple[str, ...]
 
     if G.gid == "p3":
-        check("tau^3 = id", "tau*tau*tau", "id")
-        check("psi_x psi_y = psi_y psi_x", "psi_x*psi_y", "psi_y*psi_x")
-        check("I_x = psi_x^-1 psi_y^-1", "I_x", "inv(psi_x)*inv(psi_y)")
-        check("I_y = psi_x psi_y^-2", "I_y", "psi_x*inv(psi_y)*inv(psi_y)")
-        check("psi_y^I_rho = psi_x psi_y^-1",
-              _conj_expr("psi_y", "I_rho"), "psi_x*inv(psi_y)")
+        check("tau^3 = id")
+        check("psi_x psi_y = psi_y psi_x")
+        check("I_x = psi_x^-1 psi_y^-1")
+        check("I_y = psi_x psi_y^-2")
+        check("psi_y^I_rho = psi_x psi_y^-1")
         check("psi_x^I_rho = I_y^-1",
-              _conj_expr("psi_x", "I_rho"), "inv(I_y)",
               resolution=("inv(psi_y)",
                           "printed right side is inconsistent: together with "
                           "psi_y^I_rho it would give the conjugation action "
                           "infinite order, yet I_rho^3 = id; psi_y^-1 is the "
                           "value the maps actually satisfy"))
-        check("tau^psi_x = tau psi_x psi_y",
-              _conj_expr("tau", "psi_x"), "tau*psi_x*psi_y")
-        check("tau^psi_y = tau psi_x^-1 psi_y^2",
-              _conj_expr("tau", "psi_y"), "tau*inv(psi_x)*psi_y*psi_y")
-        check("I_rho^3 = id", "I_rho*I_rho*I_rho", "id")
+        check("tau^psi_x = tau psi_x psi_y")
+        check("tau^psi_y = tau psi_x^-1 psi_y^2")
+        check("I_rho^3 = id")
         iota_central_against = ("tau", "psi_x", "psi_y", "I_rho")
 
     elif G.gid == "p4":
-        check("tau_x tau_y = tau_y tau_x", "tau_x*tau_y", "tau_y*tau_x")
-        check("tau_rho2^2 = id", "tau_rho2*tau_rho2", "id")
-        check("tau_x^tau_rho2 = tau_x^-1", _conj_expr("tau_x", "tau_rho2"),
-              "inv(tau_x)", source="derived")
-        check("tau_y^tau_rho2 = tau_y^-1", _conj_expr("tau_y", "tau_rho2"),
-              "inv(tau_y)", source="derived")
-        check("tau_rho2^psi_x = tau_rho2 tau_x^-1 tau_y",
-              _conj_expr("tau_rho2", "psi_x"), "tau_rho2*inv(tau_x)*tau_y")
+        check("tau_x tau_y = tau_y tau_x")
+        check("tau_rho2^2 = id")
+        check("tau_x^tau_rho2 = tau_x^-1", source="derived")
+        check("tau_y^tau_rho2 = tau_y^-1", source="derived")
+        check("tau_rho2^psi_x = tau_rho2 tau_x^-1 tau_y")
         check("tau_rho2^psi_y = tau_rho2 tau_x tau_y^-1",
-              _conj_expr("tau_rho2", "psi_y"), "tau_rho2*tau_x*inv(tau_y)",
               resolution=("tau_rho2*inv(tau_x)*inv(tau_y)",
                           "the stated transport rule (tau_u)^mu = "
                           "tau_{mu^-1(u)} gives tau at psi_y^-1(rho^2) = "
@@ -971,71 +989,46 @@ def wgroup_relations(G: GroupTable) -> dict:
                           "factor needs the inverse; no orientation choice "
                           "makes the printed word consistent with the "
                           "companion psi_x relation"))
-        check("mu_x mu_y = mu_y mu_x", "mu_x*mu_y", "mu_y*mu_x")
-        check("mu_rho^4 = id", "mu_rho*mu_rho*mu_rho*mu_rho", "id")
-        check("mu_x^mu_rho = mu_y^-1", _conj_expr("mu_x", "mu_rho"), "inv(mu_y)")
-        check("mu_y^mu_rho = mu_x", _conj_expr("mu_y", "mu_rho"), "mu_x")
+        check("mu_x mu_y = mu_y mu_x")
+        check("mu_rho^4 = id")
+        check("mu_x^mu_rho = mu_y^-1")
+        check("mu_y^mu_rho = mu_x")
         patches_commute()
-        check("psi_1^2 = id", "psi_1*psi_1", "id")
-        check("I_rho^4 = id", "I_rho*I_rho*I_rho*I_rho", "id")
+        check("psi_1^2 = id")
+        check("I_rho^4 = id")
         patches_transported(("I_rho", "psi_1", "psi_x", "psi_y", "I_x", "I_y"),
                             off_a=True, source="printed")
         iota_central_against = ("tau_x", "tau_rho2", "mu_rho", "psi_x", "psi_1", "I_rho")
 
     elif G.gid == "p6":
-        check("tau_x2 tau_y2 = tau_y2 tau_x2", "tau_x2*tau_y2",
-              "tau_y2*tau_x2", source="derived")
-        check("tau_rho3^2 = id", "tau_rho3*tau_rho3", "id", source="derived")
-        check("tau_x2^tau_rho3 = tau_x2^-1", _conj_expr("tau_x2", "tau_rho3"),
-              "inv(tau_x2)", source="derived")
-        check("tau_y2^tau_rho3 = tau_y2^-1", _conj_expr("tau_y2", "tau_rho3"),
-              "inv(tau_y2)", source="derived")
-        check("mu_xy mu_xyinv2 = mu_xyinv2 mu_xy", "mu_xy*mu_xyinv2",
-              "mu_xyinv2*mu_xy", source="derived")
-        check("mu_rho2^3 = id", "mu_rho2*mu_rho2*mu_rho2", "id",
-              source="derived")
-        check("mu_xy^mu_rho2 = mu_xyinv2", _conj_expr("mu_xy", "mu_rho2"),
-              "mu_xyinv2", source="derived")
-        check("mu_xyinv2^mu_rho2 = mu_xy^-1 mu_xyinv2^-1",
-              _conj_expr("mu_xyinv2", "mu_rho2"),
-              "inv(mu_xy)*inv(mu_xyinv2)", source="derived")
+        for relation in ("tau_x2 tau_y2 = tau_y2 tau_x2", "tau_rho3^2 = id",
+                         "tau_x2^tau_rho3 = tau_x2^-1", "tau_y2^tau_rho3 = tau_y2^-1",
+                         "mu_xy mu_xyinv2 = mu_xyinv2 mu_xy", "mu_rho2^3 = id",
+                         "mu_xy^mu_rho2 = mu_xyinv2",
+                         "mu_xyinv2^mu_rho2 = mu_xy^-1 mu_xyinv2^-1"):
+            check(relation, source="derived")
         patches_commute()
-        check("psi^2 = id", "psi*psi", "id", source="derived")
-        check("I_rho^6 = id", "*".join(["I_rho"] * 6), "id", source="derived")
-        check("tau_rho3^I_rho = tau_rho3", _conj_expr("tau_rho3", "I_rho"),
-              "tau_rho3", source="derived")
-        check("mu_rho2^I_rho = mu_rho2", _conj_expr("mu_rho2", "I_rho"),
-              "mu_rho2", source="derived")
-        check("tau_rho3^psi = tau_rho3", _conj_expr("tau_rho3", "psi"),
-              "tau_rho3", source="derived")
-        check("mu_rho2^psi = mu_rho2^2", _conj_expr("mu_rho2", "psi"),
-              "mu_rho2*mu_rho2", source="derived")
+        for relation in ("psi^2 = id", "I_rho^6 = id", "tau_rho3^I_rho = tau_rho3",
+                         "mu_rho2^I_rho = mu_rho2", "tau_rho3^psi = tau_rho3",
+                         "mu_rho2^psi = mu_rho2^2"):
+            check(relation, source="derived")
         patches_transported(("I_rho", "psi", "I_x", "I_y"), off_a=False, source="derived")
         iota_central_against = ("tau_x2", "tau_rho3", "mu_xy", "mu_rho2", "psi", "I_rho")
 
     else:  # p2mm
-        check("tau^2 = id", "tau*tau", "id")
-        check("tau_rs^2 = id", "tau_rs*tau_rs", "id", source="derived")
-        check("tau tau_rs = tau_rs tau", "tau*tau_rs", "tau_rs*tau",
-              source="derived")
-        check("tau^psi = tau_rs (conj by rho sigma on the rho cosets)",
-              _conj_expr("tau", "psi"), "tau_rs")
-        check("tau^psi_10 = tau", _conj_expr("tau", "psi_10"), "tau",
-              source="derived")
-        check("tau^psi_01 = I_y tau", _conj_expr("tau", "psi_01"), "I_y*tau",
-              source="derived")
-        check("psi^2 = id", "psi*psi", "id", source="derived")
-        check("psi_10 psi_01 = psi_01 psi_10", "psi_10*psi_01", "psi_01*psi_10",
-              source="derived")
-        check("psi_10^2 = I_x^-1", "psi_10*psi_10", "inv(I_x)", source="derived")
-        check("psi_01^2 = I_y^-1", "psi_01*psi_01", "inv(I_y)", source="derived")
-        check("I_rho^2 = id", "I_rho*I_rho", "id", source="derived")
-        check("I_sigma^2 = id", "I_sigma*I_sigma", "id", source="derived")
+        check("tau^2 = id")
+        check("tau_rs^2 = id", source="derived")
+        check("tau tau_rs = tau_rs tau", source="derived")
+        check("tau^psi = tau_rs (conj by rho sigma on the rho cosets)", rhs=cat["tau_rs"])
+        for relation in ("tau^psi_10 = tau", "tau^psi_01 = I_y tau", "psi^2 = id",
+                         "psi_10 psi_01 = psi_01 psi_10", "psi_10^2 = I_x^-1",
+                         "psi_01^2 = I_y^-1", "I_rho^2 = id", "I_sigma^2 = id"):
+            check(relation, source="derived")
         iota_central_against = ("tau", "tau_rs", "psi", "psi_10", "I_rho", "I_sigma")
 
-    check("iota^2 = id", "iota*iota", "id")
+    check("iota^2 = id")
     for name in iota_central_against:
-        check(f"iota {name} = {name} iota", f"iota*{name}", f"{name}*iota")
+        check(f"iota {name} = {name} iota")
 
     order_names = {
         "p3": ("tau", "psi_x", "psi_y", "I_rho", "iota"),

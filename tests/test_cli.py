@@ -246,6 +246,25 @@ def test_verify_map_expression(capsys):
     assert rep["ok"]
 
 
+def test_verify_map_reads_the_papers_notation(capsys):
+    code, rep = run_cli(capsys, "verify-map", "--group", "p4", "--map", "tau_rho2^psi_x")
+    assert code == 0
+    _, spelled = run_cli(capsys, "verify-map", "--group", "p4", "--map", "inv(psi_x)*tau_rho2*psi_x")
+    assert rep["map"] == spelled["map"]
+
+
+@pytest.mark.parametrize("argv", (
+    ("verify-map", "--group", "p4", "--map", "inv(" * 1000 + "tau_x" + ")" * 1000),
+    ("semidirect", "--theta", "[" * 5000 + "]" * 5000, "--p", "3"),
+))
+def test_deep_nesting_is_usage_error(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "nested too deeply" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_verify_map_unknown_name(capsys):
     code = main(["verify-map", "--group", "p4", "--map", "tau_zz"])
     assert code == 2

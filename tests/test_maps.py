@@ -15,7 +15,7 @@ from law_reference import probe_failure
 import wct
 from wct import maps
 from wct.acceptance import P2_THETAS, SD_CASES, TRIVIAL_GROUPS
-from wct.conjugacy import conjugacy_class, is_conjugate
+from wct.conjugacy import conjugacy_class, conjugates_within, is_conjugate
 from wct.groups import GROUP_IDS, Element, GroupTable, cells, load_group, parse_element
 from wct.maps import (
     CosetwiseAffineMap,
@@ -509,9 +509,41 @@ def test_parse_map_expr_roundtrip():
 def test_parse_map_expr_errors():
     G = load_group("p4")
     for bad in ("", "tau_x *", "nosuchmap", "inv tau_x", "inv(tau_x",
-                "tau_x)", "inner(zz)"):
+                "tau_x)", "inner(zz)", "tau_x^", "tau_x^^2", "(tau_x", "^2",
+                "tau_x^inv"):
         with pytest.raises(ValueError):
             parse_map_expr(G, bad)
+
+
+def test_parse_map_expr_reads_the_papers_notation():
+    G = load_group("p4")
+    ev = lambda text: parse_map_expr(G, text)
+    assert ev("mu_rho^0") == identity_map(G) == ev("id")
+    assert ev("mu_rho^-2") == ev("inv(mu_rho)*inv(mu_rho)")
+    assert ev("mu_rho^3") == ev("mu_rho*mu_rho*mu_rho") == ev("mu_rho^-1")
+    assert ev("tau_x psi_y") == ev("tau_x*psi_y")
+    assert ev("tau_x psi_y^mu_rho") == ev("tau_x*inv(mu_rho)*psi_y*mu_rho")
+    assert ev("(tau_x psi_y)^-1") == ev("inv(tau_x*psi_y)")
+    assert ev("tau_rho2^psi_x") == generator(G, "tau_rho2").conjugate_by(generator(G, "psi_x"))
+    assert ev("inner (x rho)") == ev("inner(x rho)") == inner_map(G, parse_element(G, "x rho"))
+
+
+@pytest.mark.parametrize("gid", GROUP_IDS)
+def test_parse_map_expr_keeps_the_meaning_of_catalog_words(gid):
+    """Seeded words of three catalog atoms, some inverted, as tests/test_decide.py
+    builds them: '*' and juxtaposition both compose left to right."""
+    G = load_group(gid)
+    names = sorted(catalog(G))
+    rnd = random.Random(f"words:{gid}")
+    for _ in range(20):
+        atoms = [(rnd.choice(names), rnd.random() < 0.3) for _ in range(3)]
+        want = identity_map(G)
+        for name, inverted in atoms:
+            m = generator(G, name)
+            want = want.compose(m.invert() if inverted else m)
+        texts = [f"inv({name})" if inverted else name for name, inverted in atoms]
+        assert parse_map_expr(G, " * ".join(texts)) == want
+        assert parse_map_expr(G, " ".join(texts)) == want
 
 
 # -- relation suites --------------------------------------------------------------
@@ -560,6 +592,28 @@ def test_relation_suite_p2mm():
     assert all(r["holds"] for r in rep["relations"])
     assert len(rep["notes"]) == 2
     assert rep["orders"]["tau"] == 2
+
+
+def test_relation_records_are_their_own_evaluation():
+    """Each record's text is the relation checked: its left side parses, and
+    so does every right side not built by the suite, with the verdict the
+    record reports; so does each resolution."""
+    parsed = built = 0
+    for gid in NONTRIVIAL_CATALOG:
+        G = load_group(gid)
+        for rec in wgroup_relations(G)["relations"]:
+            left, right = rec["relation"].split(" = ")
+            lhs = parse_map_expr(G, left)
+            if "resolved" in rec:
+                assert (lhs == parse_map_expr(G, rec["resolved"])) == rec["resolved_holds"]
+            try:
+                rhs = parse_map_expr(G, right)
+            except ValueError:  # a transport row, or the glossed p2mm row
+                built += 1
+                continue
+            parsed += 1
+            assert (lhs == rhs) == rec["holds"], rec
+    assert (parsed, built) == (90, 53)
 
 
 def test_relation_suite_unsupported_group():
@@ -880,6 +934,21 @@ def test_negative_radius_is_rejected():
     for check in (is_wct_on_ball, nontriviality_certificate, wct_invariants):
         with pytest.raises(ValueError, match="radius"):
             check(G, m, -1)
+
+
+@pytest.mark.parametrize("check", (
+    lambda G, r: is_wct_on_ball(G, iota(G), r),
+    lambda G, r: G.ball(r),
+    lambda G, r: cells(r),
+    lambda G, r: conjugates_within(G, G.identity, r),
+    lambda G, r: nontriviality_certificate(G, iota(G), r),
+), ids=("is_wct_on_ball", "ball", "cells", "conjugates_within", "nontriviality_certificate"))
+@pytest.mark.parametrize("radius", (True, 1.5, "2"), ids=repr)
+def test_radius_must_be_an_int(check, radius):
+    G = load_group("p2")
+    check(G, 1)  # the cached cells(1) must not answer for True
+    with pytest.raises(ValueError, match="radius must be an int"):
+        check(G, radius)
 
 
 # -- the verdict helpers shared with Z^n x C_p ----------------------------------
