@@ -194,7 +194,8 @@ def conjugates_within(G: GroupTable, g: Element, radius: int, outer=None) -> set
     """
     box = cells(radius)
     G.check_element(g)
-    check_radius(outer or 0)  # an empty keep-set would make every comparison vacuous
+    if outer is not None:  # an empty keep-set would make every comparison vacuous
+        check_radius(outer)
     lo = None if outer is None else -outer
     (gx, gy), gf = g
     one = G.identity.f

@@ -12,8 +12,9 @@ reflection groups), so the whole product rule is determined by
 
 Products of transversal words then reduce to cocycle tables fprod[f, g] =
 (translation, representative); those tables are what mul/inv/conj run on.
-check_presentation replays the defining relations through the engine, so a
-bad table cannot survive the test suite.
+check_presentation evaluates the defining relations through the engine, from
+the text it prints in the paper's notation (evaluate_word, the grammar
+maps.parse_map_expr reads too), so a bad table cannot survive the test suite.
 """
 
 from __future__ import annotations
@@ -33,13 +34,6 @@ from .lattice import (
     vadd,
     vneg,
     vsub,
-)
-
-GROUP_IDS = (
-    "p1", "p2", "p3", "p4", "p6",
-    "cm", "pm", "pg",
-    "c2mm", "p2mm", "p2mg", "p2gg",
-    "p3m1", "p31m", "p4mg", "p4mm", "p6m",
 )
 
 _ZERO: Vec = (0, 0)
@@ -88,74 +82,51 @@ class _Spec(NamedTuple):
     mirror: Mat | None      # act(sigma) / act(gamma)
     beta1: Vec              # gamma^2
     rel_rg: Vec             # (rho gamma)^2
-    relations: tuple[tuple[str, str, str], ...]
+    relations: tuple[str, ...]  # besides (x,y); a bare w means w = e
     notes: tuple[str, ...] = ()
 
 
-def _rels(*items: tuple[str, str, str]) -> tuple[tuple[str, str, str], ...]:
-    return (("(x,y)", "XYxy", ""),) + items
-
-
 _SPECS: dict[str, _Spec] = {
-    "p1": _Spec(1, None, None, None, _ZERO, _ZERO, _rels()),
-    "p2": _Spec(2, None, _R_P2, None, _ZERO, _ZERO, _rels(
-        ("x^rho = x^-1", "Rxr", "X"), ("y^rho = y^-1", "Ryr", "Y"), ("rho^2", "rr", ""))),
-    "p3": _Spec(3, None, _R_P3, None, _ZERO, _ZERO, _rels(
-        ("x^rho = x^-1 y", "Rxr", "Xy"), ("y^rho = x^-1", "Ryr", "X"), ("rho^3", "rrr", ""))),
-    "p4": _Spec(4, None, _R_P4, None, _ZERO, _ZERO, _rels(
-        ("x^rho = y", "Rxr", "y"), ("y^rho = x^-1", "Ryr", "X"), ("rho^4", "rrrr", ""))),
-    "p6": _Spec(6, None, _R_P6, None, _ZERO, _ZERO, _rels(
-        ("x^rho = y", "Rxr", "y"), ("y^rho = x^-1 y", "Ryr", "Xy"), ("rho^6", "rrrrrr", ""))),
-    "cm": _Spec(1, "sigma", None, _S_SWAP, _ZERO, _ZERO, _rels(
-        ("x^sigma = y", "Sxs", "y"), ("y^sigma = x", "Sys", "x"), ("sigma^2", "ss", ""))),
-    "pm": _Spec(1, "sigma", None, _S_MIRROR_X, _ZERO, _ZERO, _rels(
-        ("x^sigma = x", "Sxs", "x"), ("y^sigma = y^-1", "Sys", "Y"), ("sigma^2", "ss", ""))),
-    "pg": _Spec(1, "gamma", None, _S_MIRROR_X, _X, _ZERO, _rels(
-        ("x^gamma = x", "Gxg", "x"), ("y^gamma = y^-1", "Gyg", "Y"), ("gamma^2 = x", "gg", "x"))),
-    "c2mm": _Spec(2, "sigma", _R_P2, _S_SWAP, _ZERO, _ZERO, _rels(
-        ("rho^2", "rr", ""), ("sigma^2", "ss", ""),
-        ("x^rho = x^-1", "Rxr", "X"), ("y^rho = y^-1", "Ryr", "Y"),
-        ("x^sigma = y", "Sxs", "y"), ("y^sigma = x", "Sys", "x"),
-        ("(rho sigma)^2", "rsrs", ""))),
-    "p2mm": _Spec(2, "sigma", _R_P2, _S_MIRROR_X, _ZERO, _ZERO, _rels(
-        ("rho^2", "rr", ""), ("sigma^2", "ss", ""), ("(rho,sigma)", "RSrs", ""),
-        ("x^rho = x^-1", "Rxr", "X"), ("y^rho = y^-1", "Ryr", "Y"),
-        ("x^sigma = x", "Sxs", "x"), ("y^sigma = y^-1", "Sys", "Y"))),
-    "p2mg": _Spec(2, "sigma", _R_P2, _S_MIRROR_X, _ZERO, _Y, _rels(
-        ("rho^2", "rr", ""), ("sigma^2", "ss", ""),
-        ("x^rho = x^-1", "Rxr", "X"), ("y^rho = y^-1", "Ryr", "Y"),
-        ("x^sigma = x", "Sxs", "x"), ("y^sigma = y^-1", "Sys", "Y"),
-        ("(rho sigma)^2 = y", "rsrs", "y"))),
-    "p2gg": _Spec(2, "gamma", _R_P2, _S_MIRROR_X, _X, _Y, _rels(
-        ("rho^2", "rr", ""), ("gamma^2 = x", "gg", "x"),
-        ("x^rho = x^-1", "Rxr", "X"), ("y^rho = y^-1", "Ryr", "Y"),
-        ("x^gamma = x", "Gxg", "x"), ("y^gamma = y^-1", "Gyg", "Y"),
-        ("(rho gamma)^2 = y", "rgrg", "y"))),
-    "p3m1": _Spec(3, "sigma", _R_P3, _S_SWAP, _ZERO, _ZERO, _rels(
-        ("rho^3", "rrr", ""), ("sigma^2", "ss", ""), ("(rho sigma)^2", "rsrs", ""),
-        ("x^rho = x^-1 y", "Rxr", "Xy"), ("y^rho = x^-1", "Ryr", "X"),
-        ("x^sigma = y", "Sxs", "y"), ("y^sigma = x", "Sys", "x"))),
-    "p31m": _Spec(3, "sigma", _R_P3, _S_HEX, _ZERO, _ZERO, _rels(
-        ("rho^3", "rrr", ""), ("sigma^2", "ss", ""), ("(rho sigma)^2", "rsrs", ""),
-        ("x^rho = x^-1 y", "Rxr", "Xy"), ("y^rho = x^-1", "Ryr", "X"),
-        ("x^sigma = x", "Sxs", "x"), ("y^sigma = x y^-1", "Sys", "xY")),
+    "p1": _Spec(1, None, None, None, _ZERO, _ZERO, ()),
+    "p2": _Spec(2, None, _R_P2, None, _ZERO, _ZERO, ("x^rho = x^-1", "y^rho = y^-1", "rho^2")),
+    "p3": _Spec(3, None, _R_P3, None, _ZERO, _ZERO, ("x^rho = x^-1 y", "y^rho = x^-1", "rho^3")),
+    "p4": _Spec(4, None, _R_P4, None, _ZERO, _ZERO, ("x^rho = y", "y^rho = x^-1", "rho^4")),
+    "p6": _Spec(6, None, _R_P6, None, _ZERO, _ZERO, ("x^rho = y", "y^rho = x^-1 y", "rho^6")),
+    "cm": _Spec(1, "sigma", None, _S_SWAP, _ZERO, _ZERO, ("x^sigma = y", "y^sigma = x", "sigma^2")),
+    "pm": _Spec(1, "sigma", None, _S_MIRROR_X, _ZERO, _ZERO,
+                ("x^sigma = x", "y^sigma = y^-1", "sigma^2")),
+    "pg": _Spec(1, "gamma", None, _S_MIRROR_X, _X, _ZERO,
+                ("x^gamma = x", "y^gamma = y^-1", "gamma^2 = x")),
+    "c2mm": _Spec(2, "sigma", _R_P2, _S_SWAP, _ZERO, _ZERO, (
+        "rho^2", "sigma^2", "x^rho = x^-1", "y^rho = y^-1",
+        "x^sigma = y", "y^sigma = x", "(rho sigma)^2")),
+    "p2mm": _Spec(2, "sigma", _R_P2, _S_MIRROR_X, _ZERO, _ZERO, (
+        "rho^2", "sigma^2", "(rho,sigma)", "x^rho = x^-1", "y^rho = y^-1",
+        "x^sigma = x", "y^sigma = y^-1")),
+    "p2mg": _Spec(2, "sigma", _R_P2, _S_MIRROR_X, _ZERO, _Y, (
+        "rho^2", "sigma^2", "x^rho = x^-1", "y^rho = y^-1",
+        "x^sigma = x", "y^sigma = y^-1", "(rho sigma)^2 = y")),
+    "p2gg": _Spec(2, "gamma", _R_P2, _S_MIRROR_X, _X, _Y, (
+        "rho^2", "gamma^2 = x", "x^rho = x^-1", "y^rho = y^-1",
+        "x^gamma = x", "y^gamma = y^-1", "(rho gamma)^2 = y")),
+    "p3m1": _Spec(3, "sigma", _R_P3, _S_SWAP, _ZERO, _ZERO, (
+        "rho^3", "sigma^2", "(rho sigma)^2", "x^rho = x^-1 y", "y^rho = x^-1",
+        "x^sigma = y", "y^sigma = x")),
+    "p31m": _Spec(3, "sigma", _R_P3, _S_HEX, _ZERO, _ZERO, (
+        "rho^3", "sigma^2", "(rho sigma)^2", "x^rho = x^-1 y", "y^rho = x^-1",
+        "x^sigma = x", "y^sigma = x y^-1"),
         notes=("source presentation lists the relation '(xy)'; read as the commutator (x,y)",)),
-    "p4mg": _Spec(4, "gamma", _R_P4, _S_MIRROR_X, _X, _ZERO, _rels(
-        ("rho^4", "rrrr", ""), ("gamma^2 = x", "gg", "x"),
-        ("x^rho = y", "Rxr", "y"), ("y^rho = x^-1", "Ryr", "X"),
-        ("x^gamma = x", "Gxg", "x"), ("y^gamma = y^-1", "Gyg", "Y"),
-        ("(rho gamma)^2", "rgrg", ""))),
-    "p4mm": _Spec(4, "sigma", _R_P4, _S_MIRROR_X, _ZERO, _ZERO, _rels(
-        ("rho^4", "rrrr", ""), ("sigma^2", "ss", ""),
-        ("x^rho = y", "Rxr", "y"), ("y^rho = x^-1", "Ryr", "X"),
-        ("x^sigma = x", "Sxs", "x"), ("y^sigma = y^-1", "Sys", "Y"),
-        ("(rho sigma)^2", "rsrs", ""))),
-    "p6m": _Spec(6, "sigma", _R_P6, _S_HEX, _ZERO, _ZERO, _rels(
-        ("rho^6", "rrrrrr", ""), ("sigma^2", "ss", ""),
-        ("x^rho = y", "Rxr", "y"), ("y^rho = x^-1 y", "Ryr", "Xy"),
-        ("x^sigma = x", "Sxs", "x"), ("y^sigma = x y^-1", "Sys", "xY"),
-        ("(rho sigma)^2", "rsrs", ""))),
+    "p4mg": _Spec(4, "gamma", _R_P4, _S_MIRROR_X, _X, _ZERO, (
+        "rho^4", "gamma^2 = x", "x^rho = y", "y^rho = x^-1",
+        "x^gamma = x", "y^gamma = y^-1", "(rho gamma)^2")),
+    "p4mm": _Spec(4, "sigma", _R_P4, _S_MIRROR_X, _ZERO, _ZERO, (
+        "rho^4", "sigma^2", "x^rho = y", "y^rho = x^-1",
+        "x^sigma = x", "y^sigma = y^-1", "(rho sigma)^2")),
+    "p6m": _Spec(6, "sigma", _R_P6, _S_HEX, _ZERO, _ZERO, (
+        "rho^6", "sigma^2", "x^rho = y", "y^rho = x^-1 y",
+        "x^sigma = x", "y^sigma = x y^-1", "(rho sigma)^2")),
 }
+GROUP_IDS = tuple(_SPECS)
 
 
 def _label(k: int, e: int, refl: str | None) -> str:
@@ -215,7 +186,7 @@ class GroupTable:
         spec = _SPECS[gid]
         self.gid = gid
         self.refl = spec.refl
-        self.relations = spec.relations
+        self.relations = ("(x,y)",) + spec.relations  # A = Z^2 is abelian in every group
         self.notes = spec.notes
 
         rot = spec.rot if spec.rot is not None else mat_identity(2)
@@ -268,11 +239,9 @@ class GroupTable:
         self.identity = Element(_ZERO, "1")
         gens: dict[str, Element] = {"x": Element(_X, "1"), "y": Element(_Y, "1")}
         if spec.d > 1:
-            gens["r"] = Element(_ZERO, "rho")
-        if spec.refl == "sigma":
-            gens["s"] = Element(_ZERO, "sigma")
-        elif spec.refl == "gamma":
-            gens["g"] = Element(_ZERO, "gamma")
+            gens["rho"] = Element(_ZERO, "rho")
+        if spec.refl is not None:
+            gens[spec.refl] = Element(_ZERO, spec.refl)
         self.generators = gens
 
         # slack[h] = K_h; the conjugates of a*f in part h are the cosets
@@ -314,11 +283,7 @@ class GroupTable:
         return self.mul(self.inv(h), self.mul(g, h))
 
     def power(self, g: Element, n: int) -> Element:
-        out = self.identity
-        base = g if n >= 0 else self.inv(g)
-        for _ in range(abs(n)):
-            out = self.mul(out, base)
-        return out
+        return _power(g, n, self.mul, self.inv, self.identity)
 
     # -- element helpers ------------------------------------------------------
 
@@ -373,24 +338,25 @@ class GroupTable:
         new = tuple.__new__  # builds the Element without NamedTuple's Python-level __new__
         return [new(Element, (v, f)) for v in cells(radius) for f in self.F]
 
-    def word(self, tokens: str) -> Element:
-        """Evaluate a word over x, y, r, s, g (capital letter = inverse)."""
-        out = self.identity
-        for t in tokens:
-            low = t.lower()
-            if low not in self.generators:
-                raise ValueError(f"generator {t!r} not available in {self.gid}")
-            e = self.generators[low]
-            out = self.mul(out, e if t == low else self.inv(e))
-        return out
+    def word(self, text: str) -> Element:
+        """Evaluate text in the paper's notation, evaluate_word's grammar, over
+        the generators x, y and, when present, rho and sigma or gamma."""
+        def atom(name: str) -> Element:
+            if name not in self.generators:
+                raise ValueError(f"generator {name!r} not available in {self.gid}")
+            return self.generators[name]
+        return evaluate_word(text, atom, self.mul, self.inv, self.identity)
 
     # -- verification ----------------------------------------------------------
 
     def check_presentation(self) -> dict:
+        """Evaluate each relation as the text it prints: both sides, split at
+        " = ", with word; a relation with one side is a word equal to e."""
         results = []
-        for name, lhs, rhs in self.relations:
-            holds = self.word(lhs) == self.word(rhs)
-            results.append({"relation": name, "holds": holds})
+        for relation in self.relations:
+            lhs, _, rhs = relation.partition(" = ")
+            holds = self.word(lhs) == (self.word(rhs) if rhs else self.identity)
+            results.append({"relation": relation, "holds": holds})
         return {
             "group": self.gid,
             "relations": results,
@@ -427,6 +393,95 @@ def load_group(gid: str) -> GroupTable:
 def all_groups() -> Iterator[GroupTable]:
     for gid in GROUP_IDS:
         yield load_group(gid)
+
+
+# one token per match: an inner(...) call with its element text, a name, an
+# int, or any other non-blank character
+_WORD_TOKEN_RE = re.compile(r"\s*(inner\s*\([^)]*\)|[A-Za-z_][A-Za-z0-9_]*|-?[0-9]+|\S)")
+
+
+def evaluate_word(text: str, atom, mul, inv, one):
+    """Evaluate a word in the paper's notation, like "x^rho (rho,sigma) inv(y)^2".
+
+    The grammar, with '^' binding tightest and products read left to right:
+
+      expr    := factor ('*'? factor)*
+      factor  := primary ('^' (int | name))*
+      primary := name | 'inv' '(' expr ')' | '(' expr ')' | '(' expr ',' expr ')'
+
+    atom(token) gives the value of a name, or of an inner(...) token (the
+    call with its text up to the first ')'), and raises ValueError for one
+    it does not know.  Juxtaposition multiplies as '*' does; (a,b) is the
+    commutator a^-1 b^-1 a b; w^k is _power(w, k); w^n for a name n is
+    n^-1 w n.  Malformed text raises ValueError, nesting deeper than the
+    interpreter's recursion limit allows included.
+    """
+    toks = _WORD_TOKEN_RE.findall(text) + [""]  # "" ends the input
+    pos = 0
+
+    def factor():
+        nonlocal pos
+        tok = toks[pos]
+        pos += 1
+        if tok == "(" or tok == "inv" and toks[pos] == "(":
+            pos += tok == "inv"
+            out = expr()
+            if tok == "(" and toks[pos] == ",":
+                pos += 1
+                b = expr()
+                out = mul(mul(mul(inv(out), inv(b)), out), b)
+            if toks[pos] != ")":
+                raise ValueError(f"unbalanced parentheses in {text!r}")
+            pos += 1
+            out = inv(out) if tok == "inv" else out
+        elif tok in ("inv", "inner"):
+            raise ValueError(f"{tok} needs its (...) in {text!r}")
+        elif tok.isidentifier() or tok.startswith("inner"):
+            out = atom(tok)
+        else:
+            raise ValueError(f"expected a name, not {tok or 'the end'!r}, in {text!r}")
+        while toks[pos] == "^":
+            k = toks[pos + 1]
+            pos += 2
+            if k.lstrip("-").isdecimal():
+                out = _power(out, int(k), mul, inv, one)
+            elif k.isidentifier():
+                n = atom(k)
+                out = mul(mul(inv(n), out), n)
+            else:
+                raise ValueError(f"expected an int or a name after '^' in {text!r}")
+        return out
+
+    def expr():
+        nonlocal pos
+        out = factor()
+        while toks[pos] not in (")", ",", ""):
+            pos += toks[pos] == "*"
+            out = mul(out, factor())
+        return out
+
+    try:
+        out = expr()
+    except RecursionError:
+        raise ValueError(f"expression nested too deeply ({len(text)} characters)") from None
+    if toks[pos]:  # a ')' or ',' outside any parentheses
+        raise ValueError(f"unexpected {toks[pos]!r} in {text!r}")
+    return out
+
+
+def _power(w, k: int, mul, inv, one):
+    """w multiplied by itself k times, inv(w) -k times for a negative k, one
+    for k = 0, by squaring: no more products than the word w w ... w takes."""
+    if k < 0:
+        w, k = inv(w), -k
+    if k == 0:
+        return one
+    out = w
+    for bit in bin(k)[3:]:  # k's binary digits after the leading 1
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, w)
+    return out
 
 
 _TOKEN_RE = re.compile(r"([xy])(?:\^(-?\d+))?$")

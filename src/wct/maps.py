@@ -47,15 +47,14 @@ decide's oracle and shares only pair_form and the hooks with it.
 from __future__ import annotations
 
 import random
-import re
 from collections import deque
 from functools import lru_cache, reduce
 from itertools import count, product
 from operator import eq, mul
 
 from .conjugacy import conjugacy_class, involution_loci, is_conjugate
-from .groups import (Element, GroupTable, affine_on_part, cells, check_radius, load_group,
-                     parse_element)
+from .groups import (Element, GroupTable, affine_on_part, cells, check_radius, evaluate_word,
+                     load_group, parse_element)
 from .lattice import Coset, Sublattice, Vec, mat_identity, matvec, solve_integer, vadd, vneg, vsub
 
 _I2 = mat_identity(2)
@@ -223,8 +222,9 @@ def coset_conjugation(G: GroupTable, parts, u: Element) -> CosetwiseAffineMap:
 def automorphism(G: GroupTable, images: dict) -> CosetwiseAffineMap:
     """Extend generator images to the whole group; reject non-homomorphisms.
 
-    images maps "x", "y" (and "r", "s"/"g" when present) to Elements; x and y
-    must land in A, so a single matrix serves every coset.
+    images maps the keys of G.generators ("x", "y", and "rho", "sigma" or
+    "gamma" when present) to Elements; x and y must land in A, so a single
+    matrix serves every coset.
     """
     for key in G.generators:
         if key not in images:
@@ -233,15 +233,14 @@ def automorphism(G: GroupTable, images: dict) -> CosetwiseAffineMap:
     if vx.f != "1" or vy.f != "1":
         raise ValueError("x and y must map into the translation subgroup")
     m = ((vx.a[0], vy.a[0]), (vx.a[1], vy.a[1]))
-    refl = G.refl
     rule = {}
     for f in G.F:
         k, e = G._part_of[f]
         img = G.identity
         if k:
-            img = G.power(images["r"], k)
+            img = G.power(images["rho"], k)
         if e:
-            img = G.mul(img, images["s" if refl == "sigma" else "g"])
+            img = G.mul(img, images[G.refl])
         rule[f] = (img.f, m, img.a)
     out = CosetwiseAffineMap(G, rule)
     bad = homomorphism_failure(G, out)
@@ -727,60 +726,57 @@ _PATCHES = {
            ("mu", ("1", "rho3"), (("xy", "x y"), ("xyinv2", "x y^-2"), ("rho2", "rho2")))),
 }
 
-_INNER_NAMES = {"x": "I_x", "y": "I_y", "r": "I_rho", "s": "I_sigma", "g": "I_gamma"}
-
-
 @lru_cache(maxsize=None)
 def _catalog(gid: str) -> dict:
     G = load_group(gid)
     cat: dict[str, CosetwiseAffineMap] = {"id": identity_map(G), "iota": iota(G)}
     for key, g in G.generators.items():
-        cat[_INNER_NAMES[key]] = inner_map(G, g)
+        cat[f"I_{key}"] = inner_map(G, g)
 
     if gid in ("p3", "p4", "p6"):
-        cat["psi_x"] = _aut(G, x="x", y="y", r="x rho")
-        cat["psi_y"] = _aut(G, x="x", y="y", r="y rho")
+        cat["psi_x"] = _aut(G, x="x", y="y", rho="x rho")
+        cat["psi_y"] = _aut(G, x="x", y="y", rho="y rho")
     if gid == "p3":
         cat["tau"] = coset_conjugation(G, ("rho", "rho2"), G.element(0, 0, "rho"))
     elif gid == "p4":
-        cat["psi_1"] = _aut(G, x="x", y="y^-1", r="rho3")
+        cat["psi_1"] = _aut(G, x="x", y="y^-1", rho="rho3")
     elif gid == "p6":
-        cat["psi"] = _aut(G, x="y", y="x", r="rho5")
+        cat["psi"] = _aut(G, x="y", y="x", rho="rho5")
     elif gid == "p2mm":
         cat["tau"] = coset_conjugation(G, ("rho", "sigma"), G.element(0, 0, "sigma"))
         cat["tau_rs"] = coset_conjugation(
             G, ("rho", "rhosigma"), G.element(0, 0, "rhosigma"))
-        cat["psi"] = _aut(G, x="y", y="x", r="rho", s="rhosigma")
+        cat["psi"] = _aut(G, x="y", y="x", rho="rho", sigma="rhosigma")
         # the psi_uv family: rho |-> x^u y^v rho, sigma |-> y^v sigma.  An
         # x-power on the sigma image would break sigma^2 = e.
-        cat["psi_10"] = _aut(G, x="x", y="y", r="x rho", s="sigma")
-        cat["psi_01"] = _aut(G, x="x", y="y", r="y rho", s="y sigma")
+        cat["psi_10"] = _aut(G, x="x", y="y", rho="x rho", sigma="sigma")
+        cat["psi_01"] = _aut(G, x="x", y="y", rho="y rho", sigma="y sigma")
     elif gid in ("cm", "pm"):
-        cat["psi"] = _aut(G, x="x^-1", y="y^-1", s="sigma")
+        cat["psi"] = _aut(G, x="x^-1", y="y^-1", sigma="sigma")
     elif gid == "pg":
-        cat["psi_y"] = _aut(G, x="x", y="y", g="y gamma")
-        cat["psi"] = _aut(G, x="x^-1", y="y^-1", g="x^-1 gamma")
+        cat["psi_y"] = _aut(G, x="x", y="y", gamma="y gamma")
+        cat["psi"] = _aut(G, x="x^-1", y="y^-1", gamma="x^-1 gamma")
     elif gid == "c2mm":
-        cat["psi"] = _aut(G, x="x^-1", y="y^-1", r="rho", s="sigma")
+        cat["psi"] = _aut(G, x="x^-1", y="y^-1", rho="rho", sigma="sigma")
         # psi_uvij family instances; sigma^2 = e forces the sigma shift onto
         # the antidiagonal, and the braid constraint u + j = i + v does the rest
-        cat["psi_1"] = _aut(G, x="x", y="y", r="x y rho", s="sigma")
-        cat["psi_2"] = _aut(G, x="x", y="y", r="x^2 rho", s="x y^-1 sigma")
+        cat["psi_1"] = _aut(G, x="x", y="y", rho="x y rho", sigma="sigma")
+        cat["psi_2"] = _aut(G, x="x", y="y", rho="x^2 rho", sigma="x y^-1 sigma")
     elif gid == "p2mg":
-        cat["psi_x"] = _aut(G, x="x", y="y", r="x rho", s="sigma")
-        cat["psi_y"] = _aut(G, x="x", y="y", r="y rho", s="y sigma")
-        cat["psi"] = _aut(G, x="x^-1", y="y^-1", r="y^-1 rho", s="sigma")
+        cat["psi_x"] = _aut(G, x="x", y="y", rho="x rho", sigma="sigma")
+        cat["psi_y"] = _aut(G, x="x", y="y", rho="y rho", sigma="y sigma")
+        cat["psi"] = _aut(G, x="x^-1", y="y^-1", rho="y^-1 rho", sigma="sigma")
     elif gid == "p2gg":
-        cat["psi_x"] = _aut(G, x="x", y="y", r="x rho", g="gamma")
-        cat["psi_y"] = _aut(G, x="x", y="y", r="y rho", g="y gamma")
-        cat["psi"] = _aut(G, x="x^-1", y="y^-1", r="rho", g="x^-1 y gamma")
+        cat["psi_x"] = _aut(G, x="x", y="y", rho="x rho", gamma="gamma")
+        cat["psi_y"] = _aut(G, x="x", y="y", rho="y rho", gamma="y gamma")
+        cat["psi"] = _aut(G, x="x^-1", y="y^-1", rho="rho", gamma="x^-1 y gamma")
     elif gid == "p3m1":
-        cat["psi_1"] = _aut(G, x="x", y="y", r="y^-1 rho", s="sigma")
+        cat["psi_1"] = _aut(G, x="x", y="y", rho="y^-1 rho", sigma="sigma")
     elif gid == "p4mg":
-        cat["psi_1"] = _aut(G, x="x", y="y", r="x rho", g="y^-1 gamma")
-        cat["psi_2"] = _aut(G, x="x^-1", y="y^-1", r="y^-1 rho", g="x^-1 gamma")
+        cat["psi_1"] = _aut(G, x="x", y="y", rho="x rho", gamma="y^-1 gamma")
+        cat["psi_2"] = _aut(G, x="x^-1", y="y^-1", rho="y^-1 rho", gamma="x^-1 gamma")
     elif gid == "p4mm":
-        cat["psi_1"] = _aut(G, x="x", y="y", r="y rho", s="y sigma")
+        cat["psi_1"] = _aut(G, x="x", y="y", rho="y rho", sigma="y sigma")
     for family, parts, targets in _PATCHES.get(gid, ()):
         for suffix, text in targets:
             cat[f"{family}_{suffix}"] = coset_conjugation(G, parts, parse_element(G, text))
@@ -813,90 +809,24 @@ NONTRIVIAL_CATALOG = {
 
 # -- map expressions --------------------------------------------------------------
 
-# one token per match: an inner(...) call with its element text, a name, an
-# int, or any other non-blank character
-_TOKEN_RE = re.compile(r"\s*(inner\s*\([^)]*\)|[A-Za-z_][A-Za-z0-9_]*|-?[0-9]+|\S)")
-
-
 def parse_map_expr(G: GroupTable, text: str) -> CosetwiseAffineMap:
     """Evaluate an expression like "tau_rho2^psi_x inv(tau_x) * inner(x^-1 y rho)".
 
-    The grammar, with '^' binding tightest and products read left to right:
-
-      expr   := factor ('*'? factor)*
-      factor := atom ('^' (int | name))*
-      atom   := name | 'inv' '(' expr ')' | 'inner' '(' element ')' | '(' expr ')'
-
-    Names come from the catalog, and juxtaposition composes as '*' does,
-    right factor applied first.  m^k composes m k times, inv(m) -k times
-    for a negative k, and gives id for k = 0; m^n for a catalog name n is
-    inv(n)*m*n, as conjugate_by.  element is parse_element's text, up to
-    the first ')'.  Nesting deeper than the interpreter's recursion limit
-    allows is a ValueError, as every other malformed text is.
+    The grammar is groups.evaluate_word's, the one G.word reads, over the
+    maps of G: names come from the catalog, inner(element) is inner_map of
+    parse_element's text, up to the first ')', and a product composes, the
+    right factor applied first.  So m^k composes m k times (inv(m) -k times,
+    id for k = 0), m^n for a catalog name n is inv(n)*m*n, as conjugate_by,
+    and (m,n) is inv(m)*inv(n)*m*n.  Every malformed text, too deep a
+    nesting included, raises ValueError.
     """
-    toks = _TOKEN_RE.findall(text) + [""]  # "" ends the input
-    pos = 0
+    def atom(tok: str) -> CosetwiseAffineMap:
+        if tok.isidentifier():
+            return generator(G, tok)
+        return inner_map(G, parse_element(G, tok[tok.index("(") + 1:-1]))
 
-    def factor() -> CosetwiseAffineMap:
-        nonlocal pos
-        tok = toks[pos]
-        pos += 1
-        if tok == "(" or tok == "inv" and toks[pos] == "(":
-            pos += tok == "inv"
-            out = expr()
-            if toks[pos] != ")":
-                raise ValueError(f"unbalanced parentheses in {text!r}")
-            pos += 1
-            out = out.invert() if tok == "inv" else out
-        elif tok in ("inv", "inner"):
-            raise ValueError(f"{tok} needs its (...) in {text!r}")
-        elif tok.isidentifier():
-            out = generator(G, tok)
-        elif tok.startswith("inner"):
-            out = inner_map(G, parse_element(G, tok[tok.index("(") + 1:-1]))
-        else:
-            raise ValueError(f"expected a map name, not {tok or 'the end'!r}, in {text!r}")
-        while toks[pos] == "^":
-            k = toks[pos + 1]
-            pos += 2
-            if k.lstrip("-").isdecimal():
-                out = _power(G, out, int(k))
-            elif k.isidentifier():
-                out = out.conjugate_by(generator(G, k))
-            else:
-                raise ValueError(f"expected an int or a map name after '^' in {text!r}")
-        return out
-
-    def expr() -> CosetwiseAffineMap:
-        nonlocal pos
-        out = factor()
-        while toks[pos] not in (")", ""):
-            pos += toks[pos] == "*"
-            out = out.compose(factor())
-        return out
-
-    try:
-        out = expr()
-    except RecursionError:
-        raise ValueError(f"map expression nested too deeply ({len(text)} characters)") from None
-    if toks[pos]:
-        raise ValueError(f"unbalanced parentheses in {text!r}")
-    return out
-
-
-def _power(G: GroupTable, m: CosetwiseAffineMap, k: int) -> CosetwiseAffineMap:
-    """m composed k times, inv(m) -k times for a negative k, by squaring: no
-    more compositions than the word m*m*...*m takes."""
-    if k < 0:
-        m, k = m.invert(), -k
-    if k == 0:
-        return identity_map(G)
-    out = m
-    for bit in bin(k)[3:]:  # k's binary digits after the leading 1
-        out = out.compose(out)
-        if bit == "1":
-            out = out.compose(m)
-    return out
+    return evaluate_word(text, atom, CosetwiseAffineMap.compose, CosetwiseAffineMap.invert,
+                         _catalog(G.gid)["id"])
 
 
 # -- relation suites for the non-trivial W(G) -------------------------------------

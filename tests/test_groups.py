@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 from affine_oracle import AffineRep
@@ -10,6 +12,7 @@ from affine_oracle import AffineRep
 from wct.groups import (
     GROUP_IDS,
     Element,
+    GroupTable,
     all_groups,
     element_from_json,
     load_group,
@@ -23,6 +26,59 @@ def test_presentation(gid):
     report = load_group(gid).check_presentation()
     assert report["violations"] == []
     assert all(r["holds"] for r in report["relations"])
+
+
+def _letter_word(G, letters):
+    """The word in the earlier letter notation: x, y, r, s, g for x, y, rho,
+    sigma, gamma, a capital letter for the inverse; multiplied out directly."""
+    names = {"x": "x", "y": "y", "r": "rho", "s": "sigma", "g": "gamma"}
+    out = G.identity
+    for t in letters:
+        g = G.generators[names[t.lower()]]
+        out = G.mul(out, g if t.islower() else G.inv(g))
+    return out
+
+
+def test_relation_texts_mean_the_pinned_letter_words():
+    """Each relation, as the text check_presentation evaluates, gives on both
+    sides the elements its two letter words gave when both were stated."""
+    pinned = json.loads((Path(__file__).parent / "data" / "presentation_words.json").read_text())
+    assert list(pinned["words"]) == list(GROUP_IDS)
+    for gid, rows in pinned["words"].items():
+        G = load_group(gid)
+        assert list(G.relations) == [text for text, _, _ in rows]
+        for text, lhs, rhs in rows:
+            left, _, right = text.partition(" = ")
+            assert G.word(left) == _letter_word(G, lhs), (gid, text)
+            assert (G.word(right) if right else G.identity) == _letter_word(G, rhs), (gid, text)
+
+
+def test_check_presentation_reports_a_wrong_relation():
+    G = GroupTable("p4")
+    G.relations = ("x^rho = y", "x^rho = y^-1")
+    report = G.check_presentation()
+    assert report["violations"] == ["x^rho = y^-1"]
+    assert [r["holds"] for r in report["relations"]] == [True, False]
+
+
+def test_word_reads_the_papers_notation():
+    G = load_group("p4mm")
+    x, y, rho, sigma = (G.generators[k] for k in ("x", "y", "rho", "sigma"))
+    mul, inv = G.mul, G.inv
+    assert G.word("(x,y)") == G.identity
+    assert G.word("(x,rho)") == mul(mul(mul(inv(x), inv(rho)), x), rho)
+    assert G.word("x^rho") == G.conj(x, rho) == y
+    assert G.word("rho^-2") == mul(inv(rho), inv(rho)) == G.word("rho^2")
+    assert G.word("inv(x rho)") == inv(mul(x, rho)) == G.word("rho^-1 x^-1")
+    assert G.word("(rho sigma)^2") == mul(mul(rho, sigma), mul(rho, sigma)) == G.identity
+    assert G.word("x*y^2") == G.word("x y y") == G.element(1, 2)
+
+
+def test_word_rejects_malformed_text():
+    G = load_group("p4")
+    for bad in ("x^", "(x", "x)", "", "x,y", "inv x", "x^^2", "(" * 5000 + "x" + ")" * 5000):
+        with pytest.raises(ValueError):
+            G.word(bad)
 
 
 def test_transversal_sizes():
@@ -238,6 +294,7 @@ def test_element_from_json_rejects_non_int_coordinates():
 
 
 def test_word_rejects_missing_generator():
-    p1 = load_group("p1")
-    with pytest.raises(ValueError):
-        p1.word("r")
+    with pytest.raises(ValueError, match="'rho' not available in p1"):
+        load_group("p1").word("rho")
+    with pytest.raises(ValueError, match="'sigma' not available in pg"):
+        load_group("pg").word("x sigma")

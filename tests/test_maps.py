@@ -226,7 +226,7 @@ def test_map_from_function_rejects_coset_mixing():
 def test_automorphism_rejects_non_homomorphic_images():
     G = load_group("p2mm")
     images = {k: parse_element(G, v) for k, v in
-              (("x", "x"), ("y", "y"), ("r", "rho"), ("s", "x sigma"))}
+              (("x", "x"), ("y", "y"), ("rho", "rho"), ("sigma", "x sigma"))}
     # sigma |-> x sigma squares to x^2, not e
     with pytest.raises(ValueError, match="homomorphism"):
         automorphism(G, images)
@@ -526,6 +526,9 @@ def test_parse_map_expr_reads_the_papers_notation():
     assert ev("(tau_x psi_y)^-1") == ev("inv(tau_x*psi_y)")
     assert ev("tau_rho2^psi_x") == generator(G, "tau_rho2").conjugate_by(generator(G, "psi_x"))
     assert ev("inner (x rho)") == ev("inner(x rho)") == inner_map(G, parse_element(G, "x rho"))
+    assert ev("(tau_x,tau_y)") == ev("inv(tau_x)*inv(tau_y)*tau_x*tau_y")
+    assert ev("(tau_x, mu_rho)^psi_y") == ev(
+        "inv(psi_y)*(inv(tau_x)*inv(mu_rho)*tau_x*mu_rho)*psi_y")
 
 
 @pytest.mark.parametrize("gid", GROUP_IDS)
@@ -941,9 +944,11 @@ def test_negative_radius_is_rejected():
     lambda G, r: G.ball(r),
     lambda G, r: cells(r),
     lambda G, r: conjugates_within(G, G.identity, r),
+    lambda G, r: conjugates_within(G, G.identity, 2, r),
     lambda G, r: nontriviality_certificate(G, iota(G), r),
-), ids=("is_wct_on_ball", "ball", "cells", "conjugates_within", "nontriviality_certificate"))
-@pytest.mark.parametrize("radius", (True, 1.5, "2"), ids=repr)
+), ids=("is_wct_on_ball", "ball", "cells", "conjugates_within", "outer",
+        "nontriviality_certificate"))
+@pytest.mark.parametrize("radius", (True, 1.5, "2", False, 0.0), ids=repr)
 def test_radius_must_be_an_int(check, radius):
     G = load_group("p2")
     check(G, 1)  # the cached cells(1) must not answer for True
