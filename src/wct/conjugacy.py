@@ -14,7 +14,7 @@ as two dicts it builds from a group's product rule: G.conjugators[f, h]
 lists (f', act(f'), s) for the first f' of each distinct coset map that
 carries part f onto part h, and G.slack[h] is K_h.  A GroupTable also
 keeps K_h's HNF rows as three ints, G.slack_hnf[h], which is_conjugate,
-maps._Block and maps.decide read; an SdGroup's parts G.F are its
+maps.is_wct_on_ball and maps.decide read; an SdGroup's parts G.F are its
 k-slices.  conjugacy_class reads the hooks for both families
 (semidirect.class_sd is conjugacy_class itself); kf and is_conjugate read
 them for wallpaper groups only, from the group they are given.
@@ -25,9 +25,11 @@ is_conjugate decides membership without building a class.  For the part
 pair (g.f, h.f) it unpacks each entry (f', act(f'), s) of
 G.conjugators[g.f, h.f] in place and tests h.a - act(f') g.a - s against
 K = K_{h.f}, encoded by the HNF rows (p, q) and (0, r) of G.slack_hnf[h.f]:
-a few integer divisions, after one chained type test that sends a non-int
-coordinate to check_element.  The translation case is the pair ("1", "1"):
-its entries are the act matrices with zero shift and its lattice has rank 0.
+a few integer divisions.  g and h are unpacked as ((x, y), f) pairs; a
+failed unpacking or lookup, or one chained type test on the coordinates,
+sends a malformed element to check_element.  The translation case is the
+pair ("1", "1"): its entries are the act matrices with zero shift and its
+lattice has rank 0.
 
 brute_is_conjugate/conjugates_within sweep conjugators from a ball instead
 and exist so the closed forms can be tested against something that cannot
@@ -151,18 +153,19 @@ def conjugacy_class(G, g):
 def is_conjugate(G: GroupTable, g: Element, h: Element) -> bool:
     """Closed-form conjugacy test; no search.
 
-    Raises ValueError when g or h has a part outside G or a coordinate that
-    is not an int.
+    g and h may be plain ((x, y), f) tuples, as conjugacy_class takes them.
+    Raises ValueError when g or h is not such a pair, has a part outside G
+    or has a coordinate that is not an int.
     """
     try:
-        cands = G.conjugators[g.f, h.f]
-    except KeyError:
-        G.check_element(g)
+        (x0, y0), gf = g
+        (x1, y1), hf = h
+        cands = G.conjugators[gf, hf]
+    except (KeyError, TypeError, ValueError):
+        G.check_element(g)  # one of the two raises ValueError
         G.check_element(h)
         raise
-    p, q, r = G.slack_hnf[h.f]
-    x0, y0 = g.a
-    x1, y1 = h.a
+    p, q, r = G.slack_hnf[hf]
     if not type(x0) is type(y0) is type(x1) is type(y1) is int:
         G.check_element(g)  # one of the two raises ValueError
         G.check_element(h)

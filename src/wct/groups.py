@@ -249,7 +249,7 @@ class GroupTable:
         self.slack, self.conjugators = conjugation_hooks(self, self.act)
         # slack_hnf[h] = (p, q, r): K_h's HNF rows (p, q) and (0, r), p = 0 or
         # r = 0 for an absent row; the 2-D kernels of is_conjugate,
-        # maps._Block and maps.decide's uniform test read it
+        # maps.is_wct_on_ball and maps.decide's uniform test read it
         self.slack_hnf = {}
         for f, lat in self.slack.items():
             p = q = r = 0

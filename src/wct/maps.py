@@ -18,7 +18,7 @@ dicts G.conjugators and G.slack, which hold each family's closed form of
 conjugacy, and G.pair_form, which reads both sides of the WCT condition on
 one pair of parts off the tables and the map's rule as affine functions of
 the two translation parts.  decide, the three law checks and the ball
-check's _Block read that form, so the product rule of each family is
+check's _pair_terms read that form, so the product rule of each family is
 derived in one place; the law checks read nothing else of G or m.  decide
 and forced_consequences, both exact over the whole group, share the kernel
 _cover, whose tail uncovered_point also decides acceptance criterion 4's
@@ -31,17 +31,15 @@ compose, invert and random_map build their results without re-validation
 (see CosetwiseAffineMap._trusted); CosetwiseAffineMap(G, rule) keeps every
 check for rules built by callers.
 
-is_wct_on_ball decides ball(radius) x ball(radius) one pair of source parts
-at a time.  There only the translation parts x1, x2 vary, and the residual
-of each conjugator entry that is_conjugate tests splits as
-P(x1) + Q(x2).  A part pair is uniform when one entry's P + Q lies in K
-for every cell, which its constant and coefficient columns show; such a
-pair is settled by that one test, whatever the radius.  For the others each
-cell's residues modulo K are computed once per part pair and each distinct
-tuple of them is decided once, instead of each element pair (see _Block).
-Its verdict, witness and pairs_checked are those of a pair-by-pair sweep,
-and a pass is still evidence from a finite ball, not a proof; it is
-decide's oracle and shares only pair_form and the hooks with it.
+is_wct_on_ball scans ball(radius) x ball(radius) in ball order.  With the
+parts of a pair fixed, only the translation parts x1, x2 vary, and the
+residual of each conjugator that is_conjugate tests is affine in them.  A
+part pair is uniform when one conjugator's residual lies in K for every
+cell, which its constant and coefficient columns show; such a pair is
+settled by that one test, whatever the radius.  Each pair of the others is
+tested on its own, one flat residual per conjugator.  A pass is still
+evidence from a finite ball, not a proof; it is decide's oracle and shares
+only pair_form and the hooks with it.
 """
 
 from __future__ import annotations
@@ -320,174 +318,119 @@ def is_wct_on_ball(G: GroupTable, m: CosetwiseAffineMap, radius: int) -> dict:
     verdict covers: all of ball x ball on a pass, up to and including the
     witness otherwise, in ball order.
 
-    The pairs are decided per part pair, not per element pair: with the
-    parts of g1 = x1*f1 and g2 = x2*f2 fixed, the residual is_conjugate
-    tests splits as P(x1) + Q(x2), and a pair holds exactly when Q(x2) and
-    -P(x1) agree modulo K for some candidate (see _Block).  Row g1 of
-    ball x ball crosses one block per part f2, and f1's first row builds
-    those blocks.  A uniform block holds on all its cells and is not
-    visited again; the others carry the signatures of all their cells.  So
-    when every part pair is uniform the check costs the blocks' candidate
-    tests alone, at any radius.  The row's first failing pair is the
-    minimum over its blocks, and the scan stops at the first row that has
-    one.  That pair is re-derived through G.mul and m.apply and re-checked
-    with is_conjugate, by an explicit raise that python -O keeps, before it
-    is reported.
+    The scan walks ball x ball in that order.  f1's first row, of
+    g1 = (0, 0)*f1, meets the part pairs (f1, f2) in its first cell, and
+    there _pair_terms builds each pair's residuals, one per conjugator, as
+    affine functions of (x1, x2), or finds one conjugator that serves every
+    cell.  A uniform part pair holds on all of its pairs and is never
+    visited; a pair of the others holds when some conjugator's residual at
+    (x1, x2) lies in K, tested on K's HNF rows as is_conjugate tests.  So
+    when every part pair is uniform the check costs |F|^2 candidate tests,
+    at any radius.  The first pair that fails is the witness.  It is re-derived through G.mul and m.apply and
+    re-checked with is_conjugate, by an explicit raise that python -O keeps,
+    before it is reported.
     """
     _check_map(G, m)
     xs = cells(radius)
     parts = G.F
     width = len(parts)
     size = len(xs) * width
-    live = [[] for _ in parts]  # per part f1: (j2, block) for its blocks that are not uniform
+    live = [[] for _ in parts]  # per part f1: (j2, K's HNF rows, terms) of its pairs not uniform
     for c1, (x1, y1) in enumerate(xs):
         for j1, f1 in enumerate(parts):
-            if c1:
-                row = live[j1]
-            else:  # f1's first row builds its blocks, up to where its scan stops
-                row = ((j2, _Block(G, m, f1, f2, xs)) for j2, f2 in enumerate(parts))
-            best = size
-            for j2, block in row:
-                if c1 == 0 and not block.uniform:
-                    live[j1].append((j2, block))
-                c2 = block.first_failure(x1, y1)
-                if c2 is not None:
-                    best = min(best, c2 * width + j2)
-                    if c2 == 0:
-                        break
-            if best < size:
-                g1 = Element((x1, y1), f1)
-                g2 = Element(xs[best // width], parts[best % width])
-                lhs = m.apply(G.mul(g1, g2))
-                rhs = G.mul(m.apply(g1), m.apply(g2))
-                if is_conjugate(G, lhs, rhs):
-                    raise AssertionError(
-                        f"ball check in {G.gid}: residues reject ({g1}, {g2}), "
-                        f"but {lhs} and {rhs} are conjugate")
-                return {
-                    "ok": False,
-                    "witness": [g1.to_json(), g2.to_json()],
-                    "radius": radius,
-                    "pairs_checked": (c1 * width + j1) * size + best + 1,
-                }
+            row = live[j1]
+            for c2, (x2, y2) in enumerate(xs):
+                for j2, (p, q, r), terms in row if c1 or c2 else _meet(G, m, f1, row):
+                    for k0, k1, t00, t01, t10, t11, v00, v01, v10, v11 in terms:
+                        x = k0 + t00 * x1 + t01 * y1 + v00 * x2 + v01 * y2
+                        y = k1 + t10 * x1 + t11 * y1 + v10 * x2 + v11 * y2
+                        if p:
+                            if x % p:
+                                continue
+                            y -= x // p * q
+                        elif x:
+                            continue
+                        if not (y % r if r else y):
+                            break  # this conjugator's residual lies in K
+                    else:
+                        g1, g2 = Element((x1, y1), f1), Element((x2, y2), parts[j2])
+                        lhs = m.apply(G.mul(g1, g2))
+                        rhs = G.mul(m.apply(g1), m.apply(g2))
+                        if is_conjugate(G, lhs, rhs):
+                            raise AssertionError(
+                                f"ball check in {G.gid}: residuals reject ({g1}, {g2}), "
+                                f"but {lhs} and {rhs} are conjugate")
+                        return {
+                            "ok": False,
+                            "witness": [g1.to_json(), g2.to_json()],
+                            "radius": radius,
+                            "pairs_checked": (c1 * width + j1) * size + c2 * width + j2 + 1,
+                        }
+                if not row:
+                    break  # every part pair of f1 is uniform: the rest of the row holds
         if not any(live):
             break  # every part pair is uniform: no later row can fail
     return {"ok": True, "witness": None, "radius": radius, "pairs_checked": size ** 2}
 
 
-class _Block:
-    """The pairs (x1*f1, x2*f2) of ball x ball for one part pair (f1, f2).
+def _meet(G: GroupTable, m: CosetwiseAffineMap, f1: str, row: list):
+    """Yield f1's part pairs that are not uniform as (j2, K's HNF rows,
+    terms), in G.F order, each appended to row when it is built."""
+    for j2, f2 in enumerate(G.F):
+        found = _pair_terms(G, m, f1, f2)
+        if found != "uniform":
+            row.append((j2, *found))
+            yield row[-1]
+
+
+def _pair_terms(G: GroupTable, m: CosetwiseAffineMap, f1: str, f2: str):
+    """"uniform", or (K's HNF rows, terms) for the part pair (f1, f2).
 
     With the parts fixed, only the translation parts x1 and x2 vary, and
     G.pair_form gives both sides as affine functions of them:
 
       lhs = m(g1 g2) = a0 + A1 x1 + A2 x2          in part lf,
-      rhs = m(g1) m(g2) = b0 + B1 x1 + B2 x2       in part rf,
+      rhs = m(g1) m(g2) = b0 + B1 x1 + B2 x2       in part rf.
 
-    with A = [A1 | A2] and B = [B1 | B2].  As in is_conjugate, the entries
-    (f', N, s) of G.conjugators[lf, rf], one per distinct map on the cosets
-    of K, are the candidates and G.slack_hnf[rf] gives the HNF rows (p, q),
-    (0, r) of K.  The pair holds exactly when rhs - N lhs - s lies in K for
-    some candidate, and that residual splits as P(x1) + Q(x2) with
+    As in is_conjugate, the entries (f', N, s) of G.conjugators[lf, rf] are
+    the candidates and G.slack_hnf[rf] gives the HNF rows (p, q), (0, r) of
+    K; the pair holds when rhs - N lhs - s lies in K for some candidate.
+    That residual is k + T x1 + V x2 with k = b0 - N a0 - s, T = B1 - N A1
+    and V = B2 - N A2, kept as the ten ints (k0, k1, T00, T01, T10, T11,
+    V00, V01, V10, V11), one tuple per candidate.
 
-      P = (B1 - N A1) x1 + b0 - N a0 - s,
-      Q = (B2 - N A2) x2.
-
-    So it holds exactly when, for some candidate, Q(x2) and -P(x1) have the
-    same canonical representative modulo K.
-
-    The block is uniform when one candidate N serves every (x1, x2): N
-    serves (x1, x2) when P(x1) + Q(x2) lies in K, and that holds for all
-    cells when P + Q's constant b0 - N a0 - s and its four columns, those
-    of B1 - N A1 and B2 - N A2, lie in K.  Each candidate is tested as soon
-    as its terms are built, on K's HNF rows as is_conjugate tests, and the
-    test stops at the first vector outside K.  A uniform block builds no
-    signatures or memo, and first_failure returns None.  This is the
-    criterion decide applies to a part pair ("uniform"), coded separately
-    here, and the tests' _reference_ball_check stays its cell-by-cell
-    oracle.
-
-    Otherwise a cell's signature is the tuple of its Q representatives, one
-    per candidate, and a row's key the tuple of its -P representatives; the
-    pair fails when they agree in no position.  The signatures are computed
-    once, when the block is built: each distinct one is kept with its first
-    cell, in cell order, so the first failing cell for a key is the first
-    cell of the first distinct signature that fails it.  That answer is
-    memoized per key.  Blocks live for one ball check only.
+    The pair is uniform when one candidate serves every (x1, x2): when k
+    and the four columns of T and V lie in K.  Each candidate is tested as
+    soon as its terms are built, and the test stops at its first vector
+    outside K.  This is the criterion decide applies to a part pair
+    ("uniform"), coded separately here, and the tests' _reference_ball_check
+    stays its cell-by-cell oracle.
     """
-
-    __slots__ = ("uniform", "row_terms", "lattice", "signatures", "memo")
-
-    def __init__(self, G: GroupTable, m: CosetwiseAffineMap, f1: str, f2: str, xs: tuple):
-        lf, (c0, c1), A, rf, (d0, d1), B = G.pair_form(m, f1, f2)
-        (x00, x10), (x01, x11), (y00, y10), (y01, y11) = A  # A1, A2
-        (u00, u10), (u01, u11), (w00, w10), (w01, w11) = B  # B1, B2
-        self.lattice = p, q, r = G.slack_hnf[rf]
-        # -P and Q per candidate N = ((n00, n01), (n10, n11)).  No two
-        # candidates share N and s modulo K, and A1 is unimodular, so no
-        # two row terms agree modulo K.
-        row_terms, cell_terms = [], []
-        for _, ((n00, n01), (n10, n11)), (s0, s1) in G.conjugators[lf, rf]:
-            t00, t01 = n00 * x00 + n01 * x10 - u00, n00 * x01 + n01 * x11 - u01
-            t10, t11 = n10 * x00 + n11 * x10 - u10, n10 * x01 + n11 * x11 - u11
-            k0, k1 = n00 * c0 + n01 * c1 + s0 - d0, n10 * c0 + n11 * c1 + s1 - d1
-            v00, v01 = w00 - n00 * y00 - n01 * y10, w01 - n00 * y01 - n01 * y11
-            v10, v11 = w10 - n10 * y00 - n11 * y10, w11 - n10 * y01 - n11 * y11
-            # K = -K, so -P's terms test as P's; stop at the first vector outside K
-            for x, y in ((k0, k1), (t00, t10), (t01, t11), (v00, v10), (v01, v11)):
-                if p:
-                    if x % p:
-                        break
-                    y -= x // p * q
-                elif x:
-                    break
-                if y % r if r else y:
-                    break
-            else:
-                self.uniform = True  # N serves every cell
-                return
-            row_terms.append((t00, t01, t10, t11, k0, k1))
-            cell_terms.append((v00, v01, v10, v11, 0, 0))
-        self.uniform = False
-        self.row_terms = row_terms
-        self.signatures = {}   # distinct signature -> its first cell
-        for cell, (x, y) in enumerate(xs):
-            self.signatures.setdefault(self._reps(cell_terms, x, y), cell)
-        self.memo = {}         # key -> first failing cell, or None
-
-    def _reps(self, terms: tuple, x: int, y: int) -> tuple:
-        """The representatives modulo K of the affine terms at (x, y).
-
-        Each is one int when K has a pivot: the reduced coordinate lies in
-        [0, pivot) and folds into the other one.  For K = 0 it is the
-        vector itself.
-        """
-        p, q, r = self.lattice
-        out = []
-        for t00, t01, t10, t11, k0, k1 in terms:
-            u = t00 * x + t01 * y + k0
-            v = t10 * x + t11 * y + k1
+    lf, (c0, c1), A, rf, (d0, d1), B = G.pair_form(m, f1, f2)
+    (x00, x10), (x01, x11), (y00, y10), (y01, y11) = A  # A1, A2
+    (u00, u10), (u01, u11), (w00, w10), (w01, w11) = B  # B1, B2
+    hnf = p, q, r = G.slack_hnf[rf]
+    terms = []
+    for _, ((n00, n01), (n10, n11)), (s0, s1) in G.conjugators[lf, rf]:
+        k0, k1 = d0 - n00 * c0 - n01 * c1 - s0, d1 - n10 * c0 - n11 * c1 - s1
+        t00, t01 = u00 - n00 * x00 - n01 * x10, u01 - n00 * x01 - n01 * x11
+        t10, t11 = u10 - n10 * x00 - n11 * x10, u11 - n10 * x01 - n11 * x11
+        v00, v01 = w00 - n00 * y00 - n01 * y10, w01 - n00 * y01 - n01 * y11
+        v10, v11 = w10 - n10 * y00 - n11 * y10, w11 - n10 * y01 - n11 * y11
+        # tested from locals, so a uniform pair builds no tuple
+        for x, y in ((k0, k1), (t00, t10), (t01, t11), (v00, v10), (v01, v11)):
             if p:
-                k = u // p
-                u -= k * p
-                v -= k * q
-                out.append((v % r if r else v) * p + u)
-            elif r:
-                out.append(u * r + v % r)
-            else:
-                out.append((u, v))
-        return tuple(out)
-
-    def first_failure(self, x: int, y: int):
-        """The first cell x2 at which (x*f1, x2*f2) fails, or None."""
-        if self.uniform:
-            return None
-        key = self._reps(self.row_terms, x, y)
-        memo = self.memo
-        if key not in memo:
-            memo[key] = next((cell for sig, cell in self.signatures.items()
-                              if not any(map(eq, sig, key))), None)
-        return memo[key]
+                if x % p:
+                    break
+                y -= x // p * q
+            elif x:
+                break
+            if y % r if r else y:
+                break
+        else:
+            return "uniform"  # this candidate serves every cell
+        terms.append((k0, k1, t00, t01, t10, t11, v00, v01, v10, v11))
+    return hnf, tuple(terms)
 
 
 def nontriviality_certificate(G, m, radius: int):

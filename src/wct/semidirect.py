@@ -115,9 +115,13 @@ class SdGroup:
         return self.mul(self.mul(self.inv(h), g), h)
 
     def check_element(self, g: SdElement) -> SdElement:
-        v, k = g
-        if (len(v) != self.n or not all(type(x) is int for x in v)
-                or type(k) is not int or not 0 <= k < self.p):
+        try:
+            v, k = g
+            ok = (len(v) == self.n and all(type(x) is int for x in v)
+                  and type(k) is int and 0 <= k < self.p)
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
             raise ValueError(f"element {g} does not belong to {self!r}")
         return g
 

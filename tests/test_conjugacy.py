@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ from wct.conjugacy import (
 )
 from wct.groups import GROUP_IDS, Element, affine_on_part, all_groups, load_group
 from wct.lattice import Coset, Sublattice, matvec, vadd, vsub
-from wct.semidirect import SdElement, build
+from wct.semidirect import SdElement, build, is_conjugate_sd
 
 
 def test_kf_frozen_values():
@@ -364,6 +365,25 @@ def test_is_conjugate_rejects_non_int_coordinates():
         for g, h in ((bad, bad), (bad, ok), (ok, bad)):
             with pytest.raises(ValueError, match="does not belong to p2"):
                 is_conjugate(G, g, h)
+
+
+def test_malformed_elements_raise_value_error_in_both_families():
+    """A plain ((x, y), f) tuple is an element, as conjugacy_class takes it;
+    anything else raises ValueError naming the group, not AttributeError or
+    TypeError, from check_element and the closed-form test alike."""
+    G = load_group("p4")
+    g = ((1, 0), "rho")
+    for h, expected in ((((0, 1), "rho"), True), (((0, 0), "rho"), False)):
+        assert is_conjugate(G, g, h) is conjugacy_class(G, g).contains(h) is expected, h
+    H = build(SD_CASES[0][2], 3)
+    for group, closed_form in ((G, is_conjugate), (H, is_conjugate_sd)):
+        e, name = group.identity, re.escape(getattr(group, "gid", repr(group)))
+        for bad in (None, 5, ((1, 2),)):
+            with pytest.raises(ValueError, match=f"does not belong to {name}"):
+                group.check_element(bad)
+            for pair in ((bad, e), (e, bad)):
+                with pytest.raises(ValueError, match=f"does not belong to {name}"):
+                    closed_form(group, *pair)
 
 
 def test_class_contains_rejects_what_is_conjugate_rejects():

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 from law_reference import probe_failure
+from test_decide import COVERED
 
 import wct
 from wct import maps
@@ -831,14 +832,28 @@ def test_ball_check_matches_reference_past_row_0(gid):
             assert (res["ok"], res["witness"], res["pairs_checked"]) == (ok, witness, pairs), m
 
 
+@pytest.mark.parametrize("radius", (2, 3))
+@pytest.mark.parametrize("gid", sorted(COVERED))
+def test_ball_check_matches_reference_on_covered_maps(gid, radius):
+    """The ("1", "rho") pair of these maps is not uniform, yet it holds on
+    every cell (decide labels it "covered"), so the scan tests it cell by
+    cell along the whole first row before the witness, which lies past it."""
+    G = load_group(gid)
+    m = CosetwiseAffineMap(G, COVERED[gid])
+    assert maps._pair_terms(G, m, "1", "rho") != "uniform"
+    assert not _assert_matches_reference(G, m, radius)
+    assert is_wct_on_ball(G, m, radius)["pairs_checked"] > len(G.ball(radius))
+
+
 def _uniform_blocks(G, m):
-    """How many part pairs of m are uniform, after asserting that _Block
-    reports each as decide labels it: _cover's flat test, _uniform_2d."""
+    """How many part pairs of m are uniform, after asserting that
+    _pair_terms reports each as decide labels it: _cover's flat test,
+    _uniform_2d."""
     uniform = 0
     for f1 in G.F:
         for f2 in G.F:
             label = maps._uniform_2d(G, *G.pair_form(m, f1, f2))
-            assert maps._Block(G, m, f1, f2, cells(1)).uniform is label, (m, f1, f2)
+            assert (maps._pair_terms(G, m, f1, f2) == "uniform") is label, (m, f1, f2)
             uniform += label
     return uniform
 
@@ -862,20 +877,41 @@ def test_block_uniform_is_decides_label(gid):
         assert 0 < uniform < 100 * pairs  # both sides of the test are exercised
 
 
+class _CountedCells(tuple):
+    """cells(radius) that records, per pass over it, how many cells were read."""
+
+    def __new__(cls, cells, reads):
+        out = super().__new__(cls, cells)
+        out.reads = reads
+        return out
+
+    def __iter__(self):
+        self.reads.append(0)
+        for cell in super().__iter__():
+            self.reads[-1] += 1
+            yield cell
+
+
 @pytest.mark.parametrize("radius", (3, 8))
 def test_ball_check_of_uniform_maps_enumerates_no_cell(monkeypatch, radius):
     """Every part pair of every NONTRIVIAL_CATALOG map is uniform, so the
-    ball check computes no representative at any radius."""
-    calls = []
-    reps = maps._Block._reps
-    monkeypatch.setattr(maps._Block, "_reps",
-                        lambda self, *args: calls.append(args) or reps(self, *args))
+    ball check builds |F|^2 uniform part pairs, reads only the first cell of
+    each row it starts and evaluates no residual, at any radius."""
+    verdicts, reads = [], []
+    terms = maps._pair_terms
+    monkeypatch.setattr(maps, "_pair_terms", lambda *args: verdicts.append(terms(*args))
+                        or verdicts[-1])
+    monkeypatch.setattr(maps, "cells", lambda r: _CountedCells(cells(r), reads))
     for gid, names in NONTRIVIAL_CATALOG.items():
         G = load_group(gid)
         for name in names:
+            verdicts.clear()
+            reads.clear()
             res = is_wct_on_ball(G, generator(G, name), radius)
             assert res["ok"] and res["pairs_checked"] == len(G.ball(radius)) ** 2, (gid, name)
-    assert calls == []
+            assert verdicts == ["uniform"] * len(G.F) ** 2, (gid, name)
+            # the rows of ball(0), then each part's row starts and stops at its first cell
+            assert reads == [1] * (1 + len(G.F)), (gid, name)
 
 
 def test_witness_recheck_survives_python_O():
