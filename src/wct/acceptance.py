@@ -5,7 +5,10 @@ the CLI.  The "fast" suite shrinks the two sweep-heavy checks, the "full"
 suite runs them at the advertised scale.  Every check carries a wall-clock
 budget that is part of the verdict.  WCT_THREADS caps the worker processes
 used for the sweeps; the cap never raises the count above the CPUs this
-process may run on, and one worker means plain serial execution.
+process may run on, and one worker means plain serial execution.  A set
+value that is not a positive int is a ValueError, raised by run_suite
+before any criterion runs.  Map verdicts come from maps.verify and the
+twist maps' pass rules from semidirect.check_twist.
 """
 
 from __future__ import annotations
@@ -48,10 +51,10 @@ P2_THETAS = (
 def worker_count() -> int:
     affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS and Windows
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    cap = os.environ.get("WCT_THREADS", "")
-    if cap.isdigit() and int(cap) > 0:
-        return min(cpus, int(cap))
-    return cpus
+    cap = os.environ.get("WCT_THREADS") or str(cpus)  # empty means unset
+    if not (cap.isascii() and cap.isdigit() and int(cap) > 0):
+        raise ValueError(f"WCT_THREADS must be a positive int, got {cap!r}")
+    return min(cpus, int(cap))
 
 
 def _pmap(fn, jobs: list) -> list:
@@ -318,14 +321,12 @@ def _crit_catalog(suite: str, seed: int):
             points, good = _pair_form_agreement(G, m)
             probed += points
             agreeing += good
-            rep = maps.is_wct_on_ball(G, m, radius)
-            # the certificate is exact from radius 1 on, so radius 2 settles it
-            cert = maps.nontriviality_certificate(G, m, 2)
+            rep = maps.verify(G, m, radius)
             entries.append({
-                "group": gid, "map": name, "wct_ok": rep["ok"],
-                "pairs_checked": rep["pairs_checked"],
-                "proven": maps.decide(G, m)["ok"],
-                "certificate_radius": 2 if cert else None,
+                "group": gid, "map": name, "wct_ok": rep["ball"]["ok"],
+                "pairs_checked": rep["ball"]["pairs_checked"],
+                "proven": rep["ok"],
+                "certificate_radius": 2 if rep["certificate"] else None,
             })
     ok = agreeing == probed and all(
         e["wct_ok"] and e["proven"] and e["certificate_radius"] is not None
@@ -346,7 +347,7 @@ def _crit_failures(suite: str, seed: int):
     rhs = G.mul(m.apply(g1), m.apply(g2))
     p4_entry = {
         "candidate": "p4 conj_rho_on_rho2",
-        "ball_check_fails": not maps.is_wct_on_ball(G, m, 2)["ok"],
+        "ball_check_fails": not maps.verify(G, m, 2)["ball"]["ok"],
         "obstruction": "y^2 rho2 is not conjugate to x y rho2",
         "obstruction_holds": (
             lhs == Element((0, 2), "rho2")
@@ -357,21 +358,16 @@ def _crit_failures(suite: str, seed: int):
     # the order-2 candidate twists the r coset by theta; it multiplies as an
     # exact antihomomorphism, so it fails to leave the trivial maps
     p2_entries = []
+    ok = p4_entry["ball_check_fails"] and p4_entry["obstruction_holds"]
     for label, theta in P2_THETAS:
-        H = semidirect.build(theta, 2)
-        cand = semidirect.p2_candidate(H)
+        _, rep, passes = semidirect.check_twist(semidirect.build(theta, 2), "p2-candidate")
         p2_entries.append({
             "theta": label,
-            "exact_antihomomorphism":
-                maps.antihomomorphism_failure(H, cand) is None,
-            "class_condition_holds": maps.decide(H, cand)["ok"],
-            "no_nontriviality_certificate":
-                maps.nontriviality_certificate(H, cand, 3) is None,
+            "exact_antihomomorphism": rep["antihomomorphism"],
+            "class_condition_holds": rep["ok"],
+            "no_nontriviality_certificate": rep["certificate"] is None,
         })
-
-    ok = (p4_entry["ball_check_fails"] and p4_entry["obstruction_holds"]
-          and all(e["exact_antihomomorphism"] and e["class_condition_holds"]
-                  and e["no_nontriviality_certificate"] for e in p2_entries))
+        ok = ok and passes
     return ok, {"p4": p4_entry, "p2_candidates": p2_entries}
 
 
@@ -404,18 +400,17 @@ def _crit_relations(suite: str, seed: int):
 
 def _crit_semidirect(suite: str, seed: int):
     entries = []
+    ok = True
     for label, p, theta in SD_CASES:
         G = semidirect.build(theta, p)
-        phi = semidirect.phi_for_odd_p(G)
-        rep = maps.decide(G, phi)
-        cert = maps.nontriviality_certificate(G, phi, 2)
+        _, rep, passes = semidirect.check_twist(G, "phi")
         entries.append({
             "case": label, "n": G.n, "p": p,
             "verified": rep["ok"],
             "uniform": set(rep["methods"].values()) == {"uniform"},
-            "nontrivial": cert is not None,
+            "nontrivial": rep["certificate"] is not None,
         })
-    ok = all(e["verified"] and e["nontrivial"] for e in entries)
+        ok = ok and passes
     return ok, {"cases": entries}
 
 
@@ -443,7 +438,7 @@ def _crit_axioms(suite: str, seed: int):
 
 
 def _search_group(job):
-    """Refute random candidates that move e, settling the rest with maps.decide.
+    """Refute random candidates that move e, settling the rest with maps.verify.
 
     Every WCT map m fixes e: with g1 = m^-1(e) and g2 = e, the condition
     m(g1 g2) ~ m(g1) m(g2) reads e ~ m(e), and the class of e is {e}.  So a
@@ -459,11 +454,9 @@ def _search_group(job):
         if m.apply(G.identity) != G.identity:
             continue
         survivors += 1
-        if not maps.decide(G, m)["ok"]:
-            continue
-        wct_maps += 1
-        if maps.nontriviality_certificate(G, m, 3) is not None:
-            hits += 1
+        rep = maps.verify(G, m)
+        wct_maps += rep["ok"]
+        hits += rep["ok"] and rep["certificate"] is not None
     return {"group": gid, "candidates": count, "screen_survivors": survivors,
             "wct_maps": wct_maps, "nontrivial_hits": hits}
 
@@ -527,6 +520,7 @@ def run_suite(suite: str = "full", seed: int = 0, progress=None) -> dict:
     """Run all ten criteria; progress, if given, receives each result dict."""
     if suite not in ("fast", "full"):
         raise ValueError(f"unknown suite {suite!r}")
+    workers = worker_count()
     results = []
     for num, _, _, _ in CRITERIA:
         res = run_criterion(num, suite, seed)
@@ -538,7 +532,7 @@ def run_suite(suite: str = "full", seed: int = 0, progress=None) -> dict:
         "command": "acceptance",
         "suite": suite,
         "seed": seed,
-        "workers": worker_count(),
+        "workers": workers,
         "ok": all(r["ok"] for r in results),
         "criteria": results,
     }

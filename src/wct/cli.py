@@ -1,6 +1,10 @@
 """Command line front end.
 
-One JSON document on stdout per invocation, schema "wct/1".  Exit status:
+One JSON document on stdout per invocation, schema "wct/1"; main writes
+its envelope, the schema and the command, once for every command.  The
+verdicts on a map come from maps.verify, the one verification procedure,
+and the twist maps' pass rules from semidirect.check_twist: verify-map and
+semidirect only print their fields.  Exit status:
 0 when every check passed or the query was answered, 1 when a verification
 found a violation, 2 on usage errors (unknown names, malformed flags,
 negative radii), 3 on an internal fault, reported as "error: ..." on
@@ -30,17 +34,13 @@ def _cmd_check_presentation(args) -> tuple[int, dict]:
     gids = GROUP_IDS if args.group == "all" else (args.group,)
     entries = [load_group(gid).check_presentation() for gid in gids]
     ok = all(not e["violations"] for e in entries)
-    return (0 if ok else 1), {
-        "schema": SCHEMA,
-        "command": "check-presentation",
-        "entries": entries,
-    }
+    return (0 if ok else 1), {"entries": entries}
 
 
 def _cmd_classes(args) -> tuple[int, dict]:
     check_radius(args.radius)
     G = load_group(args.group)
-    report = {"schema": SCHEMA, "command": "classes", "group": args.group}
+    report = {"group": args.group}
     if args.element is not None:
         g = parse_element(G, args.element)
         report["element"] = g.to_json()
@@ -63,52 +63,33 @@ def _cmd_involutions(args) -> tuple[int, dict]:
     G = load_group(args.group)
     loci = involution_loci(G)
     return 0, {
-        "schema": SCHEMA,
-        "command": "involutions",
         "group": args.group,
         "loci": {f: (c.to_json() if c is not None else None)
                  for f, c in loci.items()},
     }
 
 
-def _certificate_json(cert):
-    return None if cert is None else {k: [g.to_json() for g in pair] for k, pair in cert.items()}
-
-
 def _cmd_verify_map(args) -> tuple[int, dict]:
     check_radius(args.certificate_radius)
     G = load_group(args.group)
     m = maps.parse_map_expr(G, args.map)
-    exact = maps.decide(G, m)
-    ball = maps.is_wct_on_ball(G, m, args.radius)
-    if exact["ok"] and not ball["ok"]:
-        raise AssertionError(f"decide proves the map, but the ball check refutes it: {ball}")
-    cert = maps.nontriviality_certificate(G, m, args.certificate_radius) if exact["ok"] else None
+    rep = maps.verify(G, m, args.radius)
+    cert = rep.pop("certificate")
     report = {
-        "schema": SCHEMA,
-        "command": "verify-map",
         "group": args.group,
         "map_expr": args.map,
         "map": m.to_json(),
-        "ok": exact["ok"],
-        "witness": exact["witness"],
-        "methods": exact["methods"],
-        "ball": ball,
+        **rep,
         "nontrivial": cert is not None,
-        "certificate": _certificate_json(cert),
+        "certificate": cert,
     }
-    return (0 if exact["ok"] else 1), report
+    return (0 if rep["ok"] else 1), report
 
 
 def _cmd_wgroup_relations(args) -> tuple[int, dict]:
     G = load_group(args.group)
     rep = maps.wgroup_relations(G)
-    report = {
-        "schema": SCHEMA,
-        "command": "wgroup-relations",
-        "group": args.group,
-        "relations": rep,
-    }
+    report = {"group": args.group, "relations": rep}
     ok = rep["ok"]
     if args.group in maps.W0_GENERATORS:
         norm = maps.normality_check(G)
@@ -135,8 +116,6 @@ def _cmd_semidirect(args) -> tuple[int, dict]:
     check_radius(args.radius)
     G = semidirect.build(_parse_theta(args.theta), args.p)
     report = {
-        "schema": SCHEMA,
-        "command": "semidirect",
         "group": {"n": G.n, "p": G.p, "theta": [list(r) for r in G.theta]},
         "check": args.check,
     }
@@ -144,21 +123,12 @@ def _cmd_semidirect(args) -> tuple[int, dict]:
         # build already validated r^-1 a r = theta(a) on the basis
         report["ok"] = True
         return 0, report
-    m = (semidirect.phi_for_odd_p(G) if args.check == "phi"
-         else semidirect.p2_candidate(G))
-    rep = {**maps.decide(G, m), "radius": args.radius}
-    cert = maps.nontriviality_certificate(G, m, 2)
+    m, rep, ok = semidirect.check_twist(G, args.check)
     report["map"] = m.to_json()
-    report["verify"] = rep
-    report["nontrivial"] = cert is not None
-    report["certificate"] = _certificate_json(cert)
-    if args.check == "phi":
-        ok = rep["ok"] and cert is not None
-    else:
-        # the order-2 candidate is an exact antihomomorphism: it must pass
-        # the class condition and must not certify nontriviality
-        ok = (rep["ok"] and cert is None
-              and maps.antihomomorphism_failure(G, m) is None)
+    report["verify"] = {"ok": rep["ok"], "witness": rep["witness"],
+                        "methods": rep["methods"], "radius": args.radius}
+    report["nontrivial"] = rep["certificate"] is not None
+    report["certificate"] = rep["certificate"]
     report["ok"] = ok
     return (0 if ok else 1), report
 
@@ -255,6 +225,7 @@ def main(argv=None) -> int:
         print(f"error: internal fault: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc()
         return 3
+    report = {"schema": SCHEMA, "command": args.command, **report}
     try:
         print(json.dumps(report, indent=args.json_indent), flush=True)
     except BrokenPipeError:

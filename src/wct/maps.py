@@ -11,21 +11,23 @@ Conventions, fixed once: composition m1 * m2 applies m2 first, and m^n
 (conjugate_by) is inv(n) * m * n.  parse_map_expr reads the paper's notation
 by them, and wgroup_relations evaluates each relation from its printed text.
 
-homomorphism_failure, antihomomorphism_failure, nontriviality_certificate,
-forced_consequences and decide serve wct.semidirect too: they use only
-G.mul, G.inv, G.identity, m.apply, m.invert, m.acts_on, the two conjugation
-dicts G.conjugators and G.slack, which hold each family's closed form of
-conjugacy, and G.pair_form, which reads both sides of the WCT condition on
-one pair of parts off the tables and the map's rule as affine functions of
-the two translation parts.  decide, the three law checks and the ball
-check's _pair_terms read that form, so the product rule of each family is
-derived in one place; the law checks read nothing else of G or m.  decide
-and forced_consequences, both exact over the whole group, share the kernel
-_cover, whose tail uncovered_point also decides acceptance criterion 4's
-coset inclusions.  wct_invariants and semidirect.sd_invariants are
-bindings of forced_consequences, kept for perfbench.  Every verdict first
-asks m.acts_on(G) and raises ValueError for a map of another group, which
-would otherwise be judged through the part labels the two groups share.
+verify, the one verification procedure, assembles every map verdict the CLI
+and the battery report.  It and homomorphism_failure,
+antihomomorphism_failure, nontriviality_certificate, forced_consequences and
+decide serve wct.semidirect too: they use only G.mul, G.inv, G.identity,
+m.apply, m.invert, m.acts_on, the two conjugation dicts G.conjugators and
+G.slack, which hold each family's closed form of conjugacy, and G.pair_form,
+which reads both sides of the WCT condition on one pair of parts off the
+tables and the map's rule as affine functions of the two translation parts.
+decide, the three law checks and the ball check's _pair_terms read that
+form, so the product rule of each family is derived in one place; the law
+checks read nothing else of G or m.  decide and forced_consequences, both
+exact over the whole group, share the kernel _cover, whose tail
+uncovered_point also decides acceptance criterion 4's coset inclusions.
+wct_invariants and semidirect.sd_invariants are bindings of
+forced_consequences, kept for perfbench.  Every verdict first asks
+m.acts_on(G) and raises ValueError for a map of another group, which would
+otherwise be judged through the part labels the two groups share.
 
 compose, invert and random_map build their results without re-validation
 (see CosetwiseAffineMap._trusted); CosetwiseAffineMap(G, rule) keeps every
@@ -641,6 +643,24 @@ def wct_certificate_symbolic(G, m) -> dict:
     """decide's verdict under the certificate's names, which perfbench calls."""
     res = decide(G, m)
     return {"proven": res["ok"], "pairs": res["methods"]}
+
+
+def verify(G, m, radius: int | None = None) -> dict:
+    """The verdict on m, for either family: decide's ok, witness and methods,
+    exact over all of G; certificate, nontriviality_certificate's as JSON for
+    every m, None exactly when m is a homomorphism or an antihomomorphism;
+    and, given a radius, ball, is_wct_on_ball's report, whose refutation of
+    a proof is a fault of the program, raised explicitly for python -O."""
+    rep = decide(G, m)
+    if radius is not None:
+        rep["ball"] = is_wct_on_ball(G, m, radius)
+        if rep["ok"] and not rep["ball"]["ok"]:
+            raise AssertionError(
+                f"decide proves the map, but the ball check refutes it: {rep['ball']}")
+    cert = nontriviality_certificate(G, m, 1)  # exact; its witnesses lie in ball(1)
+    rep["certificate"] = None if cert is None else {
+        law: [g.to_json() for g in pair] for law, pair in cert.items()}
+    return rep
 
 
 # -- the named generator catalog -------------------------------------------------

@@ -22,6 +22,7 @@ non-trivial weak Cayley table map, at p = 2 it is an exact
 antihomomorphism, hence trivial, and for other orders decide settles it
 (twisting Z^2 x C_4 by a quarter turn fails).  p2_candidate, for p = 2
 only, twists the r-coset instead; it is an exact antihomomorphism too.
+check_twist states what each must show to pass, for the CLI and the battery.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .lattice import (
     vadd,
     vneg,
 )
-from .maps import decide
+from .maps import antihomomorphism_failure, decide, verify
 from .maps import antihomomorphism_failure as sd_antihomomorphism_failure
 from .maps import forced_consequences as sd_invariants
 from .maps import nontriviality_certificate as sd_nontriviality
@@ -236,6 +237,19 @@ def p2_candidate(G: SdGroup) -> SdMap:
 
 
 # -- verification ------------------------------------------------------------
+
+
+def check_twist(G: SdGroup, name: str) -> tuple:
+    """(m, report, passes) for the twist "phi" or "p2-candidate" of G, with
+    maps.verify's report plus whether m is an exact antihomomorphism.  phi
+    passes as a WCT map with a nontriviality certificate, the p = 2
+    candidate as a WCT map that is an exact antihomomorphism."""
+    m = {"phi": phi_for_odd_p, "p2-candidate": p2_candidate}[name](G)
+    rep = verify(G, m)
+    # a certificate names a pair that breaks the antihomomorphism law
+    rep["antihomomorphism"] = rep["certificate"] is None and antihomomorphism_failure(G, m) is None
+    law = rep["antihomomorphism"] if name == "p2-candidate" else rep["certificate"] is not None
+    return m, rep, rep["ok"] and law
 
 
 def verify_sd(G: SdGroup, m: SdMap, radius: int) -> dict:

@@ -152,6 +152,19 @@ def test_catalog_criterion_gates_on_the_exact_verdict(monkeypatch):
     assert all(e["wct_ok"] and not e["proven"] for e in res["detail"]["entries"])
 
 
+def test_catalog_criterion_faults_when_the_ball_refutes_a_proof(monkeypatch):
+    # as in verify-map, a proof that its oracle contradicts is a fault of
+    # the program, reported in the criterion's detail
+    def refuting(G, m, radius):
+        return {"ok": False, "witness": [], "radius": radius, "pairs_checked": 1}
+
+    monkeypatch.setattr(acceptance.maps, "is_wct_on_ball", refuting)
+    res = run_criterion(5, "fast")
+    assert not res["ok"]
+    assert res["detail"]["fault"].startswith(
+        "AssertionError: decide proves the map, but the ball check refutes it")
+
+
 def test_fast_conjugacy_criterion():
     res = run_criterion(2, suite="fast")
     assert res["ok"]
@@ -220,6 +233,17 @@ def test_one_cpu_affinity_runs_serially(monkeypatch):
     assert {d["pid"] for d in res["detail"]["disagreements"]} == {os.getpid()}
     monkeypatch.setenv("WCT_THREADS", "4")  # the cap cannot raise the count past the affinity
     assert acceptance.worker_count() == 1
+
+
+def test_empty_wct_threads_means_unset(monkeypatch):
+    _allow_cpus(monkeypatch, 3)
+    monkeypatch.setenv("WCT_THREADS", "")
+    assert acceptance.worker_count() == 3
+    monkeypatch.setenv("WCT_THREADS", "2")
+    assert acceptance.worker_count() == 2
+    monkeypatch.setenv("WCT_THREADS", "0")
+    with pytest.raises(ValueError, match="WCT_THREADS"):
+        acceptance.worker_count()
 
 
 def test_conjugacy_criterion_catches_a_dropped_residue(monkeypatch):

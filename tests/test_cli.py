@@ -115,6 +115,19 @@ def test_verify_map_failure_exits_one(capsys):
     assert not is_conjugate(G, lhs, rhs)
 
 
+def test_verify_map_certifies_a_refuted_map(capsys):
+    # nontrivial and certificate are computed for every map, passing or not
+    code, rep = run_cli(capsys, "verify-map", "--group", "p4", "--map", "conj_rho_on_rho2")
+    assert code == 1 and not rep["ok"] and rep["nontrivial"]
+    G = load_group("p4")
+    m = maps.generator(G, "conj_rho_on_rho2")
+    assert rep["map"] == m.to_json()
+    g1, g2 = (element_from_json(e) for e in rep["certificate"]["hom_witness"])
+    assert m.apply(G.mul(g1, g2)) != G.mul(m.apply(g1), m.apply(g2))
+    g1, g2 = (element_from_json(e) for e in rep["certificate"]["antihom_witness"])
+    assert m.apply(G.mul(g1, g2)) != G.mul(m.apply(g2), m.apply(g1))
+
+
 def test_verify_map_reports_pairs_checked(capsys):
     code, rep = run_cli(capsys, "verify-map", "--group", "p4",
                         "--map", "tau_x", "--radius", "1")
@@ -389,6 +402,28 @@ def test_readme_cli_examples_exit_as_documented(capsys):
         code = main(argv)
         capsys.readouterr()
         assert code == (1 if fails else 0), argv
+
+
+@pytest.mark.parametrize("value", ("0", "-1", "two", "1.5", " 1"))
+def test_malformed_wct_threads_is_usage_error(capsys, monkeypatch, value):
+    # rejected before the first criterion runs, not as a fault inside one
+    monkeypatch.setenv("WCT_THREADS", value)
+    code = main(["acceptance", "--suite", "fast"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: WCT_THREADS must be a positive int")
+    assert "criterion" not in captured.err
+
+
+def test_every_report_leads_with_the_envelope(capsys):
+    for argv in (["check-presentation", "--group", "p1"], ["classes", "--group", "p2"],
+                 ["involutions", "--group", "p2"], ["wgroup-relations", "--group", "p3"],
+                 ["verify-map", "--group", "p3", "--map", "tau", "--radius", "0"],
+                 ["semidirect", "--theta", "[[-1]]", "--p", "2", "--check", "presentation"]):
+        main(argv)
+        rep = json.loads(capsys.readouterr().out)
+        assert list(rep)[:2] == ["schema", "command"], argv
+        assert (rep["schema"], rep["command"]) == ("wct/1", argv[0])
 
 
 def test_internal_fault_exits_three(capsys, monkeypatch):

@@ -8,8 +8,11 @@ rotation of p2, p3, p4 and p6 runs the same engine as the wallpaper group
 it relabels (a * rho^k <-> (a, k)); both are held to each other.  An ast
 guard keeps decide, its kernel _cover and forced_consequences, which shares
 that kernel, apart from the ball check, beyond pair_form and the hooks.
-decide's flat uniform test for the wallpaper groups is held to a
-Sublattice.contains scan of the same vectors, and SdMap.invert to apply.
+maps.verify, the one procedure that assembles a map verdict, is held to
+the four checks it reads, and an ast guard keeps the CLI and the battery
+from reading them past it.  decide's flat uniform test for the wallpaper
+groups is held to a Sublattice.contains scan of the same vectors, and
+SdMap.invert to apply.
 """
 
 from __future__ import annotations
@@ -20,21 +23,25 @@ from pathlib import Path
 
 import pytest
 
-from wct import maps
-from wct.acceptance import SD_CASES
+from wct import acceptance, cli, maps
+from wct.acceptance import P2_THETAS, SD_CASES, TRIVIAL_GROUPS
 from wct.conjugacy import TranslationClass, brute_is_conjugate, conjugacy_class, is_conjugate
 from wct.groups import GROUP_IDS, Element, element_from_json, load_group
 from wct.lattice import Coset, Sublattice, mat_identity
 from wct.maps import (
     CosetwiseAffineMap,
     _uncovered,
+    antihomomorphism_failure,
     catalog,
     decide,
+    homomorphism_failure,
     is_wct_on_ball,
+    nontriviality_certificate,
     parse_map_expr,
     random_map,
 )
-from wct.semidirect import SdElement, SdMap, build, is_conjugate_sd, p2_candidate, phi_for_odd_p
+from wct.semidirect import (SdElement, SdMap, build, check_twist, is_conjugate_sd, p2_candidate,
+                            phi_for_odd_p)
 
 
 def _words(G, rnd, count):
@@ -168,8 +175,8 @@ def _names_in(fn: ast.FunctionDef) -> set:
     return names
 
 
-def _function(name: str) -> ast.FunctionDef | ast.ClassDef:
-    tree = ast.parse(Path(maps.__file__).read_text())
+def _function(name: str, module=maps) -> ast.FunctionDef | ast.ClassDef:
+    tree = ast.parse(Path(module.__file__).read_text())
     (fn,) = [node for node in tree.body
              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name]
     return fn
@@ -184,6 +191,84 @@ def test_decide_reads_no_ball_check(name):
 def test_ball_check_reads_no_decide():
     for name in ("is_wct_on_ball", "_meet", "_pair_terms"):
         assert not _names_in(_function(name)) & {"decide", "_cover", "_uniform_2d"}, name
+
+
+# -- maps.verify, the one procedure that assembles a verdict --------------------------
+
+
+_VERDICT_PARTS = {"decide", "is_wct_on_ball", "nontriviality_certificate",
+                  "antihomomorphism_failure"}
+
+
+@pytest.mark.parametrize("module,name", [
+    (cli, "_cmd_verify_map"), (cli, "_cmd_semidirect"),
+    (acceptance, "_crit_catalog"), (acceptance, "_crit_failures"),
+    (acceptance, "_crit_semidirect"), (acceptance, "_search_group"),
+])
+def test_verdicts_come_from_verify_alone(module, name):
+    names = _names_in(_function(name, module))
+    assert not names & _VERDICT_PARTS
+    assert names & {"verify", "check_twist"}
+
+
+def _verify_cases():
+    """(G, m, radius): every catalog map of the 17 groups, 20 seeded random
+    maps per group of trivial catalog, and the twists of the battery, which
+    the ball check, written for wallpaper groups, does not take."""
+    for gid in GROUP_IDS:
+        G = load_group(gid)
+        for m in catalog(G).values():
+            yield G, m, 1
+    for gid in TRIVIAL_GROUPS:
+        G = load_group(gid)
+        rnd = random.Random(f"verify:{gid}")
+        for _ in range(20):
+            yield G, random_map(G, rnd), 1
+    for _, p, theta in SD_CASES:
+        H = build(theta, p)
+        yield H, phi_for_odd_p(H), None
+    for _, theta in P2_THETAS:
+        H = build(theta, 2)
+        yield H, p2_candidate(H), None
+
+
+def test_verify_reports_what_its_checks_decide():
+    for G, m, radius in _verify_cases():
+        rep = maps.verify(G, m, radius)
+        exact = decide(G, m)
+        assert list(rep) == [*exact, *(["ball"] if radius is not None else []), "certificate"]
+        assert {k: rep[k] for k in exact} == exact
+        if radius is not None:
+            assert rep["ball"] == is_wct_on_ball(G, m, radius)
+        cert = nontriviality_certificate(G, m, 1)
+        assert rep["certificate"] == (None if cert is None else {
+            law: [g.to_json() for g in pair] for law, pair in cert.items()})
+        trivial = homomorphism_failure(G, m) is None or antihomomorphism_failure(G, m) is None
+        assert (rep["certificate"] is None) == trivial
+
+
+def test_check_twist_states_the_pass_rules():
+    for _, p, theta in SD_CASES:
+        H = build(theta, p)
+        m, rep, passes = check_twist(H, "phi")
+        assert m == phi_for_odd_p(H) and passes
+        assert rep == {**maps.verify(H, m), "antihomomorphism": False}
+    for _, theta in P2_THETAS:
+        H = build(theta, 2)
+        m, rep, passes = check_twist(H, "p2-candidate")
+        assert m == p2_candidate(H) and passes
+        assert rep == {**maps.verify(H, m), "antihomomorphism": True}
+    # at p = 2 phi is a WCT map but an exact antihomomorphism, so it fails;
+    # the quarter-turn twist of Z^2 x C_4 is no WCT map, and the candidate
+    # is specific to p = 2
+    H = build(((-1,),), 2)
+    _, rep, passes = check_twist(H, "phi")
+    assert rep["ok"] and rep["antihomomorphism"] and not passes
+    H = build(((0, -1), (1, 0)), 4)
+    _, rep, passes = check_twist(H, "phi")
+    assert not rep["ok"] and rep["certificate"] is not None and not passes
+    with pytest.raises(ValueError, match="specific to p = 2"):
+        check_twist(H, "p2-candidate")
 
 
 # -- SdMap.invert ---------------------------------------------------------------------
