@@ -19,7 +19,7 @@ m.apply, m.invert, m.acts_on, the two conjugation dicts G.conjugators and
 G.slack, which hold each family's closed form of conjugacy, and G.pair_form,
 which reads both sides of the WCT condition on one pair of parts off the
 tables and the map's rule as affine functions of the two translation parts.
-decide, the three law checks and the ball check's _pair_terms read that
+decide, the three law checks and the ball check's _pair_uniform read that
 form, so the product rule of each family is derived in one place; the law
 checks read nothing else of G or m.  decide and forced_consequences, both
 exact over the whole group, share the kernel _cover, whose tail
@@ -34,14 +34,14 @@ compose, invert and random_map build their results without re-validation
 check for rules built by callers.
 
 is_wct_on_ball scans ball(radius) x ball(radius) in ball order.  With the
-parts of a pair fixed, only the translation parts x1, x2 vary, and the
-residual of each conjugator that is_conjugate tests is affine in them.  A
-part pair is uniform when one conjugator's residual lies in K for every
-cell, which its constant and coefficient columns show; such a pair is
-settled by that one test, whatever the radius.  Each pair of the others is
-tested on its own, one flat residual per conjugator.  A pass is still
+parts of a pair fixed, only the translation parts x1, x2 vary, and a part
+pair is uniform when one conjugator serves every cell, which pair_form's
+constant and coefficient columns show; such a pair is settled by that one
+test, whatever the radius.  Each pair of the others is judged by the
+definition: is_conjugate of m(g1 g2) and m(g1) m(g2).  A pass is still
 evidence from a finite ball, not a proof; it is decide's oracle and shares
-only pair_form and the hooks with it.
+only pair_form and the hooks with it.  It serves the wallpaper groups;
+decide covers Z^n x C_p exactly.
 """
 
 from __future__ import annotations
@@ -74,7 +74,12 @@ class CosetwiseAffineMap:
             raise ValueError(f"rule must cover exactly the parts of {G.gid}")
         checked = {}
         for f in parts:
-            f2, m, t = rule[f]
+            entry = rule[f]
+            try:
+                f2, m, t = entry
+            except (TypeError, ValueError):
+                raise ValueError(f"rule entry of coset {f!r} must be a triple "
+                                 "(target, matrix, shift)") from None
             if f2 not in parts:
                 raise ValueError(f"target {f2!r} of coset {f!r} is not a part of {G.gid}")
             try:
@@ -313,55 +318,46 @@ def map_order(m: CosetwiseAffineMap):
 
 
 def is_wct_on_ball(G: GroupTable, m: CosetwiseAffineMap, radius: int) -> dict:
-    """Check m(g1 g2) ~ m(g1) m(g2) for all pairs from ball(radius).
+    """Check m(g1 g2) ~ m(g1) m(g2) for all pairs from ball(radius) of a
+    wallpaper group.
 
-    Sound for violations (the witness re-checks); passing is evidence, not
-    proof, since the ball is finite.  pairs_checked counts the pairs the
-    verdict covers: all of ball x ball on a pass, up to and including the
-    witness otherwise, in ball order.
+    Sound for violations, since a failing pair fails the condition itself;
+    passing is evidence, not proof, since the ball is finite.  pairs_checked
+    counts the pairs the verdict covers: all of ball x ball on a pass, up to
+    and including the witness otherwise, in ball order.
 
     The scan walks ball x ball in that order.  f1's first row, of
     g1 = (0, 0)*f1, meets the part pairs (f1, f2) in its first cell, and
-    there _pair_terms builds each pair's residuals, one per conjugator, as
-    affine functions of (x1, x2), or finds one conjugator that serves every
-    cell.  A uniform part pair holds on all of its pairs and is never
-    visited; a pair of the others holds when some conjugator's residual at
-    (x1, x2) lies in K, tested on K's HNF rows as is_conjugate tests.  So
-    when every part pair is uniform the check costs |F|^2 candidate tests,
-    at any radius.  The first pair that fails is the witness.  It is re-derived through G.mul and m.apply and
-    re-checked with is_conjugate, by an explicit raise that python -O keeps,
-    before it is reported.
+    there _pair_uniform asks whether one conjugator serves every cell.  A
+    uniform part pair holds on all of its pairs and is never visited; each
+    pair of the others is judged by the definition, is_conjugate of
+    m(g1 g2) and m(g1) m(g2) through G.mul and m.apply.  So when every part
+    pair is uniform the check costs |F|^2 candidate tests, at any radius.
+    The first pair that fails is the witness.
+
+    Z^n x C_p raises ValueError: decide covers it exactly.
     """
     _check_map(G, m)
+    if not isinstance(G, GroupTable):
+        raise ValueError("the ball check serves the 17 wallpaper groups; "
+                         "decide covers Z^n x C_p exactly")
     xs = cells(radius)
     parts = G.F
     width = len(parts)
     size = len(xs) * width
-    live = [[] for _ in parts]  # per part f1: (j2, K's HNF rows, terms) of its pairs not uniform
-    for c1, (x1, y1) in enumerate(xs):
+    mul, apply = G.mul, m.apply
+    live = [[] for _ in parts]  # per part f1: the j2 of its part pairs that are not uniform
+    for c1, a1 in enumerate(xs):
         for j1, f1 in enumerate(parts):
             row = live[j1]
-            for c2, (x2, y2) in enumerate(xs):
-                for j2, (p, q, r), terms in row if c1 or c2 else _meet(G, m, f1, row):
-                    for k0, k1, t00, t01, t10, t11, v00, v01, v10, v11 in terms:
-                        x = k0 + t00 * x1 + t01 * y1 + v00 * x2 + v01 * y2
-                        y = k1 + t10 * x1 + t11 * y1 + v10 * x2 + v11 * y2
-                        if p:
-                            if x % p:
-                                continue
-                            y -= x // p * q
-                        elif x:
-                            continue
-                        if not (y % r if r else y):
-                            break  # this conjugator's residual lies in K
-                    else:
-                        g1, g2 = Element((x1, y1), f1), Element((x2, y2), parts[j2])
-                        lhs = m.apply(G.mul(g1, g2))
-                        rhs = G.mul(m.apply(g1), m.apply(g2))
-                        if is_conjugate(G, lhs, rhs):
-                            raise AssertionError(
-                                f"ball check in {G.gid}: residuals reject ({g1}, {g2}), "
-                                f"but {lhs} and {rhs} are conjugate")
+            g1 = None  # built at the row's first pair that is not uniform
+            for c2, a2 in enumerate(xs):
+                for j2 in row if c1 or c2 else _meet(G, m, f1, row):
+                    if g1 is None:
+                        g1 = Element(a1, f1)
+                        mg1 = apply(g1)
+                    g2 = Element(a2, parts[j2])
+                    if not is_conjugate(G, apply(mul(g1, g2)), mul(mg1, apply(g2))):
                         return {
                             "ok": False,
                             "witness": [g1.to_json(), g2.to_json()],
@@ -376,17 +372,16 @@ def is_wct_on_ball(G: GroupTable, m: CosetwiseAffineMap, radius: int) -> dict:
 
 
 def _meet(G: GroupTable, m: CosetwiseAffineMap, f1: str, row: list):
-    """Yield f1's part pairs that are not uniform as (j2, K's HNF rows,
-    terms), in G.F order, each appended to row when it is built."""
+    """Yield the j2 of f1's part pairs that are not uniform, in G.F order,
+    each appended to row when it is found."""
     for j2, f2 in enumerate(G.F):
-        found = _pair_terms(G, m, f1, f2)
-        if found != "uniform":
-            row.append((j2, *found))
-            yield row[-1]
+        if not _pair_uniform(G, m, f1, f2):
+            row.append(j2)
+            yield j2
 
 
-def _pair_terms(G: GroupTable, m: CosetwiseAffineMap, f1: str, f2: str):
-    """"uniform", or (K's HNF rows, terms) for the part pair (f1, f2).
+def _pair_uniform(G: GroupTable, m: CosetwiseAffineMap, f1: str, f2: str) -> bool:
+    """Whether one conjugator serves every pair of the part pair (f1, f2).
 
     With the parts fixed, only the translation parts x1 and x2 vary, and
     G.pair_form gives both sides as affine functions of them:
@@ -396,30 +391,24 @@ def _pair_terms(G: GroupTable, m: CosetwiseAffineMap, f1: str, f2: str):
 
     As in is_conjugate, the entries (f', N, s) of G.conjugators[lf, rf] are
     the candidates and G.slack_hnf[rf] gives the HNF rows (p, q), (0, r) of
-    K; the pair holds when rhs - N lhs - s lies in K for some candidate.
-    That residual is k + T x1 + V x2 with k = b0 - N a0 - s, T = B1 - N A1
-    and V = B2 - N A2, kept as the ten ints (k0, k1, T00, T01, T10, T11,
-    V00, V01, V10, V11), one tuple per candidate.
-
-    The pair is uniform when one candidate serves every (x1, x2): when k
-    and the four columns of T and V lie in K.  Each candidate is tested as
-    soon as its terms are built, and the test stops at its first vector
-    outside K.  This is the criterion decide applies to a part pair
-    ("uniform"), coded separately here, and the tests' _reference_ball_check
-    stays its cell-by-cell oracle.
+    K; a candidate serves the pair when rhs - N lhs - s lies in K.  That
+    residual is k + T x1 + V x2 with k = b0 - N a0 - s, T = B1 - N A1 and
+    V = B2 - N A2, so the candidate serves every (x1, x2) when k and the
+    four columns of T and V lie in K.  Each candidate is tested from
+    locals and stops at its first vector outside K.  This is the criterion
+    decide applies to a part pair ("uniform"), coded separately here, and
+    the tests' _reference_ball_check stays its cell-by-cell oracle.
     """
     lf, (c0, c1), A, rf, (d0, d1), B = G.pair_form(m, f1, f2)
     (x00, x10), (x01, x11), (y00, y10), (y01, y11) = A  # A1, A2
     (u00, u10), (u01, u11), (w00, w10), (w01, w11) = B  # B1, B2
-    hnf = p, q, r = G.slack_hnf[rf]
-    terms = []
+    p, q, r = G.slack_hnf[rf]
     for _, ((n00, n01), (n10, n11)), (s0, s1) in G.conjugators[lf, rf]:
         k0, k1 = d0 - n00 * c0 - n01 * c1 - s0, d1 - n10 * c0 - n11 * c1 - s1
         t00, t01 = u00 - n00 * x00 - n01 * x10, u01 - n00 * x01 - n01 * x11
         t10, t11 = u10 - n10 * x00 - n11 * x10, u11 - n10 * x01 - n11 * x11
         v00, v01 = w00 - n00 * y00 - n01 * y10, w01 - n00 * y01 - n01 * y11
         v10, v11 = w10 - n10 * y00 - n11 * y10, w11 - n10 * y01 - n11 * y11
-        # tested from locals, so a uniform pair builds no tuple
         for x, y in ((k0, k1), (t00, t10), (t01, t11), (v00, v10), (v01, v11)):
             if p:
                 if x % p:
@@ -430,9 +419,8 @@ def _pair_terms(G: GroupTable, m: CosetwiseAffineMap, f1: str, f2: str):
             if y % r if r else y:
                 break
         else:
-            return "uniform"  # this candidate serves every cell
-        terms.append((k0, k1, t00, t01, t10, t11, v00, v01, v10, v11))
-    return hnf, tuple(terms)
+            return True  # this candidate serves every cell
+    return False
 
 
 def nontriviality_certificate(G, m, radius: int):
@@ -646,11 +634,13 @@ def wct_certificate_symbolic(G, m) -> dict:
 
 
 def verify(G, m, radius: int | None = None) -> dict:
-    """The verdict on m, for either family: decide's ok, witness and methods,
-    exact over all of G; certificate, nontriviality_certificate's as JSON for
-    every m, None exactly when m is a homomorphism or an antihomomorphism;
-    and, given a radius, ball, is_wct_on_ball's report, whose refutation of
-    a proof is a fault of the program, raised explicitly for python -O."""
+    """The verdict on m: decide's ok, witness and methods, exact over all of
+    G, for either family; certificate, nontriviality_certificate's as JSON
+    for every m, None exactly when m is a homomorphism or an
+    antihomomorphism; and, given a radius, ball, is_wct_on_ball's report,
+    whose refutation of a proof is a fault of the program, raised explicitly
+    for python -O.  The ball check serves the wallpaper groups alone, so a
+    radius with Z^n x C_p raises ValueError."""
     rep = decide(G, m)
     if radius is not None:
         rep["ball"] = is_wct_on_ball(G, m, radius)

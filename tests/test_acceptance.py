@@ -42,7 +42,7 @@ def _check_p4mg(detail):
 def _check_catalog(detail):
     assert detail["maps"] == 14
     assert detail["pair_form_points"] == 1685  # 5 points on each of 337 part pairs
-    assert all(e["certificate_radius"] <= 3 for e in detail["entries"])
+    assert all(e["nontrivial"] is True for e in detail["entries"])
     assert all(e["proven"] for e in detail["entries"])
 
 
@@ -150,6 +150,15 @@ def test_catalog_criterion_gates_on_the_exact_verdict(monkeypatch):
     res = run_criterion(5, "fast")
     assert not res["ok"]
     assert all(e["wct_ok"] and not e["proven"] for e in res["detail"]["entries"])
+
+
+def test_catalog_criterion_gates_on_nontriviality(monkeypatch):
+    # a proven map that is a homomorphism or an antihomomorphism is no
+    # entry of the nontrivial catalog
+    monkeypatch.setattr(acceptance.maps, "nontriviality_certificate", lambda G, m, radius: None)
+    res = run_criterion(5, "fast")
+    assert not res["ok"]
+    assert all(e["proven"] and not e["nontrivial"] for e in res["detail"]["entries"])
 
 
 def test_catalog_criterion_faults_when_the_ball_refutes_a_proof(monkeypatch):

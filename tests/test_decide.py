@@ -185,11 +185,11 @@ def _function(name: str, module=maps) -> ast.FunctionDef | ast.ClassDef:
 @pytest.mark.parametrize("name", ("decide", "_cover", "_uncovered", "_uniform_2d",
                                   "forced_consequences", "_keeps_classes"))
 def test_decide_reads_no_ball_check(name):
-    assert not _names_in(_function(name)) & {"is_wct_on_ball", "_meet", "_pair_terms", "_plan"}
+    assert not _names_in(_function(name)) & {"is_wct_on_ball", "_meet", "_pair_uniform", "_plan"}
 
 
 def test_ball_check_reads_no_decide():
-    for name in ("is_wct_on_ball", "_meet", "_pair_terms"):
+    for name in ("is_wct_on_ball", "_meet", "_pair_uniform"):
         assert not _names_in(_function(name)) & {"decide", "_cover", "_uniform_2d"}, name
 
 

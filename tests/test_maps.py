@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import random
@@ -124,6 +125,10 @@ def test_constructor_rejects_bad_rules():
     rule = {"1": ("1", ((2, 0), (0, 1)), (0, 0)), "rho": ("rho", eye, (0, 0))}
     with pytest.raises(ValueError, match="invertible"):
         CosetwiseAffineMap(G, rule)
+    # an entry that is not a (target, matrix, shift) triple names its coset
+    for entry in (5, ("1", eye), ("1", eye, (0, 0), None), None):
+        with pytest.raises(ValueError, match="entry of coset '1' must be a triple"):
+            CosetwiseAffineMap(G, {"1": entry, "rho": ("rho", eye, (0, 0))})
 
 
 def test_constructor_rejects_non_integer_data():
@@ -840,20 +845,20 @@ def test_ball_check_matches_reference_on_covered_maps(gid, radius):
     cell along the whole first row before the witness, which lies past it."""
     G = load_group(gid)
     m = CosetwiseAffineMap(G, COVERED[gid])
-    assert maps._pair_terms(G, m, "1", "rho") != "uniform"
+    assert not maps._pair_uniform(G, m, "1", "rho")
     assert not _assert_matches_reference(G, m, radius)
     assert is_wct_on_ball(G, m, radius)["pairs_checked"] > len(G.ball(radius))
 
 
 def _uniform_blocks(G, m):
     """How many part pairs of m are uniform, after asserting that
-    _pair_terms reports each as decide labels it: _cover's flat test,
+    _pair_uniform judges each as decide labels it: _cover's flat test,
     _uniform_2d."""
     uniform = 0
     for f1 in G.F:
         for f2 in G.F:
             label = maps._uniform_2d(G, *G.pair_form(m, f1, f2))
-            assert (maps._pair_terms(G, m, f1, f2) == "uniform") is label, (m, f1, f2)
+            assert maps._pair_uniform(G, m, f1, f2) is label, (m, f1, f2)
             uniform += label
     return uniform
 
@@ -895,13 +900,14 @@ class _CountedCells(tuple):
 @pytest.mark.parametrize("radius", (3, 8))
 def test_ball_check_of_uniform_maps_enumerates_no_cell(monkeypatch, radius):
     """Every part pair of every NONTRIVIAL_CATALOG map is uniform, so the
-    ball check builds |F|^2 uniform part pairs, reads only the first cell of
-    each row it starts and evaluates no residual, at any radius."""
+    ball check finds |F|^2 uniform part pairs, reads only the first cell of
+    each row it starts and judges no pair by is_conjugate, at any radius."""
     verdicts, reads = [], []
-    terms = maps._pair_terms
-    monkeypatch.setattr(maps, "_pair_terms", lambda *args: verdicts.append(terms(*args))
+    uniform = maps._pair_uniform
+    monkeypatch.setattr(maps, "_pair_uniform", lambda *args: verdicts.append(uniform(*args))
                         or verdicts[-1])
     monkeypatch.setattr(maps, "cells", lambda r: _CountedCells(cells(r), reads))
+    monkeypatch.setattr(maps, "is_conjugate", lambda *args: pytest.fail(f"judged {args}"))
     for gid, names in NONTRIVIAL_CATALOG.items():
         G = load_group(gid)
         for name in names:
@@ -909,33 +915,53 @@ def test_ball_check_of_uniform_maps_enumerates_no_cell(monkeypatch, radius):
             reads.clear()
             res = is_wct_on_ball(G, generator(G, name), radius)
             assert res["ok"] and res["pairs_checked"] == len(G.ball(radius)) ** 2, (gid, name)
-            assert verdicts == ["uniform"] * len(G.F) ** 2, (gid, name)
+            assert verdicts == [True] * len(G.F) ** 2, (gid, name)
             # the rows of ball(0), then each part's row starts and stops at its first cell
             assert reads == [1] * (1 + len(G.F)), (gid, name)
 
 
-def test_witness_recheck_survives_python_O():
-    """The re-check of a witness is no assert statement, so python -O keeps it."""
+def test_ball_check_refutes_under_python_O():
+    """The ball check rests on no assert statement: under python -O it still
+    refutes conj_rho_on_rho2 at radius 2, at the same witness and count."""
     src = str(Path(wct.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     code = "\n".join((
         "assert False, 'assert statements run'",
-        "import wct.maps",
+        "import json, wct.maps",
         "from wct.groups import load_group",
-        "wct.maps.is_conjugate = lambda G, g, h: True",
         "G = load_group('p4')",
-        "try:",
-        "    res = wct.maps.is_wct_on_ball(G, wct.maps.generator(G, 'conj_rho_on_rho2'), 2)",
-        "except AssertionError as exc:",
-        "    print('raised:', exc)",
-        "else:",
-        "    print('reported:', res)",
+        "m = wct.maps.generator(G, 'conj_rho_on_rho2')",
+        "print(json.dumps(wct.maps.is_wct_on_ball(G, m, 2)))",
     ))
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("raised: ball check in p4"), proc.stdout
+    assert json.loads(proc.stdout) == {
+        "ok": False, "witness": [{"a": [-1, 0], "f": "1"}, {"a": [-1, 0], "f": "rho2"}],
+        "radius": 2, "pairs_checked": 811}
+
+
+def test_src_holds_no_assert_statement():
+    """Every check in wct is an explicit raise, which python -O keeps."""
+    for path in sorted(Path(wct.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, (path.name, lines)
+
+
+@pytest.mark.parametrize("case", SD_CASES[:2], ids=lambda case: f"n{len(case[2])}")
+def test_ball_check_rejects_a_semidirect_group(case):
+    """The ball check serves the wallpaper groups; on Z^n x C_p it refuses
+    with ValueError, directly and through verify, while verify without a
+    radius still decides the map."""
+    _, p, theta = case
+    H = build(theta, p)
+    m = phi_for_odd_p(H)
+    for check in (lambda: is_wct_on_ball(H, m, 1), lambda: maps.verify(H, m, 1)):
+        with pytest.raises(ValueError, match="decide covers Z\\^n x C_p exactly"):
+            check()
+    assert maps.verify(H, m)["ok"]
 
 
 class _FirstConjugatorOnly(GroupTable):
